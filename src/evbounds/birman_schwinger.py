@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EmptySupportError
 from .grid import FrequencySymbol, GridSpec, as_grid, resolvent_symbol
 from .potential import PotentialField
+from .util import spectral_norm
 
 __all__ = [
     "BsOperator",
@@ -43,7 +44,7 @@ class BsOperator:
         return self.matrix.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+        return spectral_norm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,18 @@ def gelfand_spr(op, n_max: int = 32, tol: float = 1e-6, dim: int | None = None,
     tol : float
         Relative stabilization target for the iterative estimate.
 
-    The n-th root of the norm of op^n is tracked through the norm growth of
-    a few random probe vectors (log-accumulated, so powers neither overflow
-    nor underflow).  For dimensions up to 512 with a dense matrix at hand a
-    final dense eigensolve fixes the answer to eigensolver accuracy; beyond
-    that the iterative estimate is returned and flagged with a warning when
-    it has not stabilized to `tol`.
+    A dense matrix of dimension up to 512 goes straight to a dense
+    eigensolve, exact to eigensolver accuracy.  Otherwise the n-th root of
+    the norm of op^n is tracked through the norm growth of a few random
+    probe vectors (log-accumulated, so powers neither overflow nor
+    underflow), and the estimate is flagged with a warning when it has not
+    stabilized to `tol`.
     """
     matvec, n, dense = _as_matvec(op, dim)
     if n == 0:
         return 0.0
+    if dense is not None and n <= 512:
+        return float(np.abs(np.linalg.eigvals(dense)).max())
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((n, n_probes)) + 1j * rng.standard_normal((n, n_probes))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
@@ -166,8 +169,6 @@ def gelfand_spr(op, n_max: int = 32, tol: float = 1e-6, dim: int | None = None,
     if iterative == 0.0:
         converged = True
 
-    if dense is not None and n <= 512:
-        return float(np.abs(np.linalg.eigvals(dense)).max())
     if not converged:
         warnings.warn(
             f"spectral radius estimate did not stabilize to {tol} within {n_max} powers",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -239,10 +240,18 @@ def _read_norms(path: Path) -> dict[int, float]:
 
 
 def _write_norms(path: Path, norms: dict[int, float]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("realization_index,norm\n")
-        for idx in sorted(norms):
-            fh.write(f"{idx},{_fmt(norms[idx])}\n")
+    # Write beside the target and rename over it: a run killed mid-write
+    # leaves the previous file whole, never a truncated row that
+    # _read_norms would take for a valid float.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("realization_index,norm\n")
+            for idx in sorted(norms):
+                fh.write(f"{idx},{_fmt(norms[idx])}\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _collect_norms(cfg, lam, R, n, workers, camp_dir) -> dict[int, float]:

@@ -76,6 +76,7 @@ class SandwichOperator:
     potential_ref: dict = dc_field(default_factory=dict)  # provenance of the sandwiched field
 
     def norm(self) -> float:
+        """Operator norm ||E* V E||: the exact largest singular value."""
         from .util import spectral_norm
 
         return spectral_norm(self.matrix)

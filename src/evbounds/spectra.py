@@ -133,8 +133,11 @@ def hamiltonian_matrix(grid, potential) -> np.ndarray:
 def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     """All eigenvalues of a square matrix, clustered into SpectralPoints.
 
-    Residuals are ||(H - z)v|| / ||v|| for the computed right eigenvectors;
-    multiplicities come from single-linkage clustering at 1e-7 ||H||.
+    Residuals are ||(H - z)v|| / ||v|| for the computed right eigenvectors.
+    Multiplicities come from single-linkage clustering: eigenvalues within
+    1e-7 ||H|| of each other, with ||H|| the exact largest singular value,
+    are linked, and each connected group is one point.  Points come in
+    lexicographic (Re, Im) order of their first member, so reruns agree.
     """
     h = np.asarray(matrix)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -153,23 +156,24 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
 
     order = np.lexsort((w.imag, w.real))
     w, residuals = w[order], residuals[order]
+    # Single linkage, each group labelled by its first member; linked
+    # eigenvalues lie at most tol apart in Re, so each looks back that far.
+    labels = np.arange(n)
+    start = np.searchsorted(w.real, w.real - tol)
+    for i in range(n):
+        link = labels[start[i]:i + 1][np.abs(w[start[i]:i + 1] - w[i]) <= tol]
+        if link.size > 1:
+            labels[np.isin(labels, link)] = link.min()
     points: list[SpectralPoint] = []
-    members: list[int] = [0]
-    reps = w[0]
-    for i in range(1, n + 1):
-        if i < n and abs(w[i] - w[members[-1]]) <= tol:
-            members.append(i)
-            continue
-        cluster = np.array(members)
+    for first in np.unique(labels):
+        cluster = np.flatnonzero(labels == first)
         points.append(
             SpectralPoint(
                 z=complex(w[cluster].mean()),
-                multiplicity=len(members),
+                multiplicity=len(cluster),
                 residual=float(residuals[cluster].max()),
             )
         )
-        if i < n:
-            members = [i]
     return points
 
 

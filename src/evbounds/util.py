@@ -1,4 +1,4 @@
-"""Small shared helpers: the Japanese bracket and binomial intervals."""
+"""Small shared helpers: the Japanese bracket, binomial intervals and the operator norm."""
 
 from __future__ import annotations
 
@@ -32,29 +32,13 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return (min(max(0.0, center - half), p), max(min(1.0, center + half), p))
 
 
-def spectral_norm(matrix, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Largest singular value via power iteration on A*A.
+def spectral_norm(matrix) -> float:
+    """Largest singular value ||A||_2 from one LAPACK SVD (values only).
 
-    Cheaper than a full SVD for the Monte Carlo loops where only the norm is
-    needed.  Falls back to the dense SVD if the iteration stalls.
+    Exact to working precision, with no tolerance, iteration budget or
+    fallback; an empty matrix has norm 0.0.
     """
     a = np.asarray(matrix)
     if a.size == 0:
         return 0.0
-    n = a.shape[1]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        v = a.conj().T @ w
-        s = np.linalg.norm(v)
-        if s == 0.0:
-            return 0.0
-        v /= s
-        cur = np.sqrt(s)
-        if abs(cur - prev) <= tol * max(1.0, cur):
-            return float(cur)
-        prev = cur
     return float(np.linalg.norm(a, 2))

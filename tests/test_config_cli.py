@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import evbounds.cli as cli
 from evbounds.cli import main
 from evbounds.config import RunConfig, load_config
 from evbounds.errors import ConfigError
@@ -234,6 +235,35 @@ def test_campaign_resumes_from_disk(tmp_path):
     # the stored realization is trusted verbatim, so the summary inherits it
     summary = next(out.glob("summary_*.csv")).read_text(encoding="utf-8")
     assert summary.splitlines()[1].split(",")[3] == "99.0"
+
+
+def test_campaign_write_failure_keeps_previous_norms(tmp_path, monkeypatch):
+    data = _campaign_dict(n_samples=3)
+    _, out = _run(tmp_path, data, command="campaign")
+    norms_path = next(out.glob("campaign_*/norms_R8.csv"))
+    full = norms_path.read_text(encoding="utf-8")
+    partial = "\n".join(full.splitlines()[:2]) + "\n"
+    norms_path.write_text(partial, encoding="utf-8")
+
+    # the resumed run rewrites rows 0..2 and dies while formatting row 2
+    calls = []
+    real_fmt = cli._fmt
+
+    def dying_fmt(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise RuntimeError("killed mid-write")
+        return real_fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", dying_fmt)
+    with pytest.raises(RuntimeError):
+        _run(tmp_path, data, command="campaign")
+    assert norms_path.read_text(encoding="utf-8") == partial
+    assert sorted(p.name for p in norms_path.parent.iterdir()) == ["norms_R8.csv"]
+
+    monkeypatch.setattr(cli, "_fmt", real_fmt)
+    _run(tmp_path, data, command="campaign")
+    assert norms_path.read_text(encoding="utf-8") == full
 
 
 def test_campaign_workers_agree(tmp_path):

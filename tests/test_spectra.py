@@ -87,6 +87,15 @@ def test_jordan_block_multiplicity():
     assert pt.z == pytest.approx(1.0, abs=1e-7)
 
 
+def test_clustering_links_pairs_split_by_lexsort():
+    # 1 and 1+1e-8+1e-9j lie within 1e-7 ||H|| of each other, but the
+    # middle eigenvalue's real part falls between theirs in (Re, Im) order
+    pts = eigenvalues_dense(np.diag([1.0, 1.0 + 5e-9 + 0.3j, 1.0 + 1e-8 + 1e-9j]))
+    assert [p.multiplicity for p in pts] == [2, 1]
+    assert pts[0].z == pytest.approx(1.0, abs=1e-7)
+    assert pts[1].z == pytest.approx(1.0 + 0.3j, abs=1e-7)
+
+
 def test_companion_cube_roots():
     # z^3 - 1: companion of coefficients (-1, 0, 0)
     comp = oracles.companion_matrix([-1.0, 0.0, 0.0])
