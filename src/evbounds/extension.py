@@ -163,6 +163,37 @@ def _support_data(field: PotentialField):
     return g, g.points(centered=True)[support], vals[support]
 
 
+def _gram(rows, d, rows_in=None):
+    """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
+
+    Rows of zero weight are skipped.  Real weights on one row set give a
+    Hermitian matrix, formed per weight sign as the real Gram x^T x of
+    x = sqrt|d| rows viewed as interleaved (Re, Im) columns: numpy sends
+    x.T @ x to its symmetric rank-k update, half the flops of the complex
+    product.  Complex weights, or two row sets, take one complex product.
+    """
+    d = np.asarray(d)
+    if np.iscomplexobj(d) and not d.imag.any():
+        d = d.real
+    if rows_in is not None or np.iscomplexobj(d):
+        nz = np.flatnonzero(d)
+        left = rows[nz]
+        right = left if rows_in is None else rows_in[nz]
+        return (left.conj().T * d[nz]) @ right
+    n = rows.shape[1]
+    m = np.zeros((n, n), dtype=complex)
+    for sign in (1.0, -1.0):
+        sel = np.flatnonzero(sign * d > 0)
+        if sel.size == 0:
+            continue
+        x = rows[sel]
+        x *= np.sqrt(sign * d[sel])[:, None]
+        x = x.view(float)
+        g = x.T @ x
+        m += sign * ((g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[0::2, 1::2] - g[1::2, 0::2]))
+    return m
+
+
 def _weighted_gram(pts, vals, net_out, net_in, cellvol, chunk=262144):
     """sum_x conj(e(x.mu)) V(x) e(x.nu) cellvol, accumulated in chunks."""
     n_out, n_in = net_out.n_nodes, net_in.n_nodes
@@ -171,12 +202,8 @@ def _weighted_gram(pts, vals, net_out, net_in, cellvol, chunk=262144):
     for lo in range(0, pts.shape[0], step):
         sl = slice(lo, lo + step)
         p_out = np.exp(2j * np.pi * (pts[sl] @ net_out.nodes.T))
-        p_in = (
-            p_out
-            if net_in is net_out
-            else np.exp(2j * np.pi * (pts[sl] @ net_in.nodes.T))
-        )
-        m += (p_out.conj().T * (vals[sl] * cellvol)) @ p_in
+        p_in = None if net_in is net_out else np.exp(2j * np.pi * (pts[sl] @ net_in.nodes.T))
+        m += _gram(p_out, vals[sl] * cellvol, p_in)
     return m
 
 
@@ -220,13 +247,20 @@ def _cell_blocks(field: PotentialField, h: float):
 class SandwichEnsemble:
     """Randomized sandwiches over many realizations of one (V, net) pair.
 
-    All realization-independent factors are precomputed: cells on which V is
-    constant and that share one torus offset contribute through a corner
-    phase matrix and a separable in-cell geometric sum, so a realization
-    costs two small matrix products instead of a full node-level assembly.
-    Cells cut by the support boundary (or the seam at L/2) keep per-node
-    phases.  The result equals the node-level sandwich of the randomized
-    potential to rounding error.
+    Rows are the points that carry V: the corner of each cell on which V is
+    constant and that shares one torus offset (a uniform cell), and each
+    nonzero node of every other cell (a mixed cell, cut by the support
+    boundary or by the seam at L/2).  A uniform cell's nodes enter through
+    its corner phase times a separable in-cell geometric sum sigma, which
+    factors out of the cell sum as a Hadamard product.  Phase rows are
+    products of per-axis plane-wave tables gathered by lattice index.
+
+    The deterministic sandwich M(1), omega = 1 on every cell, is assembled
+    once.  A realization adds the weighted Gram of the rows whose weight
+    (omega - 1) V is nonzero, M(omega) = M(1) + sum (omega_j - 1) V_j
+    conj(e_j)^T e_j, so sign weights touch only the cells they flip.  The
+    result equals the node-level sandwich of the randomized potential to
+    rounding error.
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -243,9 +277,7 @@ class SandwichEnsemble:
             return
         blocks, nc, r = split
         d = gs.d
-        self._nc, self._r = nc, r
-        per_cell = r**d
-        flat = blocks.reshape(nc**d, per_cell)
+        flat = blocks.reshape(nc**d, r**d)
 
         const = np.all(flat == flat[:, :1], axis=1)
         tau_axis = (g.axis_raw >= gs.L / 2).astype(int)
@@ -256,44 +288,53 @@ class SandwichEnsemble:
             tau_ok = np.logical_and.outer(tau_ok, tau_const_axis)
         uniform = const & tau_ok.ravel()
         cell_vals = flat[:, 0]
-        self._active = uniform & (cell_vals != 0)
-        self._active_vals = cell_vals[self._active]
+        active = uniform & (cell_vals != 0)
+        self._uniform_cells = np.flatnonzero(active)
+        self._uniform_vals = cell_vals[active]
+        corners = tuple(c * r for c in np.unravel_index(self._uniform_cells, (nc,) * d))
 
-        if self._active.any():
-            corner_axis = g.axis_centered[::r]  # centered coordinates of block corners
-            mesh = np.meshgrid(*([corner_axis] * d), indexing="ij")
-            corners = np.stack([c.ravel() for c in mesh], axis=-1)[self._active]
-            self._u_out = np.exp(2j * np.pi * (corners @ net_out.nodes.T))
-            self._u_in = (
-                self._u_out
-                if net_in is net_out
-                else np.exp(2j * np.pi * (corners @ net_in.nodes.T))
-            )
-            # In-cell phase sum: product over axes of geometric sums of length r.
-            kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
-            sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
-            for ax in range(d):
-                half = np.pi * gs.dx * kappa[..., ax]
-                s = np.sin(half)
-                tiny = np.abs(s) < 1e-12
-                ratio = np.where(tiny, float(r), np.sin(half * r) / np.where(tiny, 1.0, s))
-                sigma *= np.exp(1j * half * (r - 1)) * ratio
-            self._sigma = sigma
+        mixed = np.flatnonzero(~active & np.any(flat != 0, axis=1))
+        self._n_mixed = mixed.size
+        nodes = _cell_nodes(nc, r, d, mixed)
+        node_vals = field.values[nodes]
+        keep = node_vals != 0
+        nodes = tuple(ax[keep] for ax in nodes)
+        self._mixed_cell_of_row = np.repeat(mixed, r**d)[keep]
+        self._mixed_vals = node_vals[keep]
 
-        self._rest_cells = np.flatnonzero(~self._active & np.any(flat != 0, axis=1))
-        if self._rest_cells.size:
-            node_idx = _cell_node_indices(gs, nc, r, self._rest_cells)
-            pts = g.points(centered=True)[node_idx]
-            self._rest_vals = field.values.ravel()[node_idx]
-            self._rest_repeat = per_cell
-            self._p_out = np.exp(2j * np.pi * (pts @ net_out.nodes.T))
-            self._p_in = (
-                self._p_out
-                if net_in is net_out
-                else np.exp(2j * np.pi * (pts @ net_in.nodes.T))
-            )
+        tables = _axis_tables(g.axis_centered, net_out)
+        self._u_out = _phase_rows(tables, corners)
+        self._p_out = _phase_rows(tables, nodes)
+        self._u_in = self._p_in = None
+        if net_in is not net_out:
+            tables = _axis_tables(g.axis_centered, net_in)
+            self._u_in = _phase_rows(tables, corners)
+            self._p_in = _phase_rows(tables, nodes)
+        # In-cell phase sum: product over axes of geometric sums of length r.
+        kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
+        sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
+        for ax in range(d):
+            half = np.pi * gs.dx * kappa[..., ax]
+            s = np.sin(half)
+            tiny = np.abs(s) < 1e-12
+            ratio = np.where(tiny, float(r), np.sin(half * r) / np.where(tiny, 1.0, s))
+            sigma *= np.exp(1j * half * (r - 1)) * ratio
+        self._sigma = sigma
+        self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)
+
+    def _assemble(self, uniform_w, mixed_w):
+        """Uniform-corner Gram times sigma plus the mixed-node Gram."""
+        m = _gram(self._u_out, uniform_w, self._u_in)
+        m *= self._sigma
+        m += _gram(self._p_out, mixed_w, self._p_in)
+        return m
 
     def with_omega(self, omega: OmegaField) -> SandwichOperator:
+        """Sandwich of the potential randomized by omega.
+
+        potential_ref records the uniform and mixed cell counts and
+        gram_rows, the number of rows whose weight changed from omega = 1.
+        """
         if omega.grid != self.field.grid:
             raise ValueError("omega drawn for a different grid than the potential")
         if abs(omega.spec.h - self.h) > 1e-12:
@@ -302,25 +343,21 @@ class SandwichEnsemble:
             from .randomize import anderson_randomize
 
             return sandwich(self.net_out, self.net_in, anderson_randomize(self.field, omega))
-        gs = self._g.spec
-        omega_flat = omega.cells.reshape(-1)
-        n_out, n_in = self.net_out.n_nodes, self.net_in.n_nodes
-        m = np.zeros((n_out, n_in), dtype=complex)
-        if self._active.any():
-            dvals = (omega_flat[self._active] * self._active_vals).astype(complex)
-            m += ((self._u_out.conj().T * dvals) @ self._u_in) * self._sigma
-        if self._rest_cells.size:
-            per_node = np.repeat(omega_flat[self._rest_cells], self._rest_repeat)
-            m += (self._p_out.conj().T * (self._rest_vals * per_node)) @ self._p_in
-        m *= gs.cellvol
+        shift = omega.cells.reshape(-1) - 1.0
+        uniform_w = shift[self._uniform_cells] * self._uniform_vals
+        mixed_w = shift[self._mixed_cell_of_row] * self._mixed_vals
+        m = self._assemble(uniform_w, mixed_w)
+        m += self._m1
+        m *= self._g.spec.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
         return SandwichOperator(
             self.net_out,
             self.net_in,
             m,
             {
-                "uniform_cells": int(self._active.sum()),
-                "mixed_cells": int(self._rest_cells.size),
+                "uniform_cells": int(self._uniform_cells.size),
+                "mixed_cells": int(self._n_mixed),
+                "gram_rows": int(np.count_nonzero(uniform_w) + np.count_nonzero(mixed_w)),
                 "realization_index": omega.spec.realization_index,
             },
         )
@@ -341,17 +378,28 @@ def sandwich_randomized(
     return SandwichEnsemble(net_out, net_in, field, omega.spec.h).with_omega(omega)
 
 
-def _cell_node_indices(gs, nc, r, cells):
-    """Flat node indices of the given flat cell indices, cell-major order."""
-    d = gs.d
+def _cell_nodes(nc, r, d, cells):
+    """Per-axis node indices of the given flat cell indices, cell-major order."""
     cell_multi = np.unravel_index(cells, (nc,) * d)
     offsets = np.meshgrid(*([np.arange(r)] * d), indexing="ij")
-    offsets = np.stack([o.ravel() for o in offsets], axis=-1)  # (r^d, d)
-    idx = 0
-    for ax in range(d):
-        axis_nodes = cell_multi[ax][:, None] * r + offsets[None, :, ax]
-        idx = idx * gs.N + axis_nodes
-    return idx.reshape(-1)
+    return tuple((c[:, None] * r + o.ravel()[None, :]).ravel() for c, o in zip(cell_multi, offsets))
+
+
+def _axis_tables(axis, net):
+    """Per-axis plane waves e^{2 pi i x_a xi_a}: one (len(axis), n_nodes) table per axis."""
+    return [np.exp(2j * np.pi * np.outer(axis, net.nodes[:, ax])) for ax in range(net.d)]
+
+
+def _phase_rows(tables, multi):
+    """Rows e^{2 pi i x.xi} for the lattice points with per-axis indices multi.
+
+    A product of gathered per-axis table rows: one multiply per (point,
+    node) and axis instead of one exp.
+    """
+    rows = tables[0][multi[0]]
+    for table, idx in zip(tables[1:], multi[1:]):
+        rows *= table[idx]
+    return rows
 
 
 def beltrami_weighted_sandwich(

@@ -6,6 +6,7 @@ import pytest
 from evbounds import GridSpec
 from evbounds.extension import (
     SandwichEnsemble,
+    _gram,
     SchattenParams,
     beltrami_weighted_sandwich,
     build_net,
@@ -175,6 +176,89 @@ def test_ensemble_reuses_across_realizations():
             fast.matrix, slow.matrix, atol=1e-10 * np.abs(slow.matrix).max()
         )
         assert fast.potential_ref["realization_index"] == idx
+
+
+@pytest.mark.parametrize(
+    "distribution,amplitude", [("gaussian", 1.0 + 0.5j), ("bernoulli", -2.0)]
+)
+def test_ensemble_matches_node_level_route_to_rounding(distribution, amplitude):
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    field = _field(gs, amplitude=amplitude, R=2.0)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    for idx in range(3):
+        omega = draw_omega(
+            OmegaSpec(h=1.0, distribution=distribution, master_seed=13, realization_index=idx), gs
+        )
+        fast = ens.with_omega(omega).matrix
+        slow = sandwich(net, net, anderson_randomize(field, omega)).matrix
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+
+
+def test_ensemble_with_two_nets_matches_node_level_route():
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net_out = build_net(lam=1.0, R=4.0, d=2)
+    net_in = build_net(lam=1.5, R=4.0, d=2)
+    field = _field(gs, amplitude=1.0, R=2.0)
+    omega = draw_omega(_omega_spec(h=1.0, seed=3), gs)
+    fast = SandwichEnsemble(net_out, net_in, field, h=1.0).with_omega(omega).matrix
+    slow = sandwich(net_out, net_in, anderson_randomize(field, omega)).matrix
+    assert fast.shape == (net_out.n_nodes, net_in.n_nodes)
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+
+
+def test_ensemble_is_hermitian_for_real_potential_and_signs():
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    ens = SandwichEnsemble(net, net, _field(gs, amplitude=1.5, R=2.0), h=1.0)
+    for idx in range(3):
+        m = ens.with_omega(draw_omega(_omega_spec(h=1.0, seed=8, index=idx), gs)).matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-14 * np.abs(m).max()
+
+
+def test_ensemble_gram_rows_count_changed_weights():
+    """omega = 1 feeds no row; omega = -1 feeds every uniform corner and nonzero mixed node."""
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    field = _field(gs, amplitude=1.0, R=2.0)
+    spec = _omega_spec(h=1.0)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    ones = ens.with_omega(OmegaField.constant(spec, gs, 1.0))
+    assert ones.potential_ref["gram_rows"] == 0
+    flipped = ens.with_omega(OmegaField.constant(spec, gs, -1.0)).potential_ref
+    per_cell = 4**2  # h / dx = 4 nodes per axis
+    support = np.count_nonzero(field.values)
+    assert flipped["mixed_cells"] > 0
+    uniform = flipped["uniform_cells"]
+    assert flipped["gram_rows"] == uniform + support - per_cell * uniform
+
+
+def _rows(k, n=7, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.array([1.5, -0.5, 0.0, 2.0, -3.0, 0.25]),
+        np.array([1.0 + 2.0j, -0.5j, 0.0, 3.0, -1.0 + 0.1j, 0.5]),
+        np.zeros(6),
+    ],
+    ids=["mixed_sign", "complex", "all_zero"],
+)
+def test_gram_matches_dense_product(weights):
+    rows, other = _rows(weights.size), _rows(weights.size, n=5, seed=1)
+    for right, got in ((rows, _gram(rows, weights)), (other, _gram(rows, weights, other))):
+        want = (rows.conj().T * weights) @ right
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+def test_gram_of_empty_row_set_is_zero():
+    got = _gram(np.zeros((0, 7), dtype=complex), np.zeros(0))
+    assert got.shape == (7, 7)
+    assert np.all(got == 0)
 
 
 def test_ensemble_rejects_mismatched_omega():
