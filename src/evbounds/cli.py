@@ -229,13 +229,38 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
+_NORMS_HEADER = "realization_index,norm"
+
+
 def _read_norms(path: Path) -> dict[int, float]:
+    """Stored norms by realization index; {} when the file does not exist.
+
+    A file _write_norms did not leave whole (wrong header, no final newline,
+    a row that is not one integer index and one finite norm, or an index
+    seen twice) raises ConfigError naming it, so a campaign never resumes
+    from a cut or corrupted row.
+    """
+    if not path.exists():
+        return {}
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[0] != _NORMS_HEADER:
+        raise ConfigError(f"{path}: header is not {_NORMS_HEADER!r}")
+    if lines[-1] != "":
+        raise ConfigError(f"{path}: no final newline, the last row was cut")
     have: dict[int, float] = {}
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-            if line.strip():
-                idx, val = line.split(",")
-                have[int(idx)] = float(val)
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"{len(fields)} fields")
+            idx, val = int(fields[0]), float(fields[1])
+        except ValueError as err:
+            raise ConfigError(f"{path}, line {lineno}: malformed row {line!r} ({err})") from None
+        if not np.isfinite(val):
+            raise ConfigError(f"{path}, line {lineno}: norm {val} is not finite")
+        if idx in have:
+            raise ConfigError(f"{path}, line {lineno}: realization {idx} appears twice")
+        have[idx] = val
     return have
 
 
@@ -246,7 +271,7 @@ def _write_norms(path: Path, norms: dict[int, float]):
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("realization_index,norm\n")
+            fh.write(_NORMS_HEADER + "\n")
             for idx in sorted(norms):
                 fh.write(f"{idx},{_fmt(norms[idx])}\n")
         os.replace(tmp, path)

@@ -39,6 +39,9 @@ _FIB_FACTOR = 9.6
 
 _MIN_NODES = 8
 
+# Phase-row entries per chunk of the node-level sandwich: bounds its memory.
+_CHUNK = 262144
+
 
 @dataclass(frozen=True)
 class SphereNet:
@@ -155,14 +158,6 @@ def extension_matrix(net: SphereNet, points: np.ndarray) -> np.ndarray:
     return phase * net.weights[None, :]
 
 
-def _support_data(field: PotentialField):
-    # Empty support is legal here: the gram loop then yields the zero matrix.
-    g = as_grid(field.grid)
-    vals = field.values.ravel()
-    support = np.flatnonzero(vals)
-    return g, g.points(centered=True)[support], vals[support]
-
-
 def _gram(rows, d, rows_in=None):
     """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
 
@@ -194,19 +189,6 @@ def _gram(rows, d, rows_in=None):
     return m
 
 
-def _weighted_gram(pts, vals, net_out, net_in, cellvol, chunk=262144):
-    """sum_x conj(e(x.mu)) V(x) e(x.nu) cellvol, accumulated in chunks."""
-    n_out, n_in = net_out.n_nodes, net_in.n_nodes
-    m = np.zeros((n_out, n_in), dtype=complex)
-    step = max(1, int(chunk // max(n_out, n_in)))
-    for lo in range(0, pts.shape[0], step):
-        sl = slice(lo, lo + step)
-        p_out = np.exp(2j * np.pi * (pts[sl] @ net_out.nodes.T))
-        p_in = None if net_in is net_out else np.exp(2j * np.pi * (pts[sl] @ net_in.nodes.T))
-        m += _gram(p_out, vals[sl] * cellvol, p_in)
-    return m
-
-
 def _apply_net_weights(m, net_out, net_in):
     m *= np.sqrt(net_out.weights)[:, None]
     m *= np.sqrt(net_in.weights)[None, :]
@@ -218,12 +200,25 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
 
     Entry (mu, nu) is sum_x conj(e(x.mu)) V(x) e(x.nu) cellvol sqrt(w_mu w_nu)
     with x running over the grid nodes where V is nonzero, in torus-centered
-    coordinates so wrapped supports stay contiguous.
+    coordinates so wrapped supports stay contiguous.  Phase rows are products
+    of per-axis plane-wave tables, accumulated in chunks of about _CHUNK
+    entries.  An empty support gives the zero matrix.
     """
-    g, pts, vals = _support_data(field)
-    m = _weighted_gram(pts, vals, net_out, net_in, g.cellvol)
+    g = as_grid(field.grid)
+    vals = field.values.ravel()
+    support = np.flatnonzero(vals)
+    weights = vals[support] * g.spec.cellvol
+    multi = np.unravel_index(support, g.spec.shape)
+    t_out = _axis_tables(g.axis_centered, net_out)
+    t_in = None if net_in is net_out else _axis_tables(g.axis_centered, net_in)
+    m = np.zeros((net_out.n_nodes, net_in.n_nodes), dtype=complex)
+    step = max(1, _CHUNK // max(net_out.n_nodes, net_in.n_nodes))
+    for lo in range(0, support.size, step):
+        idx = tuple(ax[lo : lo + step] for ax in multi)
+        rows_in = None if t_in is None else _phase_rows(t_in, idx)
+        m += _gram(_phase_rows(t_out, idx), weights[lo : lo + step], rows_in)
     _apply_net_weights(m, net_out, net_in)
-    return SandwichOperator(net_out, net_in, m, {"support_nodes": pts.shape[0]})
+    return SandwichOperator(net_out, net_in, m, {"support_nodes": int(support.size)})
 
 
 def _cell_blocks(field: PotentialField, h: float):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SupportError
 from .extension import SandwichEnsemble, build_net, sandwich, singular_values, weak_schatten
-from .grid import GridSpec, as_grid
+from .grid import GridSpec
 from .potential import PotentialField, PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
 from .randomize import OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
 from .spectra import delta_dist, eigenvalue_sum
@@ -277,6 +277,34 @@ def _campaign_grid(R: float, d: int, dx: float) -> GridSpec:
     return GridSpec(d=d, L=L, N=N)
 
 
+def _campaign_ensemble(
+    potential_spec: PotentialSpec,
+    lam: float,
+    R: float,
+    d: int,
+    dx: float,
+    h: float,
+    magnitude: bool = False,
+) -> SandwichEnsemble:
+    """The campaign chain at one R: grid -> sample_potential -> build_net -> ensemble.
+
+    The potential takes support radius R on the L = 4R grid; magnitude=True
+    sandwiches |V| instead of V.
+    """
+    gs = _campaign_grid(R, d, dx)
+    field = sample_potential(dataclasses.replace(potential_spec, R=R), gs)
+    if magnitude:
+        field.values = np.abs(field.values).astype(complex)
+    net = build_net(lam, R, d)
+    return SandwichEnsemble(net, net, field, h)
+
+
+def _identity_norm(ensemble: SandwichEnsemble, omega_spec: OmegaSpec) -> float:
+    """Norm of the ensemble's omega = 1 realization, its deterministic M(1)."""
+    omega = OmegaField.constant(omega_spec, ensemble.field.grid, 1.0)
+    return spectral_norm(ensemble.with_omega(omega).matrix)
+
+
 def ext_norm_samples(
     potential_spec: PotentialSpec,
     omega_template: OmegaSpec,
@@ -287,16 +315,18 @@ def ext_norm_samples(
     dx: float = 0.25,
 ) -> np.ndarray:
     """Randomized sandwich norms at one R for the given realization indices."""
-    gs = _campaign_grid(R, d, dx)
-    spec = dataclasses.replace(potential_spec, R=R)
-    field = sample_potential(spec, gs)
-    net = build_net(lam, R, d)
-    ensemble = SandwichEnsemble(net, net, field, omega_template.h)
+    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
     norms = np.empty(len(indices))
     for k, idx in enumerate(indices):
-        omega = draw_omega(omega_template.with_realization(int(idx)), gs)
+        omega = draw_omega(omega_template.with_realization(int(idx)), ensemble.field.grid)
         norms[k] = spectral_norm(ensemble.with_omega(omega).matrix)
     return norms
+
+
+# Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
+# rows at R = 8/16/32 (h = 2 gives fewer from R = 64).  A constant field
+# draws nothing, so the law and the seed are placeholders.
+_UNIT_CELLS = OmegaSpec(h=1.0, distribution="bernoulli", master_seed=0)
 
 
 def deterministic_ext_norm(
@@ -306,13 +336,17 @@ def deterministic_ext_norm(
     d: int = 2,
     dx: float = 0.25,
 ) -> float:
-    """Norm of the sandwich of |V| at one R, the non-randomized reference."""
-    gs = _campaign_grid(R, d, dx)
-    spec = dataclasses.replace(potential_spec, R=R)
-    field = sample_potential(spec, gs)
-    field.values = np.abs(field.values).astype(complex)
-    net = build_net(lam, R, d)
-    return spectral_norm(sandwich(net, net, field).matrix)
+    """Norm of the sandwich of |V| at one R, the non-randomized reference.
+
+    The sandwich is the cell-factored M(1) of a SandwichEnsemble over unit
+    cells (h = 1, so r = 1/dx nodes per cell axis): one row per uniform
+    cell corner plus one per nonzero node of the other cells, and no
+    per-node plane wave.  Grids that unit cells do not tile take the
+    ensemble's node-level sandwich instead.  Either way the value equals
+    the norm of sandwich(net, net, |V|) to rounding.
+    """
+    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, _UNIT_CELLS.h, magnitude=True)
+    return _identity_norm(ensemble, _UNIT_CELLS)
 
 
 def mc_extension_norm(
@@ -336,14 +370,8 @@ def mc_extension_norm(
     out: dict[float, ExtNormResult] = {}
     for R in R_list:
         if identity:
-            gs = _campaign_grid(R, d, dx)
-            spec = dataclasses.replace(potential_spec, R=R)
-            field = sample_potential(spec, gs)
-            net = build_net(lam, R, d)
-            omega = OmegaField.constant(omega_template, gs, 1.0)
-            norms = np.array(
-                [spectral_norm(SandwichEnsemble(net, net, field, omega_template.h).with_omega(omega).matrix)]
-            )
+            ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
+            norms = np.array([_identity_norm(ensemble, omega_template)])
         else:
             norms = ext_norm_samples(
                 potential_spec, omega_template, lam, R, range(n_samples), d=d, dx=dx
@@ -531,16 +559,15 @@ def schatten_campaign(
 
     out: dict[float, dict] = {}
     for R in R_list:
-        gs = _campaign_grid(R, d, dx)
-        field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
-        v_inf = float(np.abs(field.values).max())
-        net = build_net(lam, R, d)
-        ensemble = SandwichEnsemble(net, net, field, omega_template.h)
+        ensemble = _campaign_ensemble(
+            PotentialSpec(kind="indicator_ball"), lam, R, d, dx, omega_template.h
+        )
+        v_inf = float(np.abs(ensemble.field.values).max())
         lhs_vals = np.empty(n_samples)
         tail_ratios = np.empty(n_samples)
         svals = None
         for i in range(n_samples):
-            omega = draw_omega(omega_template.with_realization(i), gs)
+            omega = draw_omega(omega_template.with_realization(i), ensemble.field.grid)
             weighted = _angular_conjugate(ensemble.with_omega(omega).matrix, lam, nu)
             svals = singular_values(weighted)
             lhs_vals[i] = weak_schatten(svals, (d - 1) / nu)
@@ -553,7 +580,7 @@ def schatten_campaign(
             "ratio": float(np.median(lhs_vals) / report.rhs_raw),
             "median_tail_ratio": float(np.median(tail_ratios)),
             "last_svals": svals,
-            "n_nodes": net.n_nodes,
+            "n_nodes": ensemble.net_out.n_nodes,
         }
     return out
 
@@ -609,20 +636,15 @@ def stein_tomas_spread(lam: float, R_list, d: int = 2, dx: float = 0.25) -> dict
     ratio is the quantity whose R-stability mirrors the restriction
     estimate; returns per-R norms, ratios, and the max relative spread.
     """
-    from .extension import _weighted_gram
-
     ratios = {}
     norms = {}
     for R in R_list:
         gs = _campaign_grid(R, d, dx)
-        g = as_grid(gs)
         field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
-        vals = field.values.ravel()
-        support = np.flatnonzero(vals)
-        pts = g.points(centered=True)[support]
         net = build_net(lam, R, d)
-        gram = _weighted_gram(pts, np.ones(support.size), net, net, gs.cellvol)
-        norm = float(np.sqrt(spectral_norm(gram)))
+        # The net weights are uniform, so the plain Gram is the sandwich over w.
+        gram_norm = spectral_norm(sandwich(net, net, field).matrix) / net.weights[0]
+        norm = float(np.sqrt(gram_norm))
         norms[float(R)] = norm
         ratios[float(R)] = norm / R ** (d / 2)
     vals = np.array(list(ratios.values()))

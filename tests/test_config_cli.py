@@ -266,6 +266,65 @@ def test_campaign_write_failure_keeps_previous_norms(tmp_path, monkeypatch):
     assert norms_path.read_text(encoding="utf-8") == full
 
 
+def test_campaign_rerun_is_byte_identical(tmp_path):
+    data = _campaign_dict(n_samples=3)
+    _, out = _run(tmp_path, data, command="campaign")
+    first = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    _run(tmp_path, data, command="campaign")
+    second = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert first == second
+
+
+def test_campaign_rejects_norms_file_cut_mid_row(tmp_path, capsys):
+    data = _campaign_dict(n_samples=3)
+    _, out = _run(tmp_path, data, command="campaign")
+    norms_path = next(out.glob("campaign_*/norms_R8.csv"))
+    full = norms_path.read_text(encoding="utf-8")
+    cut = full[: full.rindex(".") + 3]  # the last row loses its final digits
+    assert float(cut.splitlines()[-1].split(",")[1]) > 0  # still parses as a float
+    norms_path.write_text(cut, encoding="utf-8")
+    capsys.readouterr()
+    code, _ = _run(tmp_path, data, command="campaign")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(norms_path) in err
+    assert norms_path.read_text(encoding="utf-8") == cut
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "index,norm\n0,1.5\n",
+        "realization_index,norm\n0,1.5\n1,2.",
+        "realization_index,norm\n0,1.5,2.5\n",
+        "realization_index,norm\n0\n",
+        "realization_index,norm\n\n",
+        "realization_index,norm\n0.5,1.5\n",
+        "realization_index,norm\n0,abc\n",
+        "realization_index,norm\n0,nan\n",
+        "realization_index,norm\n0,inf\n",
+        "realization_index,norm\n0,1.5\n0,1.5\n",
+    ],
+    ids=[
+        "empty", "header", "no_final_newline", "three_fields", "one_field", "blank_row",
+        "float_index", "bad_value", "nan", "inf", "repeated_index",
+    ],
+)
+def test_read_norms_rejects_damaged_file(tmp_path, text):
+    path = tmp_path / "norms_R8.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="norms_R8.csv"):
+        cli._read_norms(path)
+
+
+def test_read_norms_accepts_whole_file(tmp_path):
+    path = tmp_path / "norms_R8.csv"
+    assert cli._read_norms(path) == {}
+    cli._write_norms(path, {2: 1.25, 0: 3.5})
+    assert cli._read_norms(path) == {0: 3.5, 2: 1.25}
+
+
 def test_campaign_workers_agree(tmp_path):
     data = _campaign_dict(n_samples=4)
     _, out1 = _run(tmp_path, data, command="campaign")

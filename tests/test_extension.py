@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evbounds import GridSpec
+from evbounds.grid import as_grid
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
@@ -130,6 +131,33 @@ def test_sandwich_zero_potential_is_zero_matrix():
     op = sandwich(net, net, _field(gs, amplitude=0.0))
     assert op.matrix.shape == (net.n_nodes, net.n_nodes)
     assert np.all(op.matrix == 0)
+
+
+@pytest.mark.parametrize(
+    "d,L,N,spec,lam_in",
+    [
+        (2, 8.0, 32, PotentialSpec(kind="indicator_ball", amplitude=1.0 - 2.0j, R=2.0), None),
+        (2, 16.0, 32, PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5}), 1.5),
+        (2, 6.0, 16, PotentialSpec(kind="wigner_von_neumann", amplitude=0.5 + 1.0j), None),
+        (3, 4.0, 8, PotentialSpec(kind="indicator_ball", amplitude=-1.5, R=1.0), None),
+        (3, 3.0, 8, PotentialSpec(kind="power_decay", amplitude=1.0 + 1.0j, s=2.0), None),
+        (3, 16.0, 16, PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5}), None),
+    ],
+    ids=["d2_ball", "d2_knapp_two_nets", "d2_smooth", "d3_ball", "d3_smooth", "d3_knapp"],
+)
+def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
+    """sandwich against (E* V cellvol) E from extension_matrix's own exp, net weights split."""
+    gs = GridSpec(d=d, L=L, N=N)
+    field = sample_potential(spec, gs)
+    R = 2.0 if d == 2 else 1.0
+    net_out = build_net(lam=1.0, R=R, d=d)
+    net_in = net_out if lam_in is None else build_net(lam=lam_in, R=R, d=d)
+    pts = as_grid(gs).points(centered=True)
+    e_out = extension_matrix(net_out, pts) / np.sqrt(net_out.weights)
+    e_in = extension_matrix(net_in, pts) / np.sqrt(net_in.weights)
+    want = (e_out.conj().T * (field.values.ravel() * gs.cellvol)) @ e_in
+    got = sandwich(net_out, net_in, field).matrix
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_identity_realization_matches_deterministic():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from evbounds import GridSpec
 from evbounds.errors import SupportError
+from evbounds.extension import SandwichEnsemble, build_net, sandwich
 from evbounds.harness import (
     BoundReport,
     ExtNormResult,
@@ -28,7 +31,7 @@ from evbounds.harness import (
     stein_tomas_spread,
 )
 from evbounds.potential import PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from evbounds.randomize import OmegaSpec
+from evbounds.randomize import OmegaField, OmegaSpec
 from evbounds.spectra import (
     SpectralPoint,
     SpectrumFilter,
@@ -36,6 +39,7 @@ from evbounds.spectra import (
     filter_discrete,
     hamiltonian_matrix,
 )
+from evbounds.util import spectral_norm
 
 
 def _pt(z, mult=1):
@@ -251,6 +255,39 @@ def test_randomization_shrinks_the_norm():
     det = deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5)
     draws = ext_norm_samples(spec, _omega(), lam=1.0, R=8.0, indices=range(5), dx=0.5)
     assert np.all(draws < det)
+
+
+def _node_level_det(spec, R, dx, d=2):
+    """Norm of the node-level sandwich of |V| on the campaign grid L = 4R."""
+    gs = GridSpec(d=d, L=4 * R, N=int(round(4 * R / dx)))
+    field = sample_potential(dataclasses.replace(spec, R=R), gs)
+    field.values = np.abs(field.values).astype(complex)
+    net = build_net(1.0, R, d)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    return spectral_norm(sandwich(net, net, field).matrix), ens
+
+
+@pytest.mark.parametrize(
+    "spec,R,dx,path",
+    [
+        (PotentialSpec(kind="indicator_ball"), 8.0, 0.25, "uniform"),
+        (PotentialSpec(kind="indicator_ball"), 8.0, 0.5, "uniform"),
+        (PotentialSpec(kind="indicator_ball", amplitude=1.0 + 1.0j), 4.0, 0.25, "uniform"),
+        (PotentialSpec(kind="power_decay", amplitude=-0.5 + 2.0j, s=1.5), 4.0, 0.25, "mixed"),
+        (PotentialSpec(kind="indicator_ball"), 3.0, 0.375, "node"),
+    ],
+    ids=["ball_dx0.25", "ball_dx0.5", "complex_amplitude", "smooth", "untiled_dx0.375"],
+)
+def test_deterministic_ext_norm_matches_node_level_sandwich(spec, R, dx, path):
+    want, ens = _node_level_det(spec, R, dx)
+    # the case exercises the assembly path it names
+    if path == "node":
+        assert not ens._factored
+    else:
+        ref = ens.with_omega(OmegaField.constant(_omega(), ens.field.grid, -1.0)).potential_ref
+        assert (ref["uniform_cells"] > 0) == (path == "uniform")
+    got = deterministic_ext_norm(spec, lam=1.0, R=R, dx=dx)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_check_extnorm_formula():
