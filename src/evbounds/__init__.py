@@ -49,7 +49,6 @@ from .grid import (
     resolvent_symbol,
 )
 from .harness import (
-    BOUND_IDS,
     FITTED_CONSTANTS,
     BoundReport,
     EvsumStudy,

@@ -3,7 +3,8 @@
 Every command loads one JSON config, stamps all outputs with its content
 hash, and writes UTF-8 CSV/JSON only.  Reruns of an unchanged config
 produce byte-identical files; campaigns resume from whatever realization
-indices are already on disk.
+indices are already on disk.  DRIVERS maps every experiment name to its
+verify and campaign drivers; an experiment without one has no such command.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError
 from .harness import (
+    campaign_grid,
     check_aad_1d,
     check_evsum,
     check_extnorm,
@@ -31,6 +32,7 @@ from .harness import (
     check_thm1,
     check_thm3,
     concentration_tail,
+    config_sandwiches,
     deterministic_ext_norm,
     evsum_sweep,
     ext_norm_samples,
@@ -38,12 +40,14 @@ from .harness import (
     mc_extension_norm,
     schatten_campaign,
 )
-from .extension import SandwichEnsemble, build_net, sandwich, singular_values
+from .extension import build_net, singular_values
 from .potential import sample_potential
 from .randomize import anderson_randomize, draw_omega
 from .spectra import SpectrumFilter, eigenvalues_dense, filter_discrete, hamiltonian_matrix
 
 __all__ = ["main"]
+
+_TAIL_THRESHOLDS = (1.25, 1.5, 2.0)
 
 
 def _fmt(x) -> str:
@@ -55,6 +59,34 @@ def _need(exp: dict, key: str):
     if key not in exp:
         raise ConfigError(f"experiment.{key}: required for experiment {exp.get('name')}")
     return exp[key]
+
+
+def _lam(cfg: RunConfig) -> float:
+    return float(cfg.experiment.get("lam", 1.0))
+
+
+def _omega(cfg: RunConfig):
+    if cfg.omega is None:
+        raise ConfigError(f"omega: required for {cfg.experiment['name']}")
+    return cfg.omega
+
+
+def _radii(cfg: RunConfig, key: str) -> list[float]:
+    """experiment.R_list, or [experiment.R] (default potential.R) for key "R".
+
+    Every radius must give a campaign grid, L = 4R at the config's dx, that
+    GridSpec accepts; this is checked before anything is computed or written.
+    """
+    exp = cfg.experiment
+    radii = _need(exp, key) if key == "R_list" else [exp.get(key, cfg.potential.R)]
+    radii = [float(r) for r in radii]
+    dx = cfg.grid.dx
+    for R in radii:
+        try:
+            campaign_grid(R, cfg.grid.d, dx)
+        except ValueError as err:
+            raise ConfigError(f"experiment.{key}: R = {R:g} at dx = {dx:g}: {err}") from None
+    return radii
 
 
 def _cell_size(cfg: RunConfig) -> float:
@@ -80,24 +112,32 @@ def _spectrum_filter(cfg: RunConfig) -> SpectrumFilter:
     return SpectrumFilter((0.0, np.inf), float(margin), kappa)
 
 
-def _solve_points(cfg: RunConfig):
-    """sample -> randomize -> hamiltonian -> eigensolve -> filter."""
+def _solved(cfg: RunConfig, deterministic: bool = False):
+    """sample -> randomize -> hamiltonian -> eigensolve -> filter: (kept points, field).
+
+    The field is the randomized one, or with deterministic=True the sampled V.
+    """
     field_det = sample_potential(cfg.potential, cfg.grid)
     field = field_det
     if cfg.omega is not None and not cfg.identity_omega:
-        omega = draw_omega(cfg.omega, cfg.grid)
-        field = anderson_randomize(field_det, omega)
-    hmat = hamiltonian_matrix(cfg.grid, field)
-    points = eigenvalues_dense(hmat)
-    filt = _spectrum_filter(cfg)
-    kept = filter_discrete(points, filt)
-    return field_det, field, points, kept
+        field = anderson_randomize(field_det, draw_omega(cfg.omega, cfg.grid))
+    points = eigenvalues_dense(hamiltonian_matrix(cfg.grid, field))
+    return filter_discrete(points, _spectrum_filter(cfg)), field_det if deterministic else field
 
 
 def _ensure_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_lines(path: Path, header: str, lines) -> str:
+    """Write a UTF-8 CSV of a header and rows already formatted; returns the file name."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+    return path.name
 
 
 def _write_manifest(out: Path, cfg: RunConfig, outputs: list[str], extra: dict | None = None):
@@ -116,99 +156,64 @@ def _write_manifest(out: Path, cfg: RunConfig, outputs: list[str], extra: dict |
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    _, _, _, kept = _solve_points(cfg)
+    kept, _ = _solved(cfg)
     out = _ensure_dir(cfg)
     tag = cfg.config_hash()
-    seed = cfg.omega.master_seed if cfg.omega is not None else ""
-    ridx = cfg.omega.realization_index if cfg.omega is not None else ""
+    om = cfg.omega
+    seed, ridx = (om.master_seed, om.realization_index) if om is not None else ("", "")
     csv_path = out / f"spectrum_{tag}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("re_z,im_z,multiplicity,residual,seed,realization_index\n")
-        for pt in kept:
-            z = complex(pt.z)
-            fh.write(
-                f"{_fmt(z.real)},{_fmt(z.imag)},{pt.multiplicity},{_fmt(pt.residual)},{seed},{ridx}\n"
-            )
+    rows = (
+        f"{_fmt(pt.z.real)},{_fmt(pt.z.imag)},{pt.multiplicity},{_fmt(pt.residual)},{seed},{ridx}"
+        for pt in kept
+    )
+    _write_lines(csv_path, "re_z,im_z,multiplicity,residual,seed,realization_index", rows)
     _write_manifest(out, cfg, [csv_path.name], {"n_filtered": len(kept)})
     print(f"wrote {csv_path} ({len(kept)} points)")
     return 0
 
 
-def _dispatch_verify(cfg: RunConfig):
+# Verify drivers: each returns the BoundReport of its experiment.  The
+# spectral ones are the lambdas in DRIVERS.
+
+
+def _floats(cfg: RunConfig, *keys) -> list[float]:
+    return [float(_need(cfg.experiment, k)) for k in keys]
+
+
+def _verify_extnorm(cfg: RunConfig):
+    omega, r_list = _omega(cfg), _radii(cfg, "R_list")
+    n = int(cfg.experiment.get("n_samples", 200))
+    d, dx = cfg.grid.d, cfg.grid.dx
+    results = mc_extension_norm(
+        cfg.potential, omega, _lam(cfg), r_list, n, d=d, dx=dx, identity=cfg.identity_omega
+    )
+    top = results[max(results)]
+    return check_extnorm(top, omega.h, abs(cfg.potential.amplitude), d=d)
+
+
+def _verify_schatten(cfg: RunConfig):
     exp = cfg.experiment
-    name = exp["name"]
-    if name == "SPECTRUM":
-        raise ConfigError("experiment.name: SPECTRUM is not a verifiable bound")
+    (nu,) = _floats(cfg, "nu")
+    lam, R = _lam(cfg), float(exp.get("R", cfg.potential.R))
+    omegas = None if cfg.omega is None or cfg.identity_omega else [cfg.omega]
+    field, ops = config_sandwiches(cfg.potential, cfg.grid, lam, R, omegas)
+    svals = singular_values(next(ops))
+    params = {"lam": lam, "R": R, "h": _cell_size(cfg), "v_inf": float(np.abs(field.values).max())}
+    return check_schatten_decay(svals, nu, cfg.grid.d, params)
 
-    if name in ("AAD1D", "KLT_DET", "SECTOR", "THM1", "THM3", "EVSUM"):
-        field_det, field, _, kept = _solve_points(cfg)
-        if name == "AAD1D":
-            return check_aad_1d(kept, field)
-        if name == "KLT_DET":
-            return check_klt_det(kept, field, float(_need(exp, "q")))
-        if name == "SECTOR":
-            return check_sector(kept, field, float(_need(exp, "q")), float(_need(exp, "kappa")))
-        if name == "THM1":
-            if cfg.omega is None:
-                raise ConfigError("omega: required for THM1")
-            return check_thm1(
-                kept,
-                field_det,
-                cfg.omega,
-                float(_need(exp, "q")),
-                float(_need(exp, "R")),
-                float(_need(exp, "M")),
-            )
-        if name == "THM3":
-            if cfg.omega is None:
-                raise ConfigError("omega: required for THM3")
-            return check_thm3(kept, field, cfg.omega, float(_need(exp, "q")), float(_need(exp, "M")))
-        return check_evsum(
-            kept, field, float(_need(exp, "eps")), float(_need(exp, "R0")), _cell_size(cfg)
-        )
 
-    lam = float(exp.get("lam", 1.0))
-    if name == "PROP_EXTNORM":
-        if cfg.omega is None:
-            raise ConfigError("omega: required for PROP_EXTNORM")
-        r_list = [float(r) for r in _need(exp, "R_list")]
-        n = int(exp.get("n_samples", 200))
-        results = mc_extension_norm(
-            cfg.potential, cfg.omega, lam, r_list, n, d=cfg.grid.d, identity=cfg.identity_omega
-        )
-        top = results[max(results)]
-        return check_extnorm(top, cfg.omega.h, abs(cfg.potential.amplitude), d=cfg.grid.d)
-    if name == "SCHATTEN_DECAY":
-        nu = float(_need(exp, "nu"))
-        R = float(exp.get("R", cfg.potential.R))
-        field = sample_potential(dataclasses.replace(cfg.potential, R=R), cfg.grid)
-        net = build_net(lam, R, cfg.grid.d)
-        if cfg.omega is not None and not cfg.identity_omega:
-            omega = draw_omega(cfg.omega, cfg.grid)
-            op = SandwichEnsemble(net, net, field, cfg.omega.h).with_omega(omega)
-        else:
-            op = sandwich(net, net, field)
-        svals = singular_values(op)
-        params = {
-            "lam": lam,
-            "R": R,
-            "h": _cell_size(cfg),
-            "v_inf": float(np.abs(field.values).max()),
-        }
-        return check_schatten_decay(svals, nu, cfg.grid.d, params)
-    if name == "TAIL":
-        if cfg.omega is None:
-            raise ConfigError("omega: required for TAIL")
-        R = float(exp.get("R", cfg.potential.R))
-        n = int(exp.get("n_samples", 200))
-        norms = ext_norm_samples(cfg.potential, cfg.omega, lam, R, range(n), d=cfg.grid.d)
-        study = concentration_tail(norms, thresholds=exp.get("thresholds", (1.25, 1.5, 2.0)))
-        return check_tail(study)
-    raise ConfigError(f"experiment.name: no checker for {name}")
+def _verify_tail(cfg: RunConfig):
+    omega, (R,) = _omega(cfg), _radii(cfg, "R")
+    exp = cfg.experiment
+    n = int(exp.get("n_samples", 200))
+    norms = ext_norm_samples(
+        cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
+    )
+    return check_tail(concentration_tail(norms, thresholds=exp.get("thresholds", _TAIL_THRESHOLDS)))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = _dispatch_verify(cfg)
+    report = _driver(cfg, "verify")(cfg)
     out = _ensure_dir(cfg)
     tag = cfg.config_hash()
     payload = dataclasses.asdict(report)
@@ -279,216 +284,224 @@ def _write_norms(path: Path, norms: dict[int, float]):
         tmp.unlink(missing_ok=True)
 
 
-def _collect_norms(cfg, lam, R, n, workers, camp_dir) -> dict[int, float]:
-    """Per-realization norms at one R, resuming from any file already present."""
-    path = camp_dir / f"norms_R{R:g}.csv"
+def _collect_norms(cfg: RunConfig, R: float, n: int) -> np.ndarray:
+    """Norms of realizations 0..n-1 at one R, computing in one pass only those not on disk.
+
+    They are kept in campaign_<hash>/norms_R<R>.csv under the output directory.
+    """
+    path = _ensure_dir(cfg) / f"campaign_{cfg.config_hash()}" / f"norms_R{R:g}.csv"
+    path.parent.mkdir(exist_ok=True)
     have = _read_norms(path)
     missing = [i for i in range(n) if i not in have]
     if missing:
-        if workers > 1:
-            chunks = np.array_split(np.array(missing), workers)
-            chunks = [c for c in chunks if c.size]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda idxs: ext_norm_samples(
-                            cfg.potential, cfg.omega, lam, R, idxs, d=cfg.grid.d
-                        ),
-                        chunks,
-                    )
-                )
-            for idxs, vals in zip(chunks, parts):
-                for i, v in zip(idxs, vals):
-                    have[int(i)] = float(v)
-        else:
-            vals = ext_norm_samples(cfg.potential, cfg.omega, lam, R, missing, d=cfg.grid.d)
-            for i, v in zip(missing, vals):
-                have[int(i)] = float(v)
+        vals = ext_norm_samples(
+            cfg.potential, cfg.omega, _lam(cfg), R, missing, d=cfg.grid.d, dx=cfg.grid.dx
+        )
+        have.update(zip(missing, map(float, vals)))
         _write_norms(path, have)
-    return {i: have[i] for i in range(n)}
+    return np.array([have[i] for i in range(n)])
 
 
-def cmd_campaign(cfg: RunConfig, workers: int = 1) -> int:
+# Campaign drivers: each writes its CSVs and manifest and returns the exit code.
+
+
+def _campaign_tail(cfg: RunConfig) -> int:
+    _omega(cfg)
+    (R,) = _radii(cfg, "R")
     exp = cfg.experiment
-    name = exp["name"]
+    norms = _collect_norms(cfg, R, int(exp.get("n_samples", 2000)))
+    study = concentration_tail(norms, thresholds=exp.get("thresholds", _TAIL_THRESHOLDS))
+    out, tag = _ensure_dir(cfg), cfg.config_hash()
+    name = _write_lines(
+        out / f"tail_{tag}.csv",
+        "threshold,fraction,wilson_lower,wilson_upper",
+        (
+            f"{_fmt(m)},{_fmt(e.fraction)},{_fmt(e.lower)},{_fmt(e.upper)}"
+            for m, e in zip(study.thresholds, study.entries)
+        ),
+    )
+    _write_manifest(out, cfg, [name], {"c": _nan_none(study.c), "monotone": study.monotone})
+    print(f"tail fractions {[e.fraction for e in study.entries]}, c={study.c:.4g}")
+    return 0
+
+
+def _campaign_extnorm(cfg: RunConfig) -> int:
+    _omega(cfg)
+    r_list = _radii(cfg, "R_list")
+    n = int(cfg.experiment.get("n_samples", 200))
+    rows = []
+    for R in r_list:
+        arr = _collect_norms(cfg, R, n)
+        det = deterministic_ext_norm(cfg.potential, _lam(cfg), R, d=cfg.grid.d, dx=cfg.grid.dx)
+        stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        rows.append((R, float(arr.mean()), stderr, det))
+    summary = [f"R,{_fmt(R)},{n},{_fmt(m)},{_fmt(se)},{_fmt(det)},," for R, m, se, det in rows]
+    if len(rows) >= 3:
+        xs = [r[0] for r in rows]
+        for kind, col in (("random", 1), ("deterministic", 3)):
+            slope, _, r2 = fit_scaling(xs, [r[col] for r in rows])
+            summary.append(f"slope_{kind},,,,,,{_fmt(slope)},{_fmt(r2)}")
+    out, tag = _ensure_dir(cfg), cfg.config_hash()
+    outputs = [
+        _write_lines(
+            out / f"summary_{tag}.csv", "kind,R,n,mean,stderr,deterministic,exponent,r2", summary
+        ),
+        _write_lines(
+            out / f"plot_{tag}.csv",
+            "x,y,stderr",
+            (f"{_fmt(R)},{_fmt(mean)},{_fmt(se)}" for R, mean, se, _ in rows),
+        ),
+    ]
+    _write_manifest(out, cfg, outputs)
+    print(f"wrote {out / outputs[0]}")
+    return 0
+
+
+def _campaign_schatten(cfg: RunConfig) -> int:
+    omega, r_list = _omega(cfg), _radii(cfg, "R_list")
+    (nu,) = _floats(cfg, "nu")
+    n = int(cfg.experiment.get("n_samples", 100))
+    res = schatten_campaign(_lam(cfg), r_list, nu, omega, n, d=cfg.grid.d, dx=cfg.grid.dx)
     out = _ensure_dir(cfg)
-    tag = cfg.config_hash()
-    lam = float(exp.get("lam", 1.0))
+    path = out / f"schatten_{cfg.config_hash()}.csv"
+    _write_lines(
+        path,
+        "R,median_lhs,rhs_raw,ratio,n_nodes",
+        (
+            f"{_fmt(R)},{_fmt(res[R]['median_lhs'])},{_fmt(res[R]['rhs_raw'])},"
+            f"{_fmt(res[R]['ratio'])},{res[R]['n_nodes']}"
+            for R in r_list
+        ),
+    )
+    _write_manifest(out, cfg, [path.name])
+    print(f"wrote {path}")
+    return 0
 
-    if name in ("PROP_EXTNORM", "TAIL"):
-        if cfg.omega is None:
-            raise ConfigError("omega: required for extension-norm campaigns")
-        camp_dir = out / f"campaign_{tag}"
-        camp_dir.mkdir(parents=True, exist_ok=True)
-        outputs = []
 
-        if name == "TAIL":
-            R = float(exp.get("R", cfg.potential.R))
-            n = int(exp.get("n_samples", 2000))
-            norms = _collect_norms(cfg, lam, R, n, workers, camp_dir)
-            study = concentration_tail(
-                np.array([norms[i] for i in range(n)]),
-                thresholds=exp.get("thresholds", (1.25, 1.5, 2.0)),
-            )
-            tail_path = out / f"tail_{tag}.csv"
-            with open(tail_path, "w", encoding="utf-8") as fh:
-                fh.write("threshold,fraction,wilson_lower,wilson_upper\n")
-                for m, e in zip(study.thresholds, study.entries):
-                    fh.write(f"{_fmt(m)},{_fmt(e.fraction)},{_fmt(e.lower)},{_fmt(e.upper)}\n")
-            outputs.append(tail_path.name)
-            _write_manifest(
-                out,
-                cfg,
-                outputs,
-                {"c": None if np.isnan(study.c) else study.c, "monotone": study.monotone},
-            )
-            print(f"tail fractions {[e.fraction for e in study.entries]}, c={study.c:.4g}")
-            return 0
-
-        r_list = [float(r) for r in _need(exp, "R_list")]
-        n = int(exp.get("n_samples", 200))
-        rows = []
-        for R in r_list:
-            norms = _collect_norms(cfg, lam, R, n, workers, camp_dir)
-            arr = np.array([norms[i] for i in range(n)])
-            det = deterministic_ext_norm(cfg.potential, lam, R, d=cfg.grid.d)
-            stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            rows.append((R, n, float(arr.mean()), stderr, det))
-        summary_path = out / f"summary_{tag}.csv"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("kind,R,n,mean,stderr,deterministic,exponent,r2\n")
-            for R, n_r, mean, stderr, det in rows:
-                fh.write(f"R,{_fmt(R)},{n_r},{_fmt(mean)},{_fmt(stderr)},{_fmt(det)},,\n")
-            if len(rows) >= 3:
-                xs = [r[0] for r in rows]
-                exp_rand, _, r2_rand = fit_scaling(xs, [r[2] for r in rows])
-                exp_det, _, r2_det = fit_scaling(xs, [r[4] for r in rows])
-                fh.write(f"slope_random,,,,,,{_fmt(exp_rand)},{_fmt(r2_rand)}\n")
-                fh.write(f"slope_deterministic,,,,,,{_fmt(exp_det)},{_fmt(r2_det)}\n")
-        plot_path = out / f"plot_{tag}.csv"
-        with open(plot_path, "w", encoding="utf-8") as fh:
-            fh.write("x,y,stderr\n")
-            for R, _, mean, stderr, _ in rows:
-                fh.write(f"{_fmt(R)},{_fmt(mean)},{_fmt(stderr)}\n")
-        outputs += [summary_path.name, plot_path.name]
-        _write_manifest(out, cfg, outputs)
-        print(f"wrote {summary_path}")
-        return 0
-
-    if name == "SCHATTEN_DECAY":
-        if cfg.omega is None:
-            raise ConfigError("omega: required for SCHATTEN_DECAY campaigns")
-        r_list = [float(r) for r in _need(exp, "R_list")]
-        n = int(exp.get("n_samples", 100))
-        nu = float(_need(exp, "nu"))
-        res = schatten_campaign(lam, r_list, nu, cfg.omega, n, d=cfg.grid.d)
-        path = out / f"schatten_{tag}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("R,median_lhs,rhs_raw,ratio,n_nodes\n")
-            for R in r_list:
-                row = res[float(R)]
-                fh.write(
-                    f"{_fmt(R)},{_fmt(row['median_lhs'])},{_fmt(row['rhs_raw'])},"
-                    f"{_fmt(row['ratio'])},{row['n_nodes']}\n"
-                )
-        _write_manifest(out, cfg, [path.name])
-        print(f"wrote {path}")
-        return 0
-
-    if name == "EVSUM":
-        amplitudes = [float(a) for a in _need(exp, "amplitudes")]
-        study = evsum_sweep(
-            amplitudes,
-            cfg.potential,
-            cfg.grid,
-            float(_need(exp, "eps")),
-            float(_need(exp, "R0")),
-            _cell_size(cfg),
-            omega_spec=None if cfg.identity_omega else cfg.omega,
-            essential_margin=exp.get("essential_margin"),
-            kappa=exp.get("kappa_filter"),
-        )
-        path = out / f"evsum_{tag}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("amplitude,lhs,rhs_raw\n")
-            for a, rep in zip(amplitudes, study.reports):
-                fh.write(f"{_fmt(a)},{_fmt(rep.lhs)},{_fmt(rep.rhs_raw)}\n")
-        _write_manifest(
-            out,
-            cfg,
-            [path.name],
-            {"c1": _nan_none(study.c1), "c2": _nan_none(study.c2), "r2": _nan_none(study.r_squared)},
-        )
-        print(f"c1={study.c1:.4g} c2={study.c2:.4g} r2={study.r_squared:.4g}")
-        return 0
-
-    raise ConfigError(f"experiment.name: no campaign driver for {name}")
+def _campaign_evsum(cfg: RunConfig) -> int:
+    exp = cfg.experiment
+    amplitudes = [float(a) for a in _need(exp, "amplitudes")]
+    study = evsum_sweep(
+        amplitudes,
+        cfg.potential,
+        cfg.grid,
+        *_floats(cfg, "eps", "R0"),
+        _cell_size(cfg),
+        omega_spec=None if cfg.identity_omega else cfg.omega,
+        essential_margin=exp.get("essential_margin"),
+        kappa=exp.get("kappa_filter"),
+    )
+    out = _ensure_dir(cfg)
+    name = _write_lines(
+        out / f"evsum_{cfg.config_hash()}.csv",
+        "amplitude,lhs,rhs_raw",
+        (f"{_fmt(a)},{_fmt(r.lhs)},{_fmt(r.rhs_raw)}" for a, r in zip(amplitudes, study.reports)),
+    )
+    extra = {"c1": _nan_none(study.c1), "c2": _nan_none(study.c2), "r2": _nan_none(study.r_squared)}
+    _write_manifest(out, cfg, [name], extra)
+    print(f"c1={study.c1:.4g} c2={study.c2:.4g} r2={study.r_squared:.4g}")
+    return 0
 
 
 def _nan_none(x: float):
     return None if np.isnan(x) else float(x)
 
 
+# The one table of experiments, name -> (verify driver, campaign driver);
+# config.EXPERIMENTS lists the same names.
+DRIVERS = {
+    "AAD1D": (lambda cfg: check_aad_1d(*_solved(cfg)), None),
+    "KLT_DET": (lambda cfg: check_klt_det(*_solved(cfg), *_floats(cfg, "q")), None),
+    "SECTOR": (lambda cfg: check_sector(*_solved(cfg), *_floats(cfg, "q", "kappa")), None),
+    "THM1": (
+        lambda cfg: check_thm1(
+            *_solved(cfg, deterministic=True), _omega(cfg), *_floats(cfg, "q", "R", "M")
+        ),
+        None,
+    ),
+    "THM3": (lambda cfg: check_thm3(*_solved(cfg), _omega(cfg), *_floats(cfg, "q", "M")), None),
+    "PROP_EXTNORM": (_verify_extnorm, _campaign_extnorm),
+    "SCHATTEN_DECAY": (_verify_schatten, _campaign_schatten),
+    "TAIL": (_verify_tail, _campaign_tail),
+    "EVSUM": (
+        lambda cfg: check_evsum(*_solved(cfg), *_floats(cfg, "eps", "R0"), _cell_size(cfg)),
+        _campaign_evsum,
+    ),
+    "SPECTRUM": (None, None),
+}
+
+
+def _driver(cfg: RunConfig, command: str):
+    """The DRIVERS entry of the config's experiment for command "verify" or "campaign"."""
+    name = cfg.experiment["name"]
+    driver = DRIVERS[name][("verify", "campaign").index(command)]
+    if driver is None:
+        raise ConfigError(f"experiment.name: {name} has no {command} driver")
+    return driver
+
+
+def cmd_campaign(cfg: RunConfig) -> int:
+    return _driver(cfg, "campaign")(cfg)
+
+
 def cmd_svd(cfg: RunConfig) -> int:
     exp = cfg.experiment
-    out = _ensure_dir(cfg)
     tag = cfg.config_hash()
-    lam = float(exp.get("lam", 1.0))
     R = float(exp.get("R", cfg.potential.R))
-    field = sample_potential(dataclasses.replace(cfg.potential, R=R), cfg.grid)
-    net = build_net(lam, R, cfg.grid.d)
-    outputs = []
     if cfg.omega is None or cfg.identity_omega:
-        svals = singular_values(sandwich(net, net, field))
-        path = out / f"svals_{tag}_det.csv"
-        _write_svals(path, svals)
-        outputs.append(path.name)
+        omegas, names = None, [f"svals_{tag}_det.csv"]
     else:
         n = int(exp.get("n_samples", 1))
-        ensemble = SandwichEnsemble(net, net, field, cfg.omega.h)
-        for i in range(n):
-            omega = draw_omega(cfg.omega.with_realization(i), cfg.grid)
-            svals = singular_values(ensemble.with_omega(omega))
-            path = out / f"svals_{tag}_r{i:04d}.csv"
-            _write_svals(path, svals)
-            outputs.append(path.name)
-    _write_manifest(out, cfg, outputs)
-    print(f"wrote {len(outputs)} singular-value files to {out}")
+        omegas = [cfg.omega.with_realization(i) for i in range(n)]
+        names = [f"svals_{tag}_r{i:04d}.csv" for i in range(n)]
+    _, ops = config_sandwiches(cfg.potential, cfg.grid, _lam(cfg), R, omegas)
+    out = _ensure_dir(cfg)
+    for name, op in zip(names, ops):
+        _write_lines(
+            out / name,
+            "index,value",
+            (f"{i},{_fmt(s)}" for i, s in enumerate(singular_values(op), start=1)),
+        )
+    _write_manifest(out, cfg, names)
+    print(f"wrote {len(names)} singular-value files to {out}")
     return 0
-
-
-def _write_svals(path: Path, svals: np.ndarray):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,value\n")
-        for i, s in enumerate(svals, start=1):
-            fh.write(f"{i},{_fmt(s)}\n")
 
 
 def cmd_net_info(cfg: RunConfig) -> int:
     from scipy.spatial import cKDTree
 
-    exp = cfg.experiment
-    lam = float(exp.get("lam", 1.0))
-    r_list = [float(r) for r in exp.get("R_list", [cfg.potential.R])]
+    lam = _lam(cfg)
+    r_list = [float(r) for r in cfg.experiment.get("R_list", [cfg.potential.R])]
     out = _ensure_dir(cfg)
-    tag = cfg.config_hash()
-    path = out / f"net_info_{tag}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("R,n_nodes,spacing,weight_sum,surface_measure,nn_min,nn_max\n")
-        for R in r_list:
-            net = build_net(lam, R, cfg.grid.d)
-            dists, _ = cKDTree(net.nodes).query(net.nodes, k=2)
-            nn = dists[:, 1]
-            fh.write(
-                f"{_fmt(R)},{net.n_nodes},{_fmt(net.spacing)},{_fmt(net.weights.sum())},"
-                f"{_fmt(net.surface_measure())},{_fmt(nn.min())},{_fmt(nn.max())}\n"
-            )
-            print(
-                f"R={R:g}: {net.n_nodes} nodes, spacing {net.spacing:.4g}, "
-                f"nn in [{nn.min():.4g}, {nn.max():.4g}]"
-            )
-    _write_manifest(out, cfg, [path.name])
+    lines = []
+    for R in r_list:
+        net = build_net(lam, R, cfg.grid.d)
+        dists, _ = cKDTree(net.nodes).query(net.nodes, k=2)
+        nn = dists[:, 1]
+        lines.append(
+            f"{_fmt(R)},{net.n_nodes},{_fmt(net.spacing)},{_fmt(net.weights.sum())},"
+            f"{_fmt(net.surface_measure())},{_fmt(nn.min())},{_fmt(nn.max())}"
+        )
+        print(
+            f"R={R:g}: {net.n_nodes} nodes, spacing {net.spacing:.4g}, "
+            f"nn in [{nn.min():.4g}, {nn.max():.4g}]"
+        )
+    name = _write_lines(
+        out / f"net_info_{cfg.config_hash()}.csv",
+        "R,n_nodes,spacing,weight_sum,surface_measure,nn_min,nn_max",
+        lines,
+    )
+    _write_manifest(out, cfg, [name])
     return 0
+
+
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "solve one configuration and export the filtered spectrum"),
+    "verify": (cmd_verify, "evaluate one bound and report pass/fail"),
+    "campaign": (cmd_campaign, "run a Monte Carlo campaign with resumable realizations"),
+    "svd": (cmd_svd, "export singular-value spectra of sandwich operators"),
+    "net-info": (cmd_net_info, "report sphere-net node statistics"),
+}
 
 
 def main(argv=None) -> int:
@@ -497,16 +510,10 @@ def main(argv=None) -> int:
         description="Spectra, bound checks, and Monte Carlo campaigns for random Schrodinger operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "solve one configuration and export the filtered spectrum"),
-        ("verify", "evaluate one bound and report pass/fail"),
-        ("campaign", "run a Monte Carlo campaign with resumable realizations"),
-        ("svd", "export singular-value spectra of sandwich operators"),
-        ("net-info", "report sphere-net node statistics"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
+        p.add_argument("--workers", type=int, default=1, help="realizations run in sequence")
         p.add_argument("--out", default=None, help="override the config's output directory")
         p.add_argument("--seed", type=int, default=None, help="override omega.master_seed")
 
@@ -519,16 +526,7 @@ def main(argv=None) -> int:
             cfg = cfg.with_out_dir(args.out)
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
-
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "campaign":
-            return cmd_campaign(cfg, workers=args.workers)
-        if args.command == "svd":
-            return cmd_svd(cfg)
-        return cmd_net_info(cfg)
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridSpec
@@ -169,16 +169,10 @@ class RunConfig:
     def with_seed(self, master_seed: int) -> RunConfig:
         if self.omega is None:
             return self
-        import dataclasses
-
-        return dataclasses.replace(
-            self, omega=dataclasses.replace(self.omega, master_seed=master_seed)
-        )
+        return replace(self, omega=replace(self.omega, master_seed=master_seed))
 
     def with_out_dir(self, out_dir: str) -> RunConfig:
-        import dataclasses
-
-        return dataclasses.replace(self, out_dir=out_dir)
+        return replace(self, out_dir=out_dir)
 
 
 def load_config(path) -> RunConfig:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .config import EXPERIMENTS
 from .errors import SupportError
 from .extension import SandwichEnsemble, build_net, sandwich, singular_values, weak_schatten
 from .grid import GridSpec
@@ -23,7 +24,6 @@ from .spectra import delta_dist, eigenvalue_sum
 from .util import bracket, spectral_norm
 
 __all__ = [
-    "BOUND_IDS",
     "FITTED_CONSTANTS",
     "BoundReport",
     "McStats",
@@ -40,6 +40,8 @@ __all__ = [
     "mc_extension_norm",
     "ext_norm_samples",
     "deterministic_ext_norm",
+    "campaign_grid",
+    "config_sandwiches",
     "fit_scaling",
     "check_schatten_decay",
     "check_evsum",
@@ -48,18 +50,6 @@ __all__ = [
     "evsum_sweep",
     "stein_tomas_spread",
 ]
-
-BOUND_IDS = (
-    "AAD1D",
-    "KLT_DET",
-    "SECTOR",
-    "THM1",
-    "THM3",
-    "PROP_EXTNORM",
-    "SCHATTEN_DECAY",
-    "TAIL",
-    "EVSUM",
-)
 
 # Constants for the 'lhs <= C * rhs' inequalities whose C is implicit.
 # (KLT_DET, 1, 1.0) is the one case with an explicit constant, the 1/2 of
@@ -92,7 +82,7 @@ class BoundReport:
     seed: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.bound_id not in BOUND_IDS:
+        if self.bound_id not in EXPERIMENTS or self.bound_id == "SPECTRUM":
             raise ValueError(f"unknown bound_id {self.bound_id!r}")
 
     @property
@@ -271,7 +261,8 @@ def check_thm3(
     return _report("THM3", lhs, rhs, M, params, seed=seed, vacuous=vacuous)
 
 
-def _campaign_grid(R: float, d: int, dx: float) -> GridSpec:
+def campaign_grid(R: float, d: int, dx: float) -> GridSpec:
+    """The L = 4R box of a campaign at radius R; ValueError if GridSpec rejects N = 4R/dx."""
     L = 4.0 * R
     N = int(round(L / dx))
     return GridSpec(d=d, L=L, N=N)
@@ -291,12 +282,26 @@ def _campaign_ensemble(
     The potential takes support radius R on the L = 4R grid; magnitude=True
     sandwiches |V| instead of V.
     """
-    gs = _campaign_grid(R, d, dx)
+    gs = campaign_grid(R, d, dx)
     field = sample_potential(dataclasses.replace(potential_spec, R=R), gs)
     if magnitude:
         field.values = np.abs(field.values).astype(complex)
     net = build_net(lam, R, d)
     return SandwichEnsemble(net, net, field, h)
+
+
+def config_sandwiches(spec: PotentialSpec, grid: GridSpec, lam: float, R: float, omegas=None):
+    """The chain on a config's own grid: sample_potential at R -> build_net -> sandwiches.
+
+    Returns the field and an iterator over the node-level sandwich of V when
+    omegas is None, else over one ensemble realization per OmegaSpec (one h).
+    """
+    field = sample_potential(dataclasses.replace(spec, R=R), grid)
+    net = build_net(lam, R, grid.d)
+    if omegas is None:
+        return field, iter([sandwich(net, net, field)])
+    ensemble = SandwichEnsemble(net, net, field, omegas[0].h) if omegas else None
+    return field, (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
 
 
 def _identity_norm(ensemble: SandwichEnsemble, omega_spec: OmegaSpec) -> float:
@@ -639,7 +644,7 @@ def stein_tomas_spread(lam: float, R_list, d: int = 2, dx: float = 0.25) -> dict
     ratios = {}
     norms = {}
     for R in R_list:
-        gs = _campaign_grid(R, d, dx)
+        gs = campaign_grid(R, d, dx)
         field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
         net = build_net(lam, R, d)
         # The net weights are uniform, so the plain Gram is the sandwich over w.

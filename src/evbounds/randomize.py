@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import SupportError
-from .grid import GridSpec, as_grid
+from .grid import Grid, GridSpec
 from .potential import PotentialField
 from .util import wilson_interval
 
@@ -69,15 +69,13 @@ class OmegaField:
     @classmethod
     def constant(cls, spec: OmegaSpec, grid, value: float = 1.0) -> OmegaField:
         """All-equal weights; value 1 reproduces the deterministic potential."""
-        gs = as_grid(grid).spec
+        gs = _grid_spec(grid)
         nc = _cells_per_axis(spec, gs)
         return cls(spec, gs, np.full((nc,) * gs.d, value, dtype=float))
 
     def at_nodes(self) -> np.ndarray:
         """Expand cell weights to the grid nodes (node x sits in cell floor(x/h))."""
-        g = as_grid(self.grid)
-        idx = _node_cell_index(self.spec, g.spec)
-        return self.cells[idx]
+        return self.cells[_node_cell_index(self.spec, _grid_spec(self.grid))]
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,11 @@ class TailEntry:
     fraction: float
     lower: float
     upper: float
+
+
+def _grid_spec(grid) -> GridSpec:
+    """The GridSpec of a Grid or GridSpec, without building a Grid's meshes."""
+    return grid.spec if isinstance(grid, Grid) else grid
 
 
 def _cells_per_axis(spec: OmegaSpec, gs: GridSpec) -> int:
@@ -127,7 +130,7 @@ def cell_values(spec: OmegaSpec, count: int) -> np.ndarray:
 
 def draw_omega(spec: OmegaSpec, grid) -> OmegaField:
     """Draw the weight field for every cell meeting the box."""
-    gs = as_grid(grid).spec
+    gs = _grid_spec(grid)
     nc = _cells_per_axis(spec, gs)
     vals = cell_values(spec, nc**gs.d)
     return OmegaField(spec, gs, vals.reshape((nc,) * gs.d))

@@ -427,3 +427,78 @@ def test_workers_validation(tmp_path, capsys):
     code = main(["spectrum", "--config", cfg_path, "--workers", "0"])
     assert code == 2
     assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,experiment,field",
+    [
+        ("campaign", {"name": "PROP_EXTNORM", "R_list": [8.0, 12.0], "n_samples": 2}, "R_list"),
+        ("verify", {"name": "PROP_EXTNORM", "R_list": [12.0], "n_samples": 100}, "R_list"),
+        ("campaign", {"name": "TAIL", "R": 12.0, "n_samples": 100}, "R"),
+        ("verify", {"name": "TAIL", "R": 12.0, "n_samples": 100}, "R"),
+    ],
+)
+def test_bad_campaign_radius_is_a_config_error(tmp_path, capsys, command, experiment, field):
+    # L = 4R = 48 at dx = 0.25 gives N = 192, which is not a power of two
+    data = _campaign_dict()
+    data["experiment"] = experiment
+    code, out = _run(tmp_path, data, command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"experiment.{field}:" in err and "12" in err
+    assert not list(tmp_path.rglob("campaign_*"))
+    assert not out.exists()
+
+
+def test_campaign_takes_dx_from_grid(tmp_path):
+    from evbounds.harness import deterministic_ext_norm, ext_norm_samples
+    from evbounds.potential import PotentialSpec
+    from evbounds.randomize import OmegaSpec
+
+    data = _campaign_dict(n_samples=2)
+    data["grid"] = {"d": 2, "L": 32.0, "N": 64}  # dx = 0.5
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    row = next(out.glob("summary_*.csv")).read_text(encoding="utf-8").splitlines()[1].split(",")
+    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0, R=8.0)
+    det = deterministic_ext_norm(spec, 1.0, 8.0, d=2, dx=0.5)
+    assert row[5] == repr(det)
+    assert det != deterministic_ext_norm(spec, 1.0, 8.0, d=2, dx=0.25)
+    norms = ext_norm_samples(spec, OmegaSpec(1.0, "bernoulli", 2026), 1.0, 8.0, [0, 1], dx=0.5)
+    assert cli._read_norms(next(out.glob("campaign_*/norms_R8.csv"))) == dict(enumerate(norms))
+
+
+def test_dispatch_table_covers_exactly_the_experiments():
+    from evbounds.config import EXPERIMENTS
+    from evbounds.harness import BoundReport
+
+    assert len(set(EXPERIMENTS)) == len(EXPERIMENTS)
+    assert set(cli.DRIVERS) == set(EXPERIMENTS)
+    for name, (verify, _) in cli.DRIVERS.items():
+        assert callable(verify) == (name != "SPECTRUM")
+        if verify is not None:  # every verifiable name is a bound id
+            BoundReport(name, 0.0, 1.0, 1.0, 0.0, False, {})
+
+
+def test_readme_demo_configs_have_a_driver():
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    runs = re.findall(r"evbounds (\w+) +--config demos/configs/([\w.]+\.json)", readme)
+    assert {p.name for p in (root / "demos" / "configs").glob("*.json")} == {f for _, f in runs}
+    seen = set()
+    for command, fname in runs:
+        name = load_config(root / "demos" / "configs" / fname).experiment["name"]
+        seen.add((command, name))
+        if command == "spectrum":
+            assert name in cli.DRIVERS
+        else:
+            assert cli.DRIVERS[name][("verify", "campaign").index(command)] is not None
+    assert seen == {
+        ("spectrum", "SPECTRUM"),
+        ("verify", "AAD1D"),
+        ("campaign", "PROP_EXTNORM"),
+        ("campaign", "EVSUM"),
+    }

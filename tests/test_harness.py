@@ -480,11 +480,12 @@ def test_amplitude_monotonicity_imaginary_family():
 
 
 def test_report_invariants():
-    with pytest.raises(ValueError):
-        BoundReport(
-            bound_id="NOPE", lhs=1.0, rhs_raw=1.0, fitted_constant=1.0,
-            margin=1.0, vacuous=False, params={},
-        )
+    for bad in ("NOPE", "SPECTRUM"):
+        with pytest.raises(ValueError):
+            BoundReport(
+                bound_id=bad, lhs=1.0, rhs_raw=1.0, fitted_constant=1.0,
+                margin=1.0, vacuous=False, params={},
+            )
     gs = GridSpec(d=1, L=8.0, N=32)
     field = sample_potential(PotentialSpec(kind="indicator_ball", amplitude=2.0), gs)
     report = check_aad_1d([_pt(-4.0)], field)

@@ -151,3 +151,21 @@ def test_gaussian_tail_matches_law():
     vals = np.abs(cell_values(_spec(dist="gaussian", seed=5), 5000))
     (entry,) = tail_table(vals, [2.0])
     assert entry.lower <= oracles.NORMAL_TWO_SIDED_2 <= entry.upper
+
+
+def test_omega_on_a_grid_spec_builds_no_grid(monkeypatch):
+    import evbounds.grid
+
+    gs = GridSpec(d=2, L=8.0, N=32)
+    want = draw_omega(_spec(), evbounds.grid.Grid(gs))
+
+    def no_grid(self, spec):
+        raise AssertionError("a Grid was built")
+
+    monkeypatch.setattr(evbounds.grid.Grid, "__init__", no_grid)
+    omega = draw_omega(_spec(), gs)
+    assert omega.grid == gs
+    assert np.array_equal(omega.cells, want.cells)
+    assert np.array_equal(omega.at_nodes(), want.at_nodes())
+    ones = OmegaField.constant(_spec(), gs)
+    assert ones.grid == gs and np.all(ones.at_nodes() == 1.0)
