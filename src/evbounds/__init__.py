@@ -39,12 +39,9 @@ from .extension import (
 )
 from .grid import (
     FrequencySymbol,
-    Grid,
     GridSpec,
     apply_multiplier,
     apply_multiplier_stack,
-    as_grid,
-    build_grid,
     laplacian_symbol,
     resolvent_symbol,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError
-from .grid import FrequencySymbol, GridSpec, as_grid, resolvent_symbol
+from .grid import FrequencySymbol, GridSpec, resolvent_symbol
 from .potential import PotentialField
 from .util import spectral_norm
 
@@ -56,53 +56,50 @@ class SmoothedSymbol:
     values: np.ndarray
 
 
-def assemble_bs(grid, potential: PotentialField, z: complex) -> BsOperator:
+def assemble_bs(grid: GridSpec, potential: PotentialField, z: complex) -> BsOperator:
     """Assemble the Birman-Schwinger matrix at spectral parameter z.
 
     Column k is |V|^(1/2) R(z) (V^(1/2) e_k) for the k-th support node,
     evaluated with one batched multiplier application; the resolvent symbol
     rejects z sitting exactly on a discrete Laplacian level.
     """
-    g = as_grid(grid)
     vals = potential.values.ravel()
     support = np.flatnonzero(vals)
     if support.size == 0:
         raise EmptySupportError("potential vanishes identically; no support to restrict to")
-    sym = resolvent_symbol(g, z)
+    sym = resolvent_symbol(grid, z)
     root_abs = np.sqrt(np.abs(vals[support]))
     half = vals[support] / root_abs  # V^(1/2) = V / |V|^(1/2)
 
     n = support.size
-    stack = np.zeros((n, g.spec.node_count), dtype=complex)
+    stack = np.zeros((n, grid.node_count), dtype=complex)
     stack[np.arange(n), support] = half
-    stack = stack.reshape((n,) + g.shape)
-    axes = tuple(range(1, g.spec.d + 1))
+    stack = stack.reshape((n,) + grid.shape)
+    axes = tuple(range(1, grid.d + 1))
     out = np.fft.ifftn(sym.values[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)
-    out = out.reshape(n, g.spec.node_count)
+    out = out.reshape(n, grid.node_count)
     # Rows: multiply by |V|^(1/2) and restrict to the support.
     matrix = (out[:, support] * root_abs[None, :]).T.copy()
-    return BsOperator(g.spec, potential, z, matrix, support)
+    return BsOperator(grid, potential, z, matrix, support)
 
 
-def smoothed_symbol(grid, z: complex, delta: float) -> SmoothedSymbol:
+def smoothed_symbol(grid: GridSpec, z: complex, delta: float) -> SmoothedSymbol:
     """Canonical representative (||2 pi xi|^2 - |z|| + delta)^(-1/2).
 
     Callers sandwiching a potential of support radius R conventionally take
     delta = 1/(2R); the width is a free parameter here.
     """
-    g = as_grid(grid)
     if not delta > 0:
         raise ValueError(f"smoothing width must be positive, got {delta}")
-    vals = 1.0 / np.sqrt(np.abs(g.lap_symbol - abs(z)) + delta)
+    vals = 1.0 / np.sqrt(np.abs(grid.lap_symbol - abs(z)) + delta)
     return SmoothedSymbol(z, float(delta), vals)
 
 
-def band_cutoff(grid, lo: float, hi: float) -> FrequencySymbol:
+def band_cutoff(grid: GridSpec, lo: float, hi: float) -> FrequencySymbol:
     """Sharp frequency-band indicator lo <= |2 pi xi| <= hi."""
     if lo < 0 or not hi > lo:
         raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    g = as_grid(grid)
-    mag = np.sqrt(g.lap_symbol)
+    mag = np.sqrt(grid.lap_symbol)
     return FrequencySymbol(((mag >= lo) & (mag <= hi)).astype(float))
 
 

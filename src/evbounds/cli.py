@@ -42,7 +42,7 @@ from .harness import (
 )
 from .extension import build_net, singular_values
 from .potential import sample_potential
-from .randomize import anderson_randomize, draw_omega
+from .randomize import MIN_SAMPLES, anderson_randomize, draw_omega
 from .spectra import SpectrumFilter, eigenvalues_dense, filter_discrete, hamiltonian_matrix
 
 __all__ = ["main"]
@@ -87,6 +87,15 @@ def _radii(cfg: RunConfig, key: str) -> list[float]:
         except ValueError as err:
             raise ConfigError(f"experiment.{key}: R = {R:g} at dx = {dx:g}: {err}") from None
     return radii
+
+
+def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
+    """experiment.n_samples (default when absent), checked against minimum before any work."""
+    n = int(cfg.experiment.get("n_samples", default))
+    if n < minimum:
+        name = cfg.experiment["name"]
+        raise ConfigError(f"experiment.n_samples: {name} needs at least {minimum}, got {n}")
+    return n
 
 
 def _cell_size(cfg: RunConfig) -> float:
@@ -181,14 +190,14 @@ def _floats(cfg: RunConfig, *keys) -> list[float]:
 
 
 def _verify_extnorm(cfg: RunConfig):
-    omega, r_list = _omega(cfg), _radii(cfg, "R_list")
-    n = int(cfg.experiment.get("n_samples", 200))
+    # Every radius is validated; only the largest, the one reported, is computed.
+    omega, R = _omega(cfg), max(_radii(cfg, "R_list"))
+    n = _n_samples(cfg, 200, 0 if cfg.identity_omega else MIN_SAMPLES)
     d, dx = cfg.grid.d, cfg.grid.dx
     results = mc_extension_norm(
-        cfg.potential, omega, _lam(cfg), r_list, n, d=d, dx=dx, identity=cfg.identity_omega
+        cfg.potential, omega, _lam(cfg), [R], n, d=d, dx=dx, identity=cfg.identity_omega
     )
-    top = results[max(results)]
-    return check_extnorm(top, omega.h, abs(cfg.potential.amplitude), d=d)
+    return check_extnorm(results[R], omega.h, abs(cfg.potential.amplitude), d=d)
 
 
 def _verify_schatten(cfg: RunConfig):
@@ -205,7 +214,7 @@ def _verify_schatten(cfg: RunConfig):
 def _verify_tail(cfg: RunConfig):
     omega, (R,) = _omega(cfg), _radii(cfg, "R")
     exp = cfg.experiment
-    n = int(exp.get("n_samples", 200))
+    n = _n_samples(cfg, 200, MIN_SAMPLES)
     norms = ext_norm_samples(
         cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
     )
@@ -309,7 +318,7 @@ def _campaign_tail(cfg: RunConfig) -> int:
     _omega(cfg)
     (R,) = _radii(cfg, "R")
     exp = cfg.experiment
-    norms = _collect_norms(cfg, R, int(exp.get("n_samples", 2000)))
+    norms = _collect_norms(cfg, R, _n_samples(cfg, 2000, MIN_SAMPLES))
     study = concentration_tail(norms, thresholds=exp.get("thresholds", _TAIL_THRESHOLDS))
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(
@@ -328,7 +337,7 @@ def _campaign_tail(cfg: RunConfig) -> int:
 def _campaign_extnorm(cfg: RunConfig) -> int:
     _omega(cfg)
     r_list = _radii(cfg, "R_list")
-    n = int(cfg.experiment.get("n_samples", 200))
+    n = _n_samples(cfg, 200)
     rows = []
     for R in r_list:
         arr = _collect_norms(cfg, R, n)
@@ -360,7 +369,7 @@ def _campaign_extnorm(cfg: RunConfig) -> int:
 def _campaign_schatten(cfg: RunConfig) -> int:
     omega, r_list = _omega(cfg), _radii(cfg, "R_list")
     (nu,) = _floats(cfg, "nu")
-    n = int(cfg.experiment.get("n_samples", 100))
+    n = _n_samples(cfg, 100)
     res = schatten_campaign(_lam(cfg), r_list, nu, omega, n, d=cfg.grid.d, dx=cfg.grid.dx)
     out = _ensure_dir(cfg)
     path = out / f"schatten_{cfg.config_hash()}.csv"
@@ -451,7 +460,7 @@ def cmd_svd(cfg: RunConfig) -> int:
     if cfg.omega is None or cfg.identity_omega:
         omegas, names = None, [f"svals_{tag}_det.csv"]
     else:
-        n = int(exp.get("n_samples", 1))
+        n = _n_samples(cfg, 1)
         omegas = [cfg.omega.with_realization(i) for i in range(n)]
         names = [f"svals_{tag}_r{i:04d}.csv" for i in range(n)]
     _, ops = config_sandwiches(cfg.potential, cfg.grid, _lam(cfg), R, omegas)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import as_grid
 from .potential import PotentialField
 from .randomize import OmegaField
 
@@ -204,13 +203,13 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
     of per-axis plane-wave tables, accumulated in chunks of about _CHUNK
     entries.  An empty support gives the zero matrix.
     """
-    g = as_grid(field.grid)
+    gs = field.grid
     vals = field.values.ravel()
     support = np.flatnonzero(vals)
-    weights = vals[support] * g.spec.cellvol
-    multi = np.unravel_index(support, g.spec.shape)
-    t_out = _axis_tables(g.axis_centered, net_out)
-    t_in = None if net_in is net_out else _axis_tables(g.axis_centered, net_in)
+    weights = vals[support] * gs.cellvol
+    multi = np.unravel_index(support, gs.shape)
+    t_out = _axis_tables(gs.axis_centered, net_out)
+    t_in = None if net_in is net_out else _axis_tables(gs.axis_centered, net_in)
     m = np.zeros((net_out.n_nodes, net_in.n_nodes), dtype=complex)
     step = max(1, _CHUNK // max(net_out.n_nodes, net_in.n_nodes))
     for lo in range(0, support.size, step):
@@ -263,9 +262,7 @@ class SandwichEnsemble:
         self.net_in = net_in
         self.field = field
         self.h = float(h)
-        g = as_grid(field.grid)
-        self._g = g
-        gs = g.spec
+        gs = field.grid
         split = _cell_blocks(field, h)
         self._factored = split is not None
         if not self._factored:
@@ -275,7 +272,7 @@ class SandwichEnsemble:
         flat = blocks.reshape(nc**d, r**d)
 
         const = np.all(flat == flat[:, :1], axis=1)
-        tau_axis = (g.axis_raw >= gs.L / 2).astype(int)
+        tau_axis = (gs.axis_raw >= gs.L / 2).astype(int)
         tau_blocks = tau_axis.reshape(nc, r)
         tau_const_axis = np.all(tau_blocks == tau_blocks[:, :1], axis=1)
         tau_ok = tau_const_axis
@@ -297,12 +294,12 @@ class SandwichEnsemble:
         self._mixed_cell_of_row = np.repeat(mixed, r**d)[keep]
         self._mixed_vals = node_vals[keep]
 
-        tables = _axis_tables(g.axis_centered, net_out)
+        tables = _axis_tables(gs.axis_centered, net_out)
         self._u_out = _phase_rows(tables, corners)
         self._p_out = _phase_rows(tables, nodes)
         self._u_in = self._p_in = None
         if net_in is not net_out:
-            tables = _axis_tables(g.axis_centered, net_in)
+            tables = _axis_tables(gs.axis_centered, net_in)
             self._u_in = _phase_rows(tables, corners)
             self._p_in = _phase_rows(tables, nodes)
         # In-cell phase sum: product over axes of geometric sums of length r.
@@ -343,7 +340,7 @@ class SandwichEnsemble:
         mixed_w = shift[self._mixed_cell_of_row] * self._mixed_vals
         m = self._assemble(uniform_w, mixed_w)
         m += self._m1
-        m *= self._g.spec.cellvol
+        m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
         return SandwichOperator(
             self.net_out,

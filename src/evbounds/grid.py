@@ -3,12 +3,15 @@
 The box is [0, L)^d sampled on N^d equispaced nodes.  Fourier conventions
 follow the e^{-2*pi*i*x.xi} normalization, so the Laplacian acts as the
 multiplier |2*pi*xi|^2 on the dual lattice xi = m/L with integer coordinates
-m in {-N/2, ..., N/2 - 1}.
+m in {-N/2, ..., N/2 - 1}.  A GridSpec is the grid: its node coordinates,
+frequencies and Laplacian symbol are computed on first use, kept on the
+instance and handed out read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,18 +19,25 @@ from .errors import SingularSymbolError
 
 __all__ = [
     "GridSpec",
-    "Grid",
     "FrequencySymbol",
-    "build_grid",
     "laplacian_symbol",
     "resolvent_symbol",
     "apply_multiplier",
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of the periodic box: dimension, side length, nodes per side."""
+    """The periodic box: dimension, side length, nodes per side.
+
+    Equality and hashing see only (d, L, N).  The derived arrays are cached
+    on first use and read-only, so every caller shares one copy per spec.
+    """
 
     d: int
     L: float
@@ -58,6 +68,57 @@ class GridSpec:
     def node_count(self) -> int:
         return self.N**self.d
 
+    @cached_property
+    def axis_raw(self) -> np.ndarray:
+        """Node coordinates along one axis, in [0, L)."""
+        return _read_only(np.arange(self.N) * (self.L / self.N))
+
+    @cached_property
+    def axis_centered(self) -> np.ndarray:
+        """Torus representatives in [-L/2, L/2) of the axis coordinates.
+
+        Radial potentials centered at the origin wrap around the box without
+        seams.
+        """
+        axis = self.axis_raw
+        return _read_only(np.where(axis < self.L / 2, axis, axis - self.L))
+
+    @cached_property
+    def freq_axis(self) -> np.ndarray:
+        """Dual-lattice frequencies m/L along one axis, in DFT order."""
+        return _read_only(np.fft.fftfreq(self.N, d=self.L / self.N))
+
+    @cached_property
+    def lap_symbol(self) -> np.ndarray:
+        """|2 pi xi|^2 on the dual lattice, shape N^d in DFT layout."""
+        meshes = np.meshgrid(*([self.freq_axis] * self.d), indexing="ij")
+        return _read_only(sum((2.0 * np.pi * f) ** 2 for f in meshes))
+
+    @cached_property
+    def _radii(self) -> np.ndarray:
+        return _read_only(np.sqrt(sum(c * c for c in self.coords(centered=True))))
+
+    def coords(self, centered: bool = True) -> list[np.ndarray]:
+        """Node coordinate meshes, one array of shape N^d per dimension."""
+        axis = self.axis_centered if centered else self.axis_raw
+        return np.meshgrid(*([axis] * self.d), indexing="ij")
+
+    def radii(self) -> np.ndarray:
+        """Torus distance of every node to the origin."""
+        return self._radii
+
+    def points(self, centered: bool = True) -> np.ndarray:
+        """All node coordinates stacked as an (N^d, d) array."""
+        mesh = self.coords(centered)
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """DFT with the quadrature weight, approximating the integral transform."""
+        return np.fft.fftn(values) * self.cellvol
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(spectrum) / self.cellvol
+
 
 @dataclass(frozen=True)
 class FrequencySymbol:
@@ -66,88 +127,18 @@ class FrequencySymbol:
     values: np.ndarray
 
 
-class Grid:
-    """A GridSpec plus cached node coordinates and dual-lattice data.
-
-    Instances are immutable by convention; the cached arrays are shared and
-    must not be written to.  Build through :func:`build_grid`.
-    """
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        n, L, d = spec.N, spec.L, spec.d
-        axis = np.arange(n) * (L / n)
-        # Torus representative in [-L/2, L/2): radial potentials centered at
-        # the origin wrap around the box without seams.
-        centered = np.where(axis < L / 2, axis, axis - L)
-        self.axis_raw = axis
-        self.axis_centered = centered
-        self.freq_axis = np.fft.fftfreq(n, d=L / n)
-        self._freq_meshes = np.meshgrid(*([self.freq_axis] * d), indexing="ij")
-        self.lap_symbol = sum((2.0 * np.pi * f) ** 2 for f in self._freq_meshes)
-        self._radius = None
-
-    @property
-    def shape(self):
-        return self.spec.shape
-
-    @property
-    def cellvol(self):
-        return self.spec.cellvol
-
-    def coords(self, centered: bool = True) -> list[np.ndarray]:
-        """Node coordinate meshes, one array of shape N^d per dimension."""
-        axis = self.axis_centered if centered else self.axis_raw
-        return np.meshgrid(*([axis] * self.spec.d), indexing="ij")
-
-    def radii(self) -> np.ndarray:
-        """Torus distance of every node to the origin."""
-        if self._radius is None:
-            mesh = self.coords(centered=True)
-            self._radius = np.sqrt(sum(c * c for c in mesh))
-        return self._radius
-
-    def points(self, centered: bool = True) -> np.ndarray:
-        """All node coordinates stacked as an (N^d, d) array."""
-        mesh = self.coords(centered)
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def freq_meshes(self) -> list[np.ndarray]:
-        return self._freq_meshes
-
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """DFT with the quadrature weight, approximating the integral transform."""
-        return np.fft.fftn(values) * self.spec.cellvol
-
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(spectrum) / self.spec.cellvol
-
-
-def build_grid(spec: GridSpec) -> Grid:
-    """Materialize coordinates and the Laplacian symbol for a grid spec."""
-    return Grid(spec)
-
-
-def as_grid(grid) -> Grid:
-    """Accept either a Grid or a GridSpec where both are convenient."""
-    if isinstance(grid, Grid):
-        return grid
-    return Grid(grid)
-
-
-def laplacian_symbol(grid) -> FrequencySymbol:
+def laplacian_symbol(grid: GridSpec) -> FrequencySymbol:
     """Multiplier |2*pi*xi|^2 of the (positive) free Laplacian."""
-    return FrequencySymbol(as_grid(grid).lap_symbol)
+    return FrequencySymbol(grid.lap_symbol)
 
 
-def resolvent_symbol(grid, z: complex) -> FrequencySymbol:
+def resolvent_symbol(grid: GridSpec, z: complex) -> FrequencySymbol:
     """Multiplier of (-Laplacian - z)^(-1).
 
     Raises SingularSymbolError when z hits one of the discrete Laplacian
     levels exactly; any other z, including real z between levels, is allowed.
     """
-    lap = as_grid(grid).lap_symbol
-    diff = lap - z
+    diff = grid.lap_symbol - z
     if np.any(diff == 0):
         raise SingularSymbolError(
             f"z = {z} coincides with a discrete Laplacian level; resolvent undefined"
@@ -161,25 +152,23 @@ def _symbol_values(symbol) -> np.ndarray:
     return np.asarray(symbol)
 
 
-def apply_multiplier(grid, symbol, values: np.ndarray) -> np.ndarray:
+def apply_multiplier(grid: GridSpec, symbol, values: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier: inverse-DFT(symbol * DFT(values)).
 
     The quadrature weights cancel between the two transforms, so this is
     exact on the discrete space regardless of normalization.
     """
-    g = as_grid(grid)
     sym = _symbol_values(symbol)
     arr = np.asarray(values)
-    if arr.shape != g.shape:
-        raise ValueError(f"field shape {arr.shape} does not match grid shape {g.shape}")
-    if sym.shape != g.shape:
-        raise ValueError(f"symbol shape {sym.shape} does not match grid shape {g.shape}")
+    if arr.shape != grid.shape:
+        raise ValueError(f"field shape {arr.shape} does not match grid shape {grid.shape}")
+    if sym.shape != grid.shape:
+        raise ValueError(f"symbol shape {sym.shape} does not match grid shape {grid.shape}")
     return np.fft.ifftn(sym * np.fft.fftn(arr))
 
 
-def apply_multiplier_stack(grid, symbol, stack: np.ndarray) -> np.ndarray:
+def apply_multiplier_stack(grid: GridSpec, symbol, stack: np.ndarray) -> np.ndarray:
     """Multiplier applied to a batch of fields stacked along axis 0."""
-    g = as_grid(grid)
     sym = _symbol_values(symbol)
-    axes = tuple(range(1, g.spec.d + 1))
+    axes = tuple(range(1, grid.d + 1))
     return np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)

@@ -19,7 +19,7 @@ from .errors import SupportError
 from .extension import SandwichEnsemble, build_net, sandwich, singular_values, weak_schatten
 from .grid import GridSpec
 from .potential import PotentialField, PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from .randomize import OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
+from .randomize import MIN_SAMPLES, OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
 from .spectra import delta_dist, eigenvalue_sum
 from .util import bracket, spectral_norm
 
@@ -64,7 +64,6 @@ FITTED_CONSTANTS: dict = {
     ("EVSUM", 2): (0.0623, 1.914),
 }
 
-_MC_MIN_SAMPLES = 100
 _EPS_RATIO_DEFAULT = 0.05
 
 
@@ -368,10 +367,10 @@ def mc_extension_norm(
 
     identity=True replaces the Monte Carlo draw by the single constant
     realization omega = +1, for which the mean equals the deterministic
-    norm of V itself; otherwise at least 100 samples are required.
+    norm of V itself; otherwise at least MIN_SAMPLES (100) are required.
     """
-    if not identity and n_samples < _MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples, got {n_samples}")
+    if not identity and n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     out: dict[float, ExtNormResult] = {}
     for R in R_list:
         if identity:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import EmptySupportError, SparseSeparationError, SupportError
-from .grid import Grid, GridSpec, as_grid
+from .grid import GridSpec
 from .util import bracket
 
 __all__ = [
@@ -136,35 +136,33 @@ def _slab_half_widths(spec: PotentialSpec, d: int) -> np.ndarray:
     return extents / 2.0
 
 
-def sample_potential(spec: PotentialSpec, grid) -> PotentialField:
+def sample_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialField:
     """Evaluate a potential family on the grid nodes.
 
     Compactly supported kinds require the box to dominate the support,
     L >= 4 * support radius, so that periodization does not fold the field
     onto itself.
     """
-    g = as_grid(grid)
-    gs = g.spec
     if spec.kind == "tabulated":
         raise ValueError("tabulated potentials are built by load_tabulated")
 
-    r = g.radii()
+    r = grid.radii()
     if spec.kind == "indicator_ball":
         support_radius = spec.R
         values = np.where(r <= spec.R, spec.amplitude, 0.0)
     elif spec.kind == "power_decay":
-        support_radius = gs.L * np.sqrt(gs.d) / 2
+        support_radius = grid.L * np.sqrt(grid.d) / 2
         values = spec.amplitude * bracket(r) ** (-spec.s)
     elif spec.kind == "wigner_von_neumann":
-        support_radius = gs.L * np.sqrt(gs.d) / 2
+        support_radius = grid.L * np.sqrt(grid.d) / 2
         k = _oscillation(spec, "wavenumber", 2.0)
         phase = _oscillation(spec, "phase", 0.0)
         values = spec.amplitude * np.sin(k * r + phase) / bracket(r)
     elif spec.kind == "knapp_oscillatory":
-        half = _slab_half_widths(spec, gs.d)
+        half = _slab_half_widths(spec, grid.d)
         support_radius = float(np.sqrt((half**2).sum()))
-        mesh = g.coords(centered=True)
-        inside = np.ones(gs.shape, dtype=bool)
+        mesh = grid.coords(centered=True)
+        inside = np.ones(grid.shape, dtype=bool)
         for axis_coord, h in zip(mesh, half):
             inside &= np.abs(axis_coord) <= h
         values = np.where(inside, spec.amplitude * np.exp(2j * np.pi * mesh[0]), 0.0)
@@ -172,11 +170,11 @@ def sample_potential(spec: PotentialSpec, grid) -> PotentialField:
         raise ValueError(spec.kind)
 
     compact = spec.kind in ("indicator_ball", "knapp_oscillatory")
-    if compact and gs.L < 4 * support_radius:
+    if compact and grid.L < 4 * support_radius:
         raise SupportError(
-            f"box side {gs.L} too small for support radius {support_radius}; need L >= 4R"
+            f"box side {grid.L} too small for support radius {support_radius}; need L >= 4R"
         )
-    return PotentialField(gs, np.ascontiguousarray(values, dtype=complex), support_radius)
+    return PotentialField(grid, np.ascontiguousarray(values, dtype=complex), support_radius)
 
 
 def lq_norm(field: PotentialField, q: float) -> float:
@@ -194,8 +192,7 @@ def lq_norm(field: PotentialField, q: float) -> float:
 
 def weighted_sup_norm(field: PotentialField, exponent: float) -> float:
     """Sup norm of <x>^exponent * V over the grid nodes."""
-    g = as_grid(field.grid)
-    return float((bracket(g.radii()) ** exponent * np.abs(field.values)).max())
+    return float((bracket(field.grid.radii()) ** exponent * np.abs(field.values)).max())
 
 
 def _threshold(sorted_desc: np.ndarray, cellvol: float, target: float) -> float:
@@ -311,11 +308,10 @@ def sparse_decompose(layer: DyadicLayer, gamma: float, K: int, grid=None) -> lis
         grid = layer.grid
     if grid is None:
         raise ValueError("layer carries no grid; pass one for node coordinates")
-    g = as_grid(grid)
     mask = layer.mask.ravel()
     if not mask.any():
         return []
-    points = g.points(centered=True)[mask]
+    points = grid.points(centered=True)[mask]
     weights = np.abs(layer.values.ravel()[mask])
     radius = 2.0 ** (layer.index * gamma**K)
     centers = _cell_cover(points, weights, radius)
@@ -353,8 +349,7 @@ def sparse_decompose(layer: DyadicLayer, gamma: float, K: int, grid=None) -> lis
 
 def save_tabulated(field: PotentialField, path) -> None:
     """Write nonzero nodes as CSV rows (coordinates..., re, im)."""
-    g = as_grid(field.grid)
-    pts = g.points(centered=True)
+    pts = field.grid.points(centered=True)
     vals = field.values.ravel()
     keep = vals != 0
     data = np.column_stack([pts[keep], vals[keep].real, vals[keep].imag])
@@ -363,34 +358,32 @@ def save_tabulated(field: PotentialField, path) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_tabulated(path, grid) -> PotentialField:
+def load_tabulated(path, grid: GridSpec) -> PotentialField:
     """Read CSV rows (coordinates..., re, im) onto the nearest grid nodes.
 
     Rows must land within half a node spacing of a grid node; unlisted nodes
     stay zero.
     """
-    g = as_grid(grid)
-    gs = g.spec
     data = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
     if data.size == 0:
-        return PotentialField(gs, np.zeros(gs.shape, dtype=complex), 0.0)
-    if data.shape[1] != gs.d + 2:
+        return PotentialField(grid, np.zeros(grid.shape, dtype=complex), 0.0)
+    if data.shape[1] != grid.d + 2:
         raise ValueError(
-            f"expected {gs.d + 2} columns (coords..., re, im), got {data.shape[1]}"
+            f"expected {grid.d + 2} columns (coords..., re, im), got {data.shape[1]}"
         )
-    coords = data[:, : gs.d]
-    vals = data[:, gs.d] + 1j * data[:, gs.d + 1]
-    dx = gs.dx
+    coords = data[:, : grid.d]
+    vals = data[:, grid.d] + 1j * data[:, grid.d + 1]
+    dx = grid.dx
     # Map torus representatives back to raw [0, L) and then to node indices.
-    raw = np.mod(coords, gs.L)
+    raw = np.mod(coords, grid.L)
     idx_f = raw / dx
-    idx = np.rint(idx_f).astype(int) % gs.N
+    idx = np.rint(idx_f).astype(int) % grid.N
     off = np.abs(idx_f - np.rint(idx_f))
     if np.any(off > 1e-6):
         bad = np.argmax(off.max(axis=1))
         raise ValueError(f"row {bad} does not lie on a grid node (offset {off.max():.3g} dx)")
-    values = np.zeros(gs.shape, dtype=complex)
+    values = np.zeros(grid.shape, dtype=complex)
     values[tuple(idx.T)] = vals
-    radii = np.sqrt((np.minimum(raw, gs.L - raw) ** 2).sum(-1))
+    radii = np.sqrt((np.minimum(raw, grid.L - raw) ** 2).sum(-1))
     support_radius = float(radii[np.abs(vals) > 0].max()) if np.any(np.abs(vals) > 0) else 0.0
-    return PotentialField(gs, values, support_radius)
+    return PotentialField(grid, values, support_radius)

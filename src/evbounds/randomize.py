@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import SupportError
-from .grid import Grid, GridSpec
+from .grid import GridSpec
 from .potential import PotentialField
 from .util import wilson_interval
 
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("bernoulli", "gaussian")
+# Fewest Monte Carlo samples behind a tail table or a mean extension norm.
+MIN_SAMPLES = 100
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -67,15 +69,14 @@ class OmegaField:
         return self.cells.shape[0]
 
     @classmethod
-    def constant(cls, spec: OmegaSpec, grid, value: float = 1.0) -> OmegaField:
+    def constant(cls, spec: OmegaSpec, grid: GridSpec, value: float = 1.0) -> OmegaField:
         """All-equal weights; value 1 reproduces the deterministic potential."""
-        gs = _grid_spec(grid)
-        nc = _cells_per_axis(spec, gs)
-        return cls(spec, gs, np.full((nc,) * gs.d, value, dtype=float))
+        nc = _cells_per_axis(spec, grid)
+        return cls(spec, grid, np.full((nc,) * grid.d, value, dtype=float))
 
     def at_nodes(self) -> np.ndarray:
         """Expand cell weights to the grid nodes (node x sits in cell floor(x/h))."""
-        return self.cells[_node_cell_index(self.spec, _grid_spec(self.grid))]
+        return self.cells[_node_cell_index(self.spec, self.grid)]
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,6 @@ class TailEntry:
     fraction: float
     lower: float
     upper: float
-
-
-def _grid_spec(grid) -> GridSpec:
-    """The GridSpec of a Grid or GridSpec, without building a Grid's meshes."""
-    return grid.spec if isinstance(grid, Grid) else grid
 
 
 def _cells_per_axis(spec: OmegaSpec, gs: GridSpec) -> int:
@@ -128,12 +124,11 @@ def cell_values(spec: OmegaSpec, count: int) -> np.ndarray:
     return ndtri(u)
 
 
-def draw_omega(spec: OmegaSpec, grid) -> OmegaField:
+def draw_omega(spec: OmegaSpec, grid: GridSpec) -> OmegaField:
     """Draw the weight field for every cell meeting the box."""
-    gs = _grid_spec(grid)
-    nc = _cells_per_axis(spec, gs)
-    vals = cell_values(spec, nc**gs.d)
-    return OmegaField(spec, gs, vals.reshape((nc,) * gs.d))
+    nc = _cells_per_axis(spec, grid)
+    vals = cell_values(spec, nc**grid.d)
+    return OmegaField(spec, grid, vals.reshape((nc,) * grid.d))
 
 
 def anderson_randomize(field: PotentialField, omega: OmegaField) -> PotentialField:
@@ -154,8 +149,8 @@ def tail_table(samples, thresholds) -> list[TailEntry]:
     """Empirical exceedance fractions with Wilson 95% intervals."""
     arr = np.sort(np.asarray(samples, dtype=float))
     n = arr.size
-    if n < 100:
-        raise ValueError(f"too few samples for a tail table: {n} < 100")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"too few samples for a tail table: {n} < {MIN_SAMPLES}")
     out = []
     for t in thresholds:
         k = int(n - np.searchsorted(arr, t, side="right"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid, GridSpec, as_grid, apply_multiplier
+from .grid import GridSpec, apply_multiplier
 
 __all__ = [
     "SpectralPoint",
@@ -69,10 +69,9 @@ class SpectrumFilter:
             raise ValueError("essential_margin must be positive")
 
     @classmethod
-    def default_margin(cls, grid) -> float:
+    def default_margin(cls, grid: GridSpec) -> float:
         """One free-Laplacian level spacing at the bottom of the spectrum."""
-        spec = grid.spec if isinstance(grid, Grid) else grid
-        return 10.0 * (2.0 * np.pi / spec.L) ** 2
+        return 10.0 * (2.0 * np.pi / grid.L) ** 2
 
     @classmethod
     def from_scales(
@@ -92,28 +91,26 @@ def delta_dist(z: complex) -> float:
     return abs(z.imag) if z.real >= 0 else abs(z)
 
 
-def hamiltonian_matrix(grid, potential) -> np.ndarray:
+def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     """Dense position-basis matrix of -Delta - V on the grid.
 
     The Laplacian block is the circulant with the DFT-diagonal symbol
     |2 pi xi|^2; the result is self-checked against spectral application
     on random vectors before being returned.
     """
-    g = as_grid(grid)
-    spec = g.spec
-    n = spec.node_count
+    n = grid.node_count
     if n > _DENSE_BUDGET:
         raise ValueError(f"dense Hamiltonian budget is {_DENSE_BUDGET} nodes, got {n}")
     vals = potential.values if hasattr(potential, "values") else np.asarray(potential)
-    if vals.shape != spec.shape:
-        raise ValueError(f"potential shape {vals.shape} does not match grid {spec.shape}")
+    if vals.shape != grid.shape:
+        raise ValueError(f"potential shape {vals.shape} does not match grid {grid.shape}")
 
-    kernel = np.fft.ifftn(g.lap_symbol)
+    kernel = np.fft.ifftn(grid.lap_symbol)
     # Multi-axis circulant: index the kernel by the per-axis differences of
     # the row and column multi-indices.
-    multi = np.unravel_index(np.arange(n), spec.shape)
+    multi = np.unravel_index(np.arange(n), grid.shape)
     gather = tuple(
-        (multi[ax][:, None] - multi[ax][None, :]) % spec.N for ax in range(spec.d)
+        (multi[ax][:, None] - multi[ax][None, :]) % grid.N for ax in range(grid.d)
     )
     lap = kernel[gather]
     h = lap.astype(complex)
@@ -121,9 +118,9 @@ def hamiltonian_matrix(grid, potential) -> np.ndarray:
 
     rng = np.random.default_rng(0xA11CE)
     for _ in range(2):
-        v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        direct = (h @ v.ravel()).reshape(spec.shape)
-        spectral = apply_multiplier(g, g.lap_symbol, v) - vals * v
+        v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        direct = (h @ v.ravel()).reshape(grid.shape)
+        spectral = apply_multiplier(grid, grid.lap_symbol, v) - vals * v
         err = np.linalg.norm(direct - spectral) / np.linalg.norm(spectral)
         if err > 1e-10:
             raise RuntimeError(f"circulant assembly disagrees with DFT application: {err:.2e}")

@@ -450,6 +450,57 @@ def test_bad_campaign_radius_is_a_config_error(tmp_path, capsys, command, experi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,experiment",
+    [
+        ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0], "n_samples": 5}),
+        ("verify", {"name": "TAIL", "R": 8.0, "n_samples": 5}),
+        ("campaign", {"name": "TAIL", "R": 8.0, "n_samples": 5}),
+    ],
+)
+def test_too_few_samples_is_a_config_error(tmp_path, capsys, monkeypatch, command, experiment):
+    def no_work(*args, **kwargs):
+        raise AssertionError("norms computed before the sample count was checked")
+
+    monkeypatch.setattr(cli, "ext_norm_samples", no_work)
+    monkeypatch.setattr(cli, "mc_extension_norm", no_work)
+    data = _campaign_dict()
+    data["experiment"] = experiment
+    code, out = _run(tmp_path, data, command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "experiment.n_samples:" in err and "100" in err
+    assert not list(tmp_path.rglob("campaign_*"))
+    assert not out.exists()
+
+
+def test_identity_extnorm_verify_needs_no_sample_minimum(tmp_path, capsys):
+    data = _campaign_dict(n_samples=5)
+    data["identity_omega"] = True
+    code, out = _run(tmp_path, data, command="verify")
+    assert code in (0, 1)
+    assert "config error" not in capsys.readouterr().err
+    assert list(out.glob("report_*.json"))
+
+
+def test_extnorm_verify_computes_only_the_reported_radius(tmp_path, monkeypatch):
+    seen = []
+    real = cli.mc_extension_norm
+
+    def spy(potential_spec, omega_template, lam, r_list, *args, **kwargs):
+        seen.append(list(r_list))
+        return real(potential_spec, omega_template, lam, r_list, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "mc_extension_norm", spy)
+    data = _campaign_dict(n_samples=5, r_list=(8.0, 16.0))
+    data["identity_omega"] = True
+    code, out = _run(tmp_path, data, command="verify")
+    assert code in (0, 1)
+    assert seen == [[16.0]]
+    report = json.loads(next(out.glob("report_*.json")).read_text(encoding="utf-8"))
+    assert report["params"]["R"] == 16.0
+
+
 def test_campaign_takes_dx_from_grid(tmp_path):
     from evbounds.harness import deterministic_ext_norm, ext_norm_samples
     from evbounds.potential import PotentialSpec

@@ -6,8 +6,6 @@ import pytest
 from evbounds import (
     GridSpec,
     apply_multiplier,
-    as_grid,
-    build_grid,
     laplacian_symbol,
     resolvent_symbol,
 )
@@ -19,13 +17,13 @@ import oracles
 
 def test_dual_lattice_frequencies():
     """d=1, L=2pi, N=8: frequencies are m/L for m in {-4,...,3}, DFT order."""
-    g = as_grid(GridSpec(d=1, L=2 * np.pi, N=8))
+    g = GridSpec(d=1, L=2 * np.pi, N=8)
     want = np.array([0, 1, 2, 3, -4, -3, -2, -1]) / (2 * np.pi)
     np.testing.assert_allclose(g.freq_axis, want, rtol=0, atol=1e-15)
 
 
 def test_forward_inverse_roundtrip():
-    g = as_grid(GridSpec(d=2, L=4.0, N=16))
+    g = GridSpec(d=2, L=4.0, N=16)
     rng = np.random.default_rng(11)
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     back = g.inverse(g.forward(f))
@@ -34,24 +32,24 @@ def test_forward_inverse_roundtrip():
 
 def test_parseval():
     # sum |f|^2 cellvol = sum |fhat|^2 / L^d under the integral normalization
-    g = as_grid(GridSpec(d=2, L=5.0, N=8))
+    g = GridSpec(d=2, L=5.0, N=8)
     rng = np.random.default_rng(5)
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     lhs = np.sum(np.abs(f) ** 2) * g.cellvol
-    rhs = np.sum(np.abs(g.forward(f)) ** 2) / g.spec.L ** g.spec.d
+    rhs = np.sum(np.abs(g.forward(f)) ** 2) / g.L ** g.d
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_laplacian_symbol_zero_mode():
     for d in (1, 2, 3):
-        g = as_grid(GridSpec(d=d, L=3.0, N=8))
+        g = GridSpec(d=d, L=3.0, N=8)
         sym = laplacian_symbol(g)
         assert sym.values.ravel()[0] == 0.0
         assert np.all(sym.values >= 0.0)
 
 
 def test_identity_multiplier():
-    g = as_grid(GridSpec(d=1, L=8.0, N=32))
+    g = GridSpec(d=1, L=8.0, N=32)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.shape)
     out = apply_multiplier(g, np.ones(g.shape), f)
@@ -61,18 +59,18 @@ def test_identity_multiplier():
 @pytest.mark.parametrize("m", [(1,), (3,), (1, 2), (0, 5)])
 def test_plane_wave_is_laplacian_eigenfunction(m):
     d = len(m)
-    g = as_grid(GridSpec(d=d, L=4.0, N=16))
+    g = GridSpec(d=d, L=4.0, N=16)
     mesh = g.coords(centered=False)
-    phase = sum(mi / g.spec.L * x for mi, x in zip(m, mesh))
+    phase = sum(mi / g.L * x for mi, x in zip(m, mesh))
     wave = np.exp(2j * np.pi * phase)
     out = apply_multiplier(g, laplacian_symbol(g), wave)
-    eig = sum((2 * np.pi * mi / g.spec.L) ** 2 for mi in m)
+    eig = sum((2 * np.pi * mi / g.L) ** 2 for mi in m)
     np.testing.assert_allclose(out, eig * wave, atol=1e-10 * max(eig, 1.0))
 
 
 def test_resolvent_matches_dense_inverse_oracle():
     N, L, z = 32, 8.0, complex(-2.0, 0.5)
-    g = as_grid(GridSpec(d=1, L=L, N=N))
+    g = GridSpec(d=1, L=L, N=N)
     dense = oracles.dense_resolvent_1d(N, L, z)
     rng = np.random.default_rng(21)
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -82,7 +80,7 @@ def test_resolvent_matches_dense_inverse_oracle():
 
 def test_resolvent_symbol_negative_energy():
     """z=-1: values are real positive, bounded by 1, maximal at xi=0."""
-    g = as_grid(GridSpec(d=2, L=6.0, N=16))
+    g = GridSpec(d=2, L=6.0, N=16)
     sym = resolvent_symbol(g, -1.0).values
     assert np.all(sym.real > 0) and np.max(np.abs(sym.imag)) == 0.0
     assert np.max(sym.real) == pytest.approx(1.0)
@@ -91,14 +89,14 @@ def test_resolvent_symbol_negative_energy():
 
 def test_resolvent_symbol_peaks_at_nearest_frequency():
     z = complex(1.0, 0.1) ** 2
-    g = as_grid(GridSpec(d=1, L=8.0, N=64))
+    g = GridSpec(d=1, L=8.0, N=64)
     sym = np.abs(resolvent_symbol(g, z).values)
     lap = g.lap_symbol
     assert np.argmax(sym) == np.argmin(np.abs(lap - z.real))
 
 
 def test_resolvent_symbol_rejects_laplacian_level():
-    g = as_grid(GridSpec(d=1, L=8.0, N=64))
+    g = GridSpec(d=1, L=8.0, N=64)
     # 4 pi^2 = |2 pi m / L|^2 at m = 8
     with pytest.raises(SingularSymbolError):
         resolvent_symbol(g, 4 * np.pi**2)
@@ -106,7 +104,7 @@ def test_resolvent_symbol_rejects_laplacian_level():
 
 def test_resolvent_inverts_shifted_laplacian():
     z = complex(-1.3, 0.4)
-    g = as_grid(GridSpec(d=2, L=4.0, N=16))
+    g = GridSpec(d=2, L=4.0, N=16)
     rng = np.random.default_rng(7)
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     shifted = apply_multiplier(g, laplacian_symbol(g), f) - z * f
@@ -115,7 +113,7 @@ def test_resolvent_inverts_shifted_laplacian():
 
 
 def test_apply_multiplier_linearity():
-    g = as_grid(GridSpec(d=1, L=8.0, N=32))
+    g = GridSpec(d=1, L=8.0, N=32)
     sym = resolvent_symbol(g, -0.7)
     rng = np.random.default_rng(13)
     f, h = rng.standard_normal((2,) + g.shape)
@@ -126,7 +124,7 @@ def test_apply_multiplier_linearity():
 
 
 def test_apply_multiplier_stack_matches_loop():
-    g = as_grid(GridSpec(d=2, L=4.0, N=8))
+    g = GridSpec(d=2, L=4.0, N=8)
     sym = resolvent_symbol(g, -1.0)
     rng = np.random.default_rng(17)
     stack = rng.standard_normal((5,) + g.shape)
@@ -136,7 +134,7 @@ def test_apply_multiplier_stack_matches_loop():
 
 
 def test_apply_multiplier_shape_mismatch():
-    g = as_grid(GridSpec(d=1, L=8.0, N=32))
+    g = GridSpec(d=1, L=8.0, N=32)
     with pytest.raises(ValueError):
         apply_multiplier(g, laplacian_symbol(g), np.zeros(16))
 
@@ -147,15 +145,23 @@ def test_grid_spec_validation(bad):
         GridSpec(**bad)
 
 
-def test_build_grid_and_as_grid_agree():
-    spec = GridSpec(d=1, L=2.0, N=8)
-    g1, g2 = build_grid(spec), as_grid(spec)
-    np.testing.assert_array_equal(g1.lap_symbol, g2.lap_symbol)
-    assert as_grid(g1) is g1
+def test_grid_arrays_are_cached_and_read_only():
+    g = GridSpec(d=2, L=8.0, N=16)
+    for arr in (g.lap_symbol, g.radii(), g.axis_raw, g.axis_centered, g.freq_axis):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert g.lap_symbol is g.lap_symbol and g.radii() is g.radii()
+
+
+def test_cached_arrays_do_not_enter_equality_or_hash():
+    g, fresh = GridSpec(d=1, L=8.0, N=32), GridSpec(d=1, L=8.0, N=32)
+    g.lap_symbol, g.radii()
+    assert g == fresh and hash(g) == hash(fresh)
+    assert repr(g) == "GridSpec(d=1, L=8.0, N=32)"
 
 
 def test_centered_coordinates_cover_half_open_box():
-    g = as_grid(GridSpec(d=1, L=8.0, N=8))
+    g = GridSpec(d=1, L=8.0, N=8)
     pts = g.points(centered=True).ravel()
     assert pts.min() == -4.0 and pts.max() == 3.0
     assert set(np.diff(np.sort(pts))) == {1.0}

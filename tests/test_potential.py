@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evbounds import GridSpec, as_grid
+from evbounds import GridSpec
 from evbounds.errors import SparseSeparationError
 from evbounds.potential import (
     KINDS,
@@ -25,8 +25,7 @@ def test_indicator_values():
     """indicator_ball a=1 R=1: value 1 at x=0, value 0 at x=4."""
     gs = GridSpec(d=1, L=8.0, N=64)
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=1.0), gs)
-    g = as_grid(gs)
-    x = g.points(centered=True).ravel()
+    x = gs.points(centered=True).ravel()
     assert field.values[np.argmin(np.abs(x))] == 1.0
     assert field.values[np.argmin(np.abs(x - 4.0))] == 0.0
     assert field.values[np.argmin(np.abs(x - 1.0))] == 1.0  # boundary node included
@@ -35,8 +34,7 @@ def test_indicator_values():
 def test_power_decay_value():
     gs = GridSpec(d=1, L=16.0, N=64)
     field = sample_potential(PotentialSpec(kind="power_decay", s=1.0), gs)
-    g = as_grid(gs)
-    x = g.points(centered=True).ravel()
+    x = gs.points(centered=True).ravel()
     k = np.argmin(np.abs(x - 2.0))
     assert field.values[k] == pytest.approx(1.0 / 4.0)  # <2> = 2 + |2| = 4
 
@@ -45,8 +43,7 @@ def test_wigner_decay_envelope():
     """|V(x)|*|x| stays bounded over |x| in [10, 100]."""
     gs = GridSpec(d=1, L=256.0, N=2048)
     field = sample_potential(PotentialSpec(kind="wigner_von_neumann"), gs)
-    g = as_grid(gs)
-    x = g.points(centered=True).ravel()
+    x = gs.points(centered=True).ravel()
     sel = (np.abs(x) >= 10.0) & (np.abs(x) <= 100.0)
     assert np.max(np.abs(field.values[sel]) * np.abs(x[sel])) < 10.0
 
@@ -184,8 +181,7 @@ def _point_layer(gs, flat_indices, value=1.0, index=0):
 
 def test_sparse_two_distant_points_one_family():
     gs = GridSpec(d=1, L=256.0, N=512)
-    g = as_grid(gs)
-    x = g.points(centered=True).ravel()
+    x = gs.points(centered=True).ravel()
     idx = [int(np.argmin(np.abs(x + 50.0))), int(np.argmin(np.abs(x - 50.0)))]
     layer = _point_layer(gs, idx)
     fams = sparse_decompose(layer, gamma=0.5, K=1)
@@ -203,8 +199,7 @@ def test_sparse_adjacent_cells_need_two_families():
     must produce at least two families.
     """
     gs = GridSpec(d=1, L=64.0, N=64)
-    g = as_grid(gs)
-    x = g.points(centered=True).ravel()
+    x = gs.points(centered=True).ravel()
     idx = [int(np.argmin(np.abs(x - t))) for t in (0.0, 1.0, 2.0, 3.0)]
     layer = _point_layer(gs, idx)
     fams = sparse_decompose(layer, gamma=1.0, K=1)
@@ -234,8 +229,7 @@ def test_sparse_families_cover_support():
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=2.0), gs)
     layer = next(l for l in dyadic_decompose(field) if l.mask.any())
     fams = sparse_decompose(layer, gamma=0.25, K=2)
-    g = as_grid(gs)
-    pts = g.points(centered=True)[layer.mask.ravel()]
+    pts = gs.points(centered=True)[layer.mask.ravel()]
     centers = np.concatenate([f.centers for f in fams])
     radius = fams[0].radius
     dist = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)

@@ -153,19 +153,18 @@ def test_gaussian_tail_matches_law():
     assert entry.lower <= oracles.NORMAL_TWO_SIDED_2 <= entry.upper
 
 
-def test_omega_on_a_grid_spec_builds_no_grid(monkeypatch):
-    import evbounds.grid
+def test_omega_and_ensemble_leave_the_laplacian_symbol_unbuilt():
+    from evbounds.extension import SandwichEnsemble, build_net
 
-    gs = GridSpec(d=2, L=8.0, N=32)
-    want = draw_omega(_spec(), evbounds.grid.Grid(gs))
-
-    def no_grid(self, spec):
-        raise AssertionError("a Grid was built")
-
-    monkeypatch.setattr(evbounds.grid.Grid, "__init__", no_grid)
+    gs = GridSpec(d=2, L=8.0, N=32)  # dx = 1/4, so unit cells hold 4 x 4 nodes
     omega = draw_omega(_spec(), gs)
-    assert omega.grid == gs
-    assert np.array_equal(omega.cells, want.cells)
-    assert np.array_equal(omega.at_nodes(), want.at_nodes())
+    assert omega.grid is gs
+    assert np.array_equal(omega.at_nodes()[::4, ::4], omega.cells)
     ones = OmegaField.constant(_spec(), gs)
-    assert ones.grid == gs and np.all(ones.at_nodes() == 1.0)
+    assert ones.grid is gs and np.all(ones.at_nodes() == 1.0)
+    field = sample_potential(PotentialSpec(kind="indicator_ball", R=2.0), gs)
+    net = build_net(lam=1.0, R=2.0, d=2)
+    SandwichEnsemble(net, net, field, h=1.0).with_omega(omega)
+    assert "lap_symbol" not in gs.__dict__ and "freq_axis" not in gs.__dict__
+    # Built on first use, then kept on the spec.
+    assert gs.lap_symbol is gs.lap_symbol and "lap_symbol" in gs.__dict__
