@@ -49,8 +49,6 @@ from .harness import (
     FITTED_CONSTANTS,
     BoundReport,
     EvsumStudy,
-    ExtNormResult,
-    McStats,
     TailStudy,
     check_aad_1d,
     check_evsum,
@@ -64,7 +62,6 @@ from .harness import (
     concentration_tail,
     evsum_sweep,
     fit_scaling,
-    mc_extension_norm,
     schatten_campaign,
     stein_tomas_spread,
 )

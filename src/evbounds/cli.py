@@ -37,7 +37,7 @@ from .harness import (
     evsum_sweep,
     ext_norm_samples,
     fit_scaling,
-    mc_extension_norm,
+    identity_ext_norm,
     schatten_campaign,
 )
 from .extension import build_net, singular_values
@@ -125,13 +125,15 @@ def _solved(cfg: RunConfig, deterministic: bool = False):
     """sample -> randomize -> hamiltonian -> eigensolve -> filter: (kept points, field).
 
     The field is the randomized one, or with deterministic=True the sampled V.
+    The filter's keys are read before the eigensolve.
     """
+    filt = _spectrum_filter(cfg)
     field_det = sample_potential(cfg.potential, cfg.grid)
     field = field_det
     if cfg.omega is not None and not cfg.identity_omega:
         field = anderson_randomize(field_det, draw_omega(cfg.omega, cfg.grid))
     points = eigenvalues_dense(hamiltonian_matrix(cfg.grid, field))
-    return filter_discrete(points, _spectrum_filter(cfg)), field_det if deterministic else field
+    return filter_discrete(points, filt), field_det if deterministic else field
 
 
 def _ensure_dir(cfg: RunConfig) -> Path:
@@ -189,25 +191,31 @@ def _floats(cfg: RunConfig, *keys) -> list[float]:
     return [float(_need(cfg.experiment, k)) for k in keys]
 
 
+def _spectral(cfg: RunConfig, check, *args, deterministic: bool = False):
+    """check(kept points, field, *args); args are read from cfg before the solve."""
+    return check(*_solved(cfg, deterministic), *args)
+
+
 def _verify_extnorm(cfg: RunConfig):
     # Every radius is validated; only the largest, the one reported, is computed.
     omega, R = _omega(cfg), max(_radii(cfg, "R_list"))
     n = _n_samples(cfg, 200, 0 if cfg.identity_omega else MIN_SAMPLES)
     d, dx = cfg.grid.d, cfg.grid.dx
-    results = mc_extension_norm(
-        cfg.potential, omega, _lam(cfg), [R], n, d=d, dx=dx, identity=cfg.identity_omega
-    )
-    return check_extnorm(results[R], omega.h, abs(cfg.potential.amplitude), d=d)
+    if cfg.identity_omega:
+        norms = [identity_ext_norm(cfg.potential, omega, _lam(cfg), R, d=d, dx=dx)]
+    else:
+        norms = ext_norm_samples(cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx)
+    return check_extnorm(norms, R, omega.h, abs(cfg.potential.amplitude), d=d)
 
 
 def _verify_schatten(cfg: RunConfig):
     exp = cfg.experiment
     (nu,) = _floats(cfg, "nu")
-    lam, R = _lam(cfg), float(exp.get("R", cfg.potential.R))
+    lam, R, h = _lam(cfg), float(exp.get("R", cfg.potential.R)), _cell_size(cfg)
     omegas = None if cfg.omega is None or cfg.identity_omega else [cfg.omega]
     field, ops = config_sandwiches(cfg.potential, cfg.grid, lam, R, omegas)
     svals = singular_values(next(ops))
-    params = {"lam": lam, "R": R, "h": _cell_size(cfg), "v_inf": float(np.abs(field.values).max())}
+    params = {"lam": lam, "R": R, "h": h, "v_inf": float(np.abs(field.values).max())}
     return check_schatten_decay(svals, nu, cfg.grid.d, params)
 
 
@@ -419,21 +427,23 @@ def _nan_none(x: float):
 # The one table of experiments, name -> (verify driver, campaign driver);
 # config.EXPERIMENTS lists the same names.
 DRIVERS = {
-    "AAD1D": (lambda cfg: check_aad_1d(*_solved(cfg)), None),
-    "KLT_DET": (lambda cfg: check_klt_det(*_solved(cfg), *_floats(cfg, "q")), None),
-    "SECTOR": (lambda cfg: check_sector(*_solved(cfg), *_floats(cfg, "q", "kappa")), None),
+    "AAD1D": (lambda cfg: _spectral(cfg, check_aad_1d), None),
+    "KLT_DET": (lambda cfg: _spectral(cfg, check_klt_det, *_floats(cfg, "q")), None),
+    "SECTOR": (lambda cfg: _spectral(cfg, check_sector, *_floats(cfg, "q", "kappa")), None),
     "THM1": (
-        lambda cfg: check_thm1(
-            *_solved(cfg, deterministic=True), _omega(cfg), *_floats(cfg, "q", "R", "M")
+        lambda cfg: _spectral(
+            cfg, check_thm1, _omega(cfg), *_floats(cfg, "q", "R", "M"), deterministic=True
         ),
         None,
     ),
-    "THM3": (lambda cfg: check_thm3(*_solved(cfg), _omega(cfg), *_floats(cfg, "q", "M")), None),
+    "THM3": (
+        lambda cfg: _spectral(cfg, check_thm3, _omega(cfg), *_floats(cfg, "q", "M")), None
+    ),
     "PROP_EXTNORM": (_verify_extnorm, _campaign_extnorm),
     "SCHATTEN_DECAY": (_verify_schatten, _campaign_schatten),
     "TAIL": (_verify_tail, _campaign_tail),
     "EVSUM": (
-        lambda cfg: check_evsum(*_solved(cfg), *_floats(cfg, "eps", "R0"), _cell_size(cfg)),
+        lambda cfg: _spectral(cfg, check_evsum, *_floats(cfg, "eps", "R0"), _cell_size(cfg)),
         _campaign_evsum,
     ),
     "SPECTRUM": (None, None),

@@ -23,6 +23,7 @@ __all__ = [
     "laplacian_symbol",
     "resolvent_symbol",
     "apply_multiplier",
+    "apply_multiplier_stack",
 ]
 
 

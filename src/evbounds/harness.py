@@ -1,5 +1,8 @@
-"""Bound checkers, Monte Carlo campaign drivers, and scaling-exponent fits.
+"""Bound checkers, extension-norm samplers, campaign drivers, and scaling fits.
 
+The extension norms of one radius come from one SandwichEnsemble:
+ext_norm_samples for randomized realizations, identity_ext_norm for the
+omega = 1 realization, and deterministic_ext_norm for the |V| reference.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -19,15 +22,13 @@ from .errors import SupportError
 from .extension import SandwichEnsemble, build_net, sandwich, singular_values, weak_schatten
 from .grid import GridSpec
 from .potential import PotentialField, PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from .randomize import MIN_SAMPLES, OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
+from .randomize import OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
 from .spectra import delta_dist, eigenvalue_sum
 from .util import bracket, spectral_norm
 
 __all__ = [
     "FITTED_CONSTANTS",
     "BoundReport",
-    "McStats",
-    "ExtNormResult",
     "TailStudy",
     "EvsumStudy",
     "check_aad_1d",
@@ -37,8 +38,8 @@ __all__ = [
     "check_thm3",
     "check_extnorm",
     "check_tail",
-    "mc_extension_norm",
     "ext_norm_samples",
+    "identity_ext_norm",
     "deterministic_ext_norm",
     "campaign_grid",
     "config_sandwiches",
@@ -87,26 +88,6 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         return self.vacuous or self.margin <= 1.0
-
-
-@dataclass(frozen=True)
-class McStats:
-    """Sample count, mean, standard error, and optional tail table."""
-
-    n: int
-    mean: float
-    stderr: float
-    tail: tuple[TailEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class ExtNormResult:
-    """Monte Carlo and deterministic extension norms at one support radius."""
-
-    R: float
-    stats: McStats
-    deterministic: float
-    norms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -327,6 +308,22 @@ def ext_norm_samples(
     return norms
 
 
+def identity_ext_norm(
+    potential_spec: PotentialSpec,
+    omega_template: OmegaSpec,
+    lam: float,
+    R: float,
+    d: int = 2,
+    dx: float = 0.25,
+) -> float:
+    """Sandwich norm of V at one R under the constant realization omega = 1.
+
+    The ensemble is built on the template's cells (its h); no omega is drawn.
+    """
+    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
+    return _identity_norm(ensemble, omega_template)
+
+
 # Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
 # rows at R = 8/16/32 (h = 2 gives fewer from R = 64).  A constant field
 # draws nothing, so the law and the seed are placeholders.
@@ -353,55 +350,19 @@ def deterministic_ext_norm(
     return _identity_norm(ensemble, _UNIT_CELLS)
 
 
-def mc_extension_norm(
-    potential_spec: PotentialSpec,
-    omega_template: OmegaSpec,
-    lam: float,
-    R_list,
-    n_samples: int,
-    d: int = 2,
-    dx: float = 0.25,
-    identity: bool = False,
-) -> dict[float, ExtNormResult]:
-    """Mean randomized sandwich norm per R, with the deterministic reference.
-
-    identity=True replaces the Monte Carlo draw by the single constant
-    realization omega = +1, for which the mean equals the deterministic
-    norm of V itself; otherwise at least MIN_SAMPLES (100) are required.
-    """
-    if not identity and n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    out: dict[float, ExtNormResult] = {}
-    for R in R_list:
-        if identity:
-            ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-            norms = np.array([_identity_norm(ensemble, omega_template)])
-        else:
-            norms = ext_norm_samples(
-                potential_spec, omega_template, lam, R, range(n_samples), d=d, dx=dx
-            )
-        stats = McStats(
-            n=norms.size,
-            mean=float(norms.mean()),
-            stderr=float(norms.std(ddof=1) / np.sqrt(norms.size)) if norms.size > 1 else 0.0,
-        )
-        det = deterministic_ext_norm(potential_spec, lam, R, d=d, dx=dx)
-        out[float(R)] = ExtNormResult(R=float(R), stats=stats, deterministic=det, norms=norms)
-    return out
-
-
-def check_extnorm(result: ExtNormResult, h: float, v_inf: float, d: int = 2) -> BoundReport:
-    """Mean randomized norm against R^{1/2} <h>^{d/2} ln(<R>)^{5/2} ||V||_inf."""
-    lhs = result.stats.mean
+def check_extnorm(norms, R: float, h: float, v_inf: float, d: int = 2) -> BoundReport:
+    """Mean of the realization norms at R against R^{1/2} <h>^{d/2} ln(<R>)^{5/2} ||V||_inf."""
+    norms = np.asarray(norms, dtype=float)
+    lhs = norms.mean()
     rhs = (
-        result.R**0.5
+        R**0.5
         * bracket(h) ** (d / 2)
-        * np.log(bracket(result.R)) ** 2.5
+        * np.log(bracket(R)) ** 2.5
         * v_inf
     )
     constant = FITTED_CONSTANTS.get(("PROP_EXTNORM", d), 1.0)
-    params = {"d": d, "R": result.R, "h": h, "v_inf": v_inf, "n": result.stats.n}
-    return _report("PROP_EXTNORM", lhs, rhs, constant, params, vacuous=result.stats.n == 0)
+    params = {"d": d, "R": float(R), "h": h, "v_inf": v_inf, "n": norms.size}
+    return _report("PROP_EXTNORM", lhs, rhs, constant, params, vacuous=norms.size == 0)
 
 
 def check_tail(study: TailStudy) -> BoundReport:

@@ -135,9 +135,19 @@ def test_criterion_3_spectral_radius_oracle(capfd):
         want = np.abs(np.linalg.eigvals(a)).max()
         got = gelfand_spr(a)
         worst = max(worst, abs(got - want) / want)
-    ok = worst <= 1e-6
-    _announce(capfd, 3, "spectral radius vs dense solver", ok)
+    # Independent of any eigensolver: S diag(lam) S^-1 has radius max |lam| by construction.
+    worst_built = 0.0
+    for _ in range(50):
+        n = int(rng.integers(2, 201))
+        lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.abs(lam).max()
+        got = gelfand_spr((s * lam) @ np.linalg.inv(s))
+        worst_built = max(worst_built, abs(got - want) / want)
+    ok = worst <= 1e-6 and worst_built <= 1e-6
+    _announce(capfd, 3, "spectral radius vs dense solver and known spectra", ok)
     assert worst <= 1e-6, f"worst relative deviation {worst:.2e}"
+    assert worst_built <= 1e-6, f"worst relative deviation from max |lam| {worst_built:.2e}"
 
 
 def test_criterion_4_scaling_split(campaign, capfd):

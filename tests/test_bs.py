@@ -46,6 +46,28 @@ def test_dimension_is_support_count():
     assert bs.z == -1.0
 
 
+@pytest.mark.parametrize(
+    "gs,z",
+    [(GridSpec(d=1, L=8.0, N=64), -0.7 + 0.3j), (GridSpec(d=2, L=8.0, N=16), -1.0 + 0.5j)],
+    ids=["1d", "2d"],
+)
+def test_bs_columns_are_one_batched_multiplier(gs, z):
+    # bit for bit ifftn(symbol * fftn(.)) of the V^(1/2) e_k columns
+    field = _field(gs, 1.5 + 0.5j)
+    bs = assemble_bs(gs, field, z)
+    vals = field.values.ravel()
+    sup = bs.support_indices
+    root = np.sqrt(np.abs(vals[sup]))
+    stack = np.zeros((sup.size, gs.node_count), dtype=complex)
+    stack[np.arange(sup.size), sup] = vals[sup] / root
+    stack = stack.reshape((sup.size,) + gs.shape)
+    axes = tuple(range(1, gs.d + 1))
+    sym = 1.0 / (gs.lap_symbol - z)
+    out = np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)
+    want = (out.reshape(sup.size, gs.node_count)[:, sup] * root[None, :]).T
+    np.testing.assert_array_equal(bs.matrix, want)
+
+
 def test_negative_potential_real_spectrum():
     """V real negative at z=-1: similar to self-adjoint, spectrum real."""
     gs = GridSpec(d=1, L=8.0, N=64)
@@ -198,35 +220,12 @@ def test_gelfand_spr_bounded_by_norm():
         assert gelfand_spr(a) <= np.linalg.norm(a, 2) + 1e-12
 
 
-def test_gelfand_callable_isometry_scaling():
-    # 2x a cyclic shift: every power grows by exactly 2 per step
-    mv = lambda v: 2.0 * np.roll(v, 1)
-    assert gelfand_spr(mv, dim=64) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_gelfand_callable_nilpotent_shift():
-    def mv(v):
-        out = np.zeros_like(v)
-        out[1:] = v[:-1]
-        return out
-
-    assert gelfand_spr(mv, dim=8) == 0.0
-
-
-def test_gelfand_callable_needs_dim():
-    with pytest.raises(ValueError):
-        gelfand_spr(lambda v: v)
-
-
 def test_gelfand_rejects_nonsquare():
     with pytest.raises(ValueError):
         gelfand_spr(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        gelfand_spr(np.ones(4))
 
 
-def test_gelfand_warns_when_unstable():
-    # Jordan block through the callable route: polynomial norm growth keeps
-    # the n-th roots drifting past the power budget
-    n = 64
-    a = np.eye(n) + np.diag(np.ones(n - 1), 1)
-    with pytest.warns(UserWarning):
-        gelfand_spr(lambda v: a @ v, dim=n, n_max=12)
+def test_gelfand_empty_matrix_has_radius_zero():
+    assert gelfand_spr(np.zeros((0, 0))) == 0.0

@@ -188,11 +188,42 @@ def test_verify_spectrum_not_verifiable(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_verify_missing_parameter(tmp_path, capsys):
-    data = _base_dict(experiment={"name": "KLT_DET"})
-    code, _ = _run(tmp_path, data, command="verify")
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"experiment": {"name": "KLT_DET"}}, "experiment.q:"),
+        ({"experiment": {"name": "SECTOR", "q": 1.0}}, "experiment.kappa:"),
+        ({"experiment": {"name": "THM1", "q": 1.0, "R": 2.0, "M": 5.0}}, "omega:"),
+        (
+            {
+                "experiment": {"name": "THM3", "q": 1.0},
+                "omega": {"h": 0.5, "distribution": "bernoulli", "master_seed": 2026},
+            },
+            "experiment.M:",
+        ),
+        ({"experiment": {"name": "EVSUM", "eps": 0.1, "R0": 4.0}}, "experiment.h:"),
+        (
+            {
+                "grid": {"d": 2, "L": 32.0, "N": 64},
+                "potential": {"kind": "indicator_ball", "amplitude": [1.0, 0.0], "R": 4.0},
+                "experiment": {"name": "SCHATTEN_DECAY", "nu": 0.5},
+            },
+            "experiment.h:",
+        ),
+    ],
+    ids=["KLT_DET", "SECTOR", "THM1", "THM3", "EVSUM", "SCHATTEN_DECAY"],
+)
+def test_verify_missing_parameter(tmp_path, capsys, monkeypatch, overrides, field):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the experiment keys were read")
+
+    monkeypatch.setattr(cli, "eigenvalues_dense", no_solve)
+    monkeypatch.setattr(cli, "singular_values", no_solve)
+    data = _base_dict(**overrides)
+    code, out = _run(tmp_path, data, command="verify")
     assert code == 2
-    assert "experiment.q" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_config_no_partial_outputs(tmp_path, capsys):
@@ -463,7 +494,8 @@ def test_too_few_samples_is_a_config_error(tmp_path, capsys, monkeypatch, comman
         raise AssertionError("norms computed before the sample count was checked")
 
     monkeypatch.setattr(cli, "ext_norm_samples", no_work)
-    monkeypatch.setattr(cli, "mc_extension_norm", no_work)
+    monkeypatch.setattr(cli, "identity_ext_norm", no_work)
+    monkeypatch.setattr(cli, "deterministic_ext_norm", no_work)
     data = _campaign_dict()
     data["experiment"] = experiment
     code, out = _run(tmp_path, data, command=command)
@@ -483,22 +515,39 @@ def test_identity_extnorm_verify_needs_no_sample_minimum(tmp_path, capsys):
     assert list(out.glob("report_*.json"))
 
 
-def test_extnorm_verify_computes_only_the_reported_radius(tmp_path, monkeypatch):
+@pytest.mark.parametrize("identity", [False, True], ids=["random", "identity"])
+def test_extnorm_verify_computes_only_the_reported_radius(tmp_path, monkeypatch, identity):
+    name = "identity_ext_norm" if identity else "ext_norm_samples"
     seen = []
-    real = cli.mc_extension_norm
+    real = getattr(cli, name)
 
-    def spy(potential_spec, omega_template, lam, r_list, *args, **kwargs):
-        seen.append(list(r_list))
-        return real(potential_spec, omega_template, lam, r_list, *args, **kwargs)
+    def spy(potential_spec, omega_template, lam, R, *args, **kwargs):
+        seen.append(R)
+        return real(potential_spec, omega_template, lam, R, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "mc_extension_norm", spy)
-    data = _campaign_dict(n_samples=5, r_list=(8.0, 16.0))
-    data["identity_omega"] = True
+    monkeypatch.setattr(cli, name, spy)
+    data = _campaign_dict(n_samples=5 if identity else 100, r_list=(4.0, 8.0))
+    data["identity_omega"] = identity
     code, out = _run(tmp_path, data, command="verify")
     assert code in (0, 1)
-    assert seen == [[16.0]]
+    assert seen == [8.0]
     report = json.loads(next(out.glob("report_*.json")).read_text(encoding="utf-8"))
-    assert report["params"]["R"] == 16.0
+    assert report["params"]["R"] == 8.0
+    assert report["params"]["n"] == (1 if identity else 100)
+
+
+@pytest.mark.parametrize("identity", [False, True], ids=["random", "identity"])
+def test_extnorm_verify_builds_no_deterministic_reference(tmp_path, monkeypatch, identity):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("verify built the |V| reference it never reports")
+
+    monkeypatch.setattr(cli, "deterministic_ext_norm", no_reference)
+    monkeypatch.setattr("evbounds.harness.deterministic_ext_norm", no_reference)
+    data = _campaign_dict(n_samples=5 if identity else 100)
+    data["identity_omega"] = identity
+    code, out = _run(tmp_path, data, command="verify")
+    assert code in (0, 1)
+    assert list(out.glob("report_*.json"))
 
 
 def test_campaign_takes_dx_from_grid(tmp_path):

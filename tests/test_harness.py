@@ -10,8 +10,6 @@ from evbounds.errors import SupportError
 from evbounds.extension import SandwichEnsemble, build_net, sandwich
 from evbounds.harness import (
     BoundReport,
-    ExtNormResult,
-    McStats,
     check_aad_1d,
     check_evsum,
     check_extnorm,
@@ -26,7 +24,7 @@ from evbounds.harness import (
     ext_norm_samples,
     deterministic_ext_norm,
     fit_scaling,
-    mc_extension_norm,
+    identity_ext_norm,
     schatten_campaign,
     stein_tomas_spread,
 )
@@ -216,29 +214,23 @@ def test_thm3_rejects_endpoint_q():
         check_thm3([], field, _omega(h=0.5), q=2.0, M=5.0)
 
 
-def test_identity_realization_reduces_to_deterministic():
+@pytest.mark.parametrize("h", [1.0, 2.0])
+def test_identity_realization_reduces_to_deterministic(h):
+    # V = |V| here, and omega = 1 is the same operator on any cells
     spec = PotentialSpec(kind="indicator_ball", amplitude=1.0)
-    out = mc_extension_norm(spec, _omega(), lam=1.0, R_list=[8.0], n_samples=1,
-                            dx=0.5, identity=True)
-    res = out[8.0]
-    assert res.stats.n == 1
-    assert res.stats.stderr == 0.0
-    assert res.stats.mean == pytest.approx(res.deterministic, rel=1e-10)
+    got = identity_ext_norm(spec, _omega(h=h), lam=1.0, R=8.0, dx=0.5)
+    det = deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5)
+    assert got == pytest.approx(det, rel=1e-10)
 
 
 def test_mc_zero_potential():
     spec = PotentialSpec(kind="indicator_ball", amplitude=0.0)
-    out = mc_extension_norm(spec, _omega(), lam=1.0, R_list=[8.0], n_samples=1,
-                            dx=0.5, identity=True)
-    assert out[8.0].stats.mean == 0.0
-    assert out[8.0].stats.stderr == 0.0
-    assert out[8.0].deterministic == 0.0
-
-
-def test_mc_needs_samples():
-    spec = PotentialSpec(kind="indicator_ball")
-    with pytest.raises(ValueError):
-        mc_extension_norm(spec, _omega(), lam=1.0, R_list=[8.0], n_samples=10)
+    assert identity_ext_norm(spec, _omega(), lam=1.0, R=8.0, dx=0.5) == 0.0
+    assert deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5) == 0.0
+    draws = ext_norm_samples(spec, _omega(), lam=1.0, R=8.0, indices=range(2), dx=0.5)
+    np.testing.assert_array_equal(draws, 0.0)
+    report = check_extnorm(draws, 8.0, h=1.0, v_inf=0.0)
+    assert report.lhs == 0.0 and report.passed
 
 
 def test_ext_norm_samples_reproducible():
@@ -291,14 +283,14 @@ def test_deterministic_ext_norm_matches_node_level_sandwich(spec, R, dx, path):
 
 
 def test_check_extnorm_formula():
-    result = ExtNormResult(
-        R=8.0, stats=McStats(n=100, mean=3.0, stderr=0.1), deterministic=5.0,
-        norms=np.zeros(1),
-    )
-    report = check_extnorm(result, h=1.0, v_inf=1.0)
+    norms = np.array([2.0, 3.0, 4.0] * 40)
+    report = check_extnorm(norms, 8.0, h=1.0, v_inf=1.0)
     want_rhs = 8.0**0.5 * 3.0 * np.log(10.0) ** 2.5
+    assert report.lhs == 3.0
     assert report.rhs_raw == pytest.approx(want_rhs, rel=1e-12)
     assert report.margin == pytest.approx(3.0 / (0.164 * want_rhs), rel=1e-12)
+    assert report.params == {"d": 2, "R": 8.0, "h": 1.0, "v_inf": 1.0, "n": 120}
+    assert not report.vacuous
 
 
 def test_fit_scaling_square_law():
