@@ -20,7 +20,7 @@ import numpy as np
 from evbounds import GridSpec, PotentialSpec, sample_potential
 from evbounds.extension import (
     SandwichEnsemble,
-    _angular_conjugate,
+    angular_weight,
     build_net,
     singular_values,
     weak_schatten,
@@ -87,7 +87,7 @@ def schatten_family(n_samples: int) -> float:
         rhs = R**1.5 * np.sqrt(np.log(lr)) * lh * (np.log(lr) + np.log(lh)) ** 2
         for i in range(n_samples):
             omega = draw_omega(TEMPLATE.with_realization(i), gs)
-            svals = singular_values(_angular_conjugate(ensemble.with_omega(omega).matrix, 1.0, 1.0))
+            svals = singular_values(angular_weight(ensemble.with_omega(omega).matrix, 1.0, 1.0))
             worst = max(worst, weak_schatten(svals, 1.0) / rhs)
     return worst
 
@@ -112,8 +112,7 @@ def evsum_family() -> tuple[float, float]:
         eps=0.1,
         R0=4.0,
         h=0.25,
-        essential_margin=1e-12,
-        kappa=0.1,
+        filt=SpectrumFilter.from_scales(4.0, 0.25, 1e-12, kappa=0.1),
     )
     return study.c1, study.c2
 

@@ -26,13 +26,11 @@ from .errors import (
 from .extension import (
     SandwichEnsemble,
     SandwichOperator,
-    SchattenParams,
     SphereNet,
-    beltrami_weighted_sandwich,
+    angular_weight,
     build_net,
     extension_matrix,
     sandwich,
-    sandwich_randomized,
     schatten_norm,
     singular_values,
     weak_schatten,

@@ -39,6 +39,7 @@ from .harness import (
     fit_scaling,
     identity_ext_norm,
     schatten_campaign,
+    schatten_exponent,
 )
 from .extension import build_net, singular_values
 from .potential import sample_potential
@@ -61,8 +62,23 @@ def _need(exp: dict, key: str):
     return exp[key]
 
 
+def _num(key: str, value, kind=float):
+    """kind(value) for experiment.<key>; ConfigError naming the key when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"experiment.{key}: expected a number, got {value!r}") from None
+
+
+def _nums(key: str, values) -> list[float]:
+    """The list experiment.<key> as floats; ConfigError naming the key otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"experiment.{key}: expected a list of numbers, got {values!r}")
+    return [_num(key, v) for v in values]
+
+
 def _lam(cfg: RunConfig) -> float:
-    return float(cfg.experiment.get("lam", 1.0))
+    return _num("lam", cfg.experiment.get("lam", 1.0))
 
 
 def _omega(cfg: RunConfig):
@@ -79,7 +95,7 @@ def _radii(cfg: RunConfig, key: str) -> list[float]:
     """
     exp = cfg.experiment
     radii = _need(exp, key) if key == "R_list" else [exp.get(key, cfg.potential.R)]
-    radii = [float(r) for r in radii]
+    radii = _nums(key, radii)
     dx = cfg.grid.dx
     for R in radii:
         try:
@@ -91,7 +107,7 @@ def _radii(cfg: RunConfig, key: str) -> list[float]:
 
 def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
     """experiment.n_samples (default when absent), checked against minimum before any work."""
-    n = int(cfg.experiment.get("n_samples", default))
+    n = _num("n_samples", cfg.experiment.get("n_samples", default), int)
     if n < minimum:
         name = cfg.experiment["name"]
         raise ConfigError(f"experiment.n_samples: {name} needs at least {minimum}, got {n}")
@@ -101,7 +117,7 @@ def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
 def _cell_size(cfg: RunConfig) -> float:
     exp = cfg.experiment
     if "h" in exp:
-        return float(exp["h"])
+        return _num("h", exp["h"])
     if cfg.omega is not None:
         return cfg.omega.h
     raise ConfigError("experiment.h: required when no omega section is present")
@@ -112,13 +128,17 @@ def _spectrum_filter(cfg: RunConfig) -> SpectrumFilter:
     margin = exp.get("essential_margin")
     if margin is None:
         margin = SpectrumFilter.default_margin(cfg.grid)
+    margin = _num("essential_margin", margin)
     kappa = exp.get("kappa_filter")
-    if "band" in exp and exp["band"] is not None:
-        lo, hi = exp["band"]
-        return SpectrumFilter((float(lo), float(hi)), float(margin), kappa)
+    kappa = None if kappa is None else _num("kappa_filter", kappa)
+    if exp.get("band") is not None:
+        band = _nums("band", exp["band"])
+        if len(band) != 2:
+            raise ConfigError(f"experiment.band: expected [lo, hi], got {exp['band']!r}")
+        return SpectrumFilter(tuple(band), margin, kappa)
     if "R0" in exp:
-        return SpectrumFilter.from_scales(float(exp["R0"]), _cell_size(cfg), float(margin), kappa)
-    return SpectrumFilter((0.0, np.inf), float(margin), kappa)
+        return SpectrumFilter.from_scales(_num("R0", exp["R0"]), _cell_size(cfg), margin, kappa)
+    return SpectrumFilter((0.0, np.inf), margin, kappa)
 
 
 def _solved(cfg: RunConfig, deterministic: bool = False):
@@ -188,7 +208,22 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _floats(cfg: RunConfig, *keys) -> list[float]:
-    return [float(_need(cfg.experiment, k)) for k in keys]
+    return [_num(k, _need(cfg.experiment, k)) for k in keys]
+
+
+def _nu(cfg: RunConfig) -> float:
+    """experiment.nu of SCHATTEN_DECAY, checked with grid.d before any work."""
+    (nu,) = _floats(cfg, "nu")
+    key = "grid.d" if cfg.grid.d != 2 else "experiment.nu"
+    try:
+        schatten_exponent(nu, cfg.grid.d)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    return nu
+
+
+def _thresholds(cfg: RunConfig) -> list[float]:
+    return _nums("thresholds", cfg.experiment.get("thresholds", _TAIL_THRESHOLDS))
 
 
 def _spectral(cfg: RunConfig, check, *args, deterministic: bool = False):
@@ -209,9 +244,8 @@ def _verify_extnorm(cfg: RunConfig):
 
 
 def _verify_schatten(cfg: RunConfig):
-    exp = cfg.experiment
-    (nu,) = _floats(cfg, "nu")
-    lam, R, h = _lam(cfg), float(exp.get("R", cfg.potential.R)), _cell_size(cfg)
+    nu = _nu(cfg)
+    lam, R, h = _lam(cfg), _num("R", cfg.experiment.get("R", cfg.potential.R)), _cell_size(cfg)
     omegas = None if cfg.omega is None or cfg.identity_omega else [cfg.omega]
     field, ops = config_sandwiches(cfg.potential, cfg.grid, lam, R, omegas)
     svals = singular_values(next(ops))
@@ -221,12 +255,11 @@ def _verify_schatten(cfg: RunConfig):
 
 def _verify_tail(cfg: RunConfig):
     omega, (R,) = _omega(cfg), _radii(cfg, "R")
-    exp = cfg.experiment
-    n = _n_samples(cfg, 200, MIN_SAMPLES)
+    n, thresholds = _n_samples(cfg, 200, MIN_SAMPLES), _thresholds(cfg)
     norms = ext_norm_samples(
         cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
     )
-    return check_tail(concentration_tail(norms, thresholds=exp.get("thresholds", _TAIL_THRESHOLDS)))
+    return check_tail(concentration_tail(norms, thresholds=thresholds))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -325,9 +358,8 @@ def _collect_norms(cfg: RunConfig, R: float, n: int) -> np.ndarray:
 def _campaign_tail(cfg: RunConfig) -> int:
     _omega(cfg)
     (R,) = _radii(cfg, "R")
-    exp = cfg.experiment
-    norms = _collect_norms(cfg, R, _n_samples(cfg, 2000, MIN_SAMPLES))
-    study = concentration_tail(norms, thresholds=exp.get("thresholds", _TAIL_THRESHOLDS))
+    n, thresholds = _n_samples(cfg, 2000, MIN_SAMPLES), _thresholds(cfg)
+    study = concentration_tail(_collect_norms(cfg, R, n), thresholds=thresholds)
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(
         out / f"tail_{tag}.csv",
@@ -375,10 +407,9 @@ def _campaign_extnorm(cfg: RunConfig) -> int:
 
 
 def _campaign_schatten(cfg: RunConfig) -> int:
-    omega, r_list = _omega(cfg), _radii(cfg, "R_list")
-    (nu,) = _floats(cfg, "nu")
-    n = _n_samples(cfg, 100)
-    res = schatten_campaign(_lam(cfg), r_list, nu, omega, n, d=cfg.grid.d, dx=cfg.grid.dx)
+    nu, omega, r_list = _nu(cfg), _omega(cfg), _radii(cfg, "R_list")
+    n, lam, d, dx = _n_samples(cfg, 100), _lam(cfg), cfg.grid.d, cfg.grid.dx
+    res = schatten_campaign(cfg.potential, lam, r_list, nu, omega, n, d=d, dx=dx)
     out = _ensure_dir(cfg)
     path = out / f"schatten_{cfg.config_hash()}.csv"
     _write_lines(
@@ -396,17 +427,15 @@ def _campaign_schatten(cfg: RunConfig) -> int:
 
 
 def _campaign_evsum(cfg: RunConfig) -> int:
-    exp = cfg.experiment
-    amplitudes = [float(a) for a in _need(exp, "amplitudes")]
+    amplitudes = _nums("amplitudes", _need(cfg.experiment, "amplitudes"))
     study = evsum_sweep(
         amplitudes,
         cfg.potential,
         cfg.grid,
         *_floats(cfg, "eps", "R0"),
         _cell_size(cfg),
+        _spectrum_filter(cfg),
         omega_spec=None if cfg.identity_omega else cfg.omega,
-        essential_margin=exp.get("essential_margin"),
-        kappa=exp.get("kappa_filter"),
     )
     out = _ensure_dir(cfg)
     name = _write_lines(
@@ -466,7 +495,7 @@ def cmd_campaign(cfg: RunConfig) -> int:
 def cmd_svd(cfg: RunConfig) -> int:
     exp = cfg.experiment
     tag = cfg.config_hash()
-    R = float(exp.get("R", cfg.potential.R))
+    R = _num("R", exp.get("R", cfg.potential.R))
     if cfg.omega is None or cfg.identity_omega:
         omegas, names = None, [f"svals_{tag}_det.csv"]
     else:
@@ -490,7 +519,7 @@ def cmd_net_info(cfg: RunConfig) -> int:
     from scipy.spatial import cKDTree
 
     lam = _lam(cfg)
-    r_list = [float(r) for r in cfg.experiment.get("R_list", [cfg.potential.R])]
+    r_list = _nums("R_list", cfg.experiment.get("R_list", [cfg.potential.R]))
     out = _ensure_dir(cfg)
     lines = []
     for R in r_list:

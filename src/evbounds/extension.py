@@ -5,6 +5,12 @@ A net discretizes the sphere of radius lambda in frequency space at spacing
 sum_xi a(xi) e^{2 pi i x.xi} w_xi; sandwiching a potential between an
 extension and a co-extension gives the dense matrix whose singular values
 drive every restriction-type bound in the package.
+
+SandwichEnsemble assembles every sandwich the package reports, randomized
+or not (omega = 1).  The node-level sandwich is the reference it agrees
+with, and its fallback on grids its cells do not tile.  angular_weight
+conjugates a d=2 sandwich by the angular multiplier of the Schatten-norm
+estimates.
 """
 
 from __future__ import annotations
@@ -14,18 +20,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .potential import PotentialField
-from .randomize import OmegaField
+from .randomize import OmegaField, anderson_randomize
+from .util import spectral_norm
 
 __all__ = [
     "SphereNet",
     "SandwichOperator",
     "SandwichEnsemble",
-    "SchattenParams",
+    "angular_weight",
     "build_net",
     "extension_matrix",
     "sandwich",
-    "sandwich_randomized",
-    "beltrami_weighted_sandwich",
     "singular_values",
     "schatten_norm",
     "weak_schatten",
@@ -79,34 +84,7 @@ class SandwichOperator:
 
     def norm(self) -> float:
         """Operator norm ||E* V E||: the exact largest singular value."""
-        from .util import spectral_norm
-
         return spectral_norm(self.matrix)
-
-
-@dataclass(frozen=True)
-class SchattenParams:
-    """Schatten exponent p (weak by default), smoothing order nu, slack eps."""
-
-    p: float
-    nu: float
-    eps: float
-    weak: bool = True
-
-    def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"Schatten exponent must satisfy p >= 1, got {self.p}")
-        if not self.nu > 0:
-            raise ValueError(f"smoothing order must be positive, got {self.nu}")
-        if not self.eps > 0:
-            raise ValueError(f"slack must be positive, got {self.eps}")
-
-    @classmethod
-    def from_nu(cls, nu: float, d: int, eps: float, weak: bool = True) -> SchattenParams:
-        """Derive p = (d-1)/nu from the smoothing order in dimension d."""
-        if not 0 < nu <= d - 1:
-            raise ValueError(f"nu must lie in (0, d-1], got {nu} in d={d}")
-        return cls((d - 1) / nu, nu, eps, weak)
 
 
 def build_net(lam: float, R: float, d: int) -> SphereNet:
@@ -332,8 +310,6 @@ class SandwichEnsemble:
         if abs(omega.spec.h - self.h) > 1e-12:
             raise ValueError("omega cell size differs from the ensemble's")
         if not self._factored:
-            from .randomize import anderson_randomize
-
             return sandwich(self.net_out, self.net_in, anderson_randomize(self.field, omega))
         shift = omega.cells.reshape(-1) - 1.0
         uniform_w = shift[self._uniform_cells] * self._uniform_vals
@@ -353,21 +329,6 @@ class SandwichEnsemble:
                 "realization_index": omega.spec.realization_index,
             },
         )
-
-
-def sandwich_randomized(
-    net_out: SphereNet,
-    net_in: SphereNet,
-    field: PotentialField,
-    omega: OmegaField,
-) -> SandwichOperator:
-    """Sandwich of the cell-randomized potential, factored over cells.
-
-    One-shot form of SandwichEnsemble: equals sandwich(net_out, net_in,
-    anderson_randomize(field, omega)) up to rounding, at a fraction of the
-    assembly cost when cells tile the node lattice.
-    """
-    return SandwichEnsemble(net_out, net_in, field, omega.spec.h).with_omega(omega)
 
 
 def _cell_nodes(nc, r, d, cells):
@@ -394,34 +355,15 @@ def _phase_rows(tables, multi):
     return rows
 
 
-def beltrami_weighted_sandwich(
-    net: SphereNet,
-    field: PotentialField,
-    nu: float,
-    omega: OmegaField | None = None,
-) -> SandwichOperator:
-    """Conjugate the sandwich by <sphere Laplacian>^(nu/4) in angular modes.
+def angular_weight(matrix: np.ndarray, lam: float, nu: float) -> np.ndarray:
+    """Conjugate a d=2 sandwich matrix by <sphere Laplacian>^(nu/4) in angular modes.
 
-    Implemented for d=2, where the angular Fourier modes k of the circle
-    carry the multiplier (2 + (k/lam)^2)^(nu/4); nu=0 reduces to the plain
-    sandwich.  d=3 nets are rejected.
+    The angular Fourier modes k of the radius-lam circle carry the two-sided
+    multiplier (2 + (k/lam)^2)^(nu/4); nu = 0 returns the matrix unchanged
+    up to rounding.
     """
-    if net.d != 2:
-        raise ValueError("angular-mode weighting is implemented for d=2 nets only")
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    base = (
-        sandwich(net, net, field)
-        if omega is None
-        else sandwich_randomized(net, net, field, omega)
-    )
-    m2 = _angular_conjugate(base.matrix, net.lam, nu)
-    ref = dict(base.potential_ref, nu=nu)
-    return SandwichOperator(net, net, m2, ref)
-
-
-def _angular_conjugate(matrix: np.ndarray, lam: float, nu: float) -> np.ndarray:
-    """Two-sided <(k/lam)^2>^(nu/4) multiplier in the circle's Fourier modes."""
     n = matrix.shape[0]
     modes = np.fft.fftfreq(n, d=1.0 / n)  # integer angular modes
     mult = (2.0 + (modes / lam) ** 2) ** (nu / 4.0)

@@ -1,8 +1,10 @@
 """Bound checkers, extension-norm samplers, campaign drivers, and scaling fits.
 
-The extension norms of one radius come from one SandwichEnsemble:
+Every sandwich here comes from one SandwichEnsemble per radius:
 ext_norm_samples for randomized realizations, identity_ext_norm for the
-omega = 1 realization, and deterministic_ext_norm for the |V| reference.
+omega = 1 realization, deterministic_ext_norm for the |V| reference (also
+behind stein_tomas_spread), config_sandwiches for the svd command and the
+SCHATTEN_DECAY check, and schatten_campaign through angular_weight.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -19,11 +21,24 @@ import numpy as np
 
 from .config import EXPERIMENTS
 from .errors import SupportError
-from .extension import SandwichEnsemble, build_net, sandwich, singular_values, weak_schatten
+from .extension import (
+    SandwichEnsemble,
+    angular_weight,
+    build_net,
+    sandwich,  # not called here: bench/cli_campaign.py HOOKS wraps harness.sandwich by name
+    singular_values,
+    weak_schatten,
+)
 from .grid import GridSpec
 from .potential import PotentialField, PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from .randomize import OmegaField, OmegaSpec, TailEntry, draw_omega, tail_table
-from .spectra import delta_dist, eigenvalue_sum
+from .randomize import OmegaField, OmegaSpec, TailEntry, anderson_randomize, draw_omega, tail_table
+from .spectra import (
+    SpectrumFilter,
+    eigenvalue_sum,
+    eigenvalues_dense,
+    filter_discrete,
+    hamiltonian_matrix,
+)
 from .util import bracket, spectral_norm
 
 __all__ = [
@@ -47,6 +62,7 @@ __all__ = [
     "check_schatten_decay",
     "check_evsum",
     "concentration_tail",
+    "schatten_exponent",
     "schatten_campaign",
     "evsum_sweep",
     "stein_tomas_spread",
@@ -271,23 +287,31 @@ def _campaign_ensemble(
 
 
 def config_sandwiches(spec: PotentialSpec, grid: GridSpec, lam: float, R: float, omegas=None):
-    """The chain on a config's own grid: sample_potential at R -> build_net -> sandwiches.
+    """The chain on a config's own grid: sample_potential at R -> build_net -> ensemble.
 
-    Returns the field and an iterator over the node-level sandwich of V when
-    omegas is None, else over one ensemble realization per OmegaSpec (one h).
+    Returns the field and an iterator over sandwiches: the deterministic
+    one, the ensemble's M(1) on unit cells (one cell on a box of side below
+    1), when omegas is None, else one realization per OmegaSpec (one h).
     """
     field = sample_potential(dataclasses.replace(spec, R=R), grid)
     net = build_net(lam, R, grid.d)
     if omegas is None:
-        return field, iter([sandwich(net, net, field)])
+        cells = dataclasses.replace(_UNIT_CELLS, h=min(_UNIT_CELLS.h, grid.L))
+        ensemble = SandwichEnsemble(net, net, field, cells.h)
+        return field, iter([_identity_realization(ensemble, cells)])
     ensemble = SandwichEnsemble(net, net, field, omegas[0].h) if omegas else None
     return field, (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
 
 
-def _identity_norm(ensemble: SandwichEnsemble, omega_spec: OmegaSpec) -> float:
-    """Norm of the ensemble's omega = 1 realization, its deterministic M(1)."""
-    omega = OmegaField.constant(omega_spec, ensemble.field.grid, 1.0)
-    return spectral_norm(ensemble.with_omega(omega).matrix)
+def _identity_realization(ensemble: SandwichEnsemble, omega_spec: OmegaSpec):
+    """The ensemble's omega = 1 realization, its deterministic M(1)."""
+    return ensemble.with_omega(OmegaField.constant(omega_spec, ensemble.field.grid, 1.0))
+
+
+# Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
+# rows at R = 8/16/32 (h = 2 gives fewer from R = 64).  A constant field
+# draws nothing, so the law and the seed are placeholders.
+_UNIT_CELLS = OmegaSpec(h=1.0, distribution="bernoulli", master_seed=0)
 
 
 def ext_norm_samples(
@@ -321,13 +345,7 @@ def identity_ext_norm(
     The ensemble is built on the template's cells (its h); no omega is drawn.
     """
     ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-    return _identity_norm(ensemble, omega_template)
-
-
-# Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
-# rows at R = 8/16/32 (h = 2 gives fewer from R = 64).  A constant field
-# draws nothing, so the law and the seed are placeholders.
-_UNIT_CELLS = OmegaSpec(h=1.0, distribution="bernoulli", master_seed=0)
+    return spectral_norm(_identity_realization(ensemble, omega_template).matrix)
 
 
 def deterministic_ext_norm(
@@ -344,10 +362,10 @@ def deterministic_ext_norm(
     cell corner plus one per nonzero node of the other cells, and no
     per-node plane wave.  Grids that unit cells do not tile take the
     ensemble's node-level sandwich instead.  Either way the value equals
-    the norm of sandwich(net, net, |V|) to rounding.
+    the norm of the node-level sandwich of |V| to rounding.
     """
     ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, _UNIT_CELLS.h, magnitude=True)
-    return _identity_norm(ensemble, _UNIT_CELLS)
+    return spectral_norm(_identity_realization(ensemble, _UNIT_CELLS).matrix)
 
 
 def check_extnorm(norms, R: float, h: float, v_inf: float, d: int = 2) -> BoundReport:
@@ -410,12 +428,8 @@ def check_schatten_decay(svals, nu: float, d: int, params: dict) -> BoundReport:
 
     params must carry lam, R, h, and v_inf (the sup norm of the potential).
     """
-    if d != 2:
-        raise ValueError("the weighted decay bound is implemented for d=2")
-    if not 0 < nu <= d - 1:
-        raise ValueError(f"nu must lie in (0, d-1], got {nu}")
+    p = schatten_exponent(nu, d)
     lam, R, h, v_inf = (params[k] for k in ("lam", "R", "h", "v_inf"))
-    p = (d - 1) / nu
     lhs = weak_schatten(svals, p)
     lr = bracket(lam * R)
     lh = bracket(lam * h)
@@ -502,7 +516,21 @@ def concentration_tail(norms, mean: float | None = None, thresholds=(1.25, 1.5, 
     return TailStudy(thresholds=ms, entries=tuple(entries), c=c, monotone=monotone)
 
 
+def schatten_exponent(nu: float, d: int) -> float:
+    """Weak Schatten exponent p = (d-1)/nu of the decay bound.
+
+    ValueError unless d = 2 (the angular weighting is a circle's) and
+    0 < nu <= d - 1.
+    """
+    if d != 2:
+        raise ValueError(f"the weighted decay bound is implemented for d=2, got d={d}")
+    if not 0 < nu <= d - 1:
+        raise ValueError(f"nu must lie in (0, d-1] = (0, {d - 1}], got {nu}")
+    return (d - 1) / nu
+
+
 def schatten_campaign(
+    potential_spec: PotentialSpec,
     lam: float,
     R_list,
     nu: float,
@@ -513,29 +541,26 @@ def schatten_campaign(
 ) -> dict[float, dict]:
     """Median weak-Schatten lhs of the angular-weighted sandwich, per radius.
 
-    R couples the support of the ball indicator and the net scale, the
-    regime in which lhs and the bandwidth/log right side grow together.
-    Singular values are taken from the nu-weighted operator (the object the
-    decay bound speaks about); median_tail_ratio records s_n/s_1, the drop
-    past the bandwidth index 2 pi lam R.  Returns per R the median lhs, the
-    rhs_raw factor, their ratio, and the last realization's profile.
+    R couples the support of the potential and the net scale, the regime
+    in which lhs and the bandwidth/log right side grow together.  Singular
+    values are taken from the nu-weighted operator (the object the decay
+    bound speaks about); median_tail_ratio records s_n/s_1, the drop past
+    the bandwidth index 2 pi lam R.  nu and d are checked before anything
+    is built.  Returns per R the median lhs, the rhs_raw factor, their
+    ratio, and the last realization's profile.
     """
-    from .extension import _angular_conjugate
-
+    p = schatten_exponent(nu, d)
     out: dict[float, dict] = {}
     for R in R_list:
-        ensemble = _campaign_ensemble(
-            PotentialSpec(kind="indicator_ball"), lam, R, d, dx, omega_template.h
-        )
+        ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
         v_inf = float(np.abs(ensemble.field.values).max())
         lhs_vals = np.empty(n_samples)
         tail_ratios = np.empty(n_samples)
         svals = None
         for i in range(n_samples):
             omega = draw_omega(omega_template.with_realization(i), ensemble.field.grid)
-            weighted = _angular_conjugate(ensemble.with_omega(omega).matrix, lam, nu)
-            svals = singular_values(weighted)
-            lhs_vals[i] = weak_schatten(svals, (d - 1) / nu)
+            svals = singular_values(angular_weight(ensemble.with_omega(omega).matrix, lam, nu))
+            lhs_vals[i] = weak_schatten(svals, p)
             tail_ratios[i] = svals[-1] / svals[0]
         params = {"lam": lam, "R": R, "h": omega_template.h, "v_inf": v_inf}
         report = check_schatten_decay(svals, nu, d, params)
@@ -557,23 +582,18 @@ def evsum_sweep(
     eps: float,
     R0: float,
     h: float,
+    filt: SpectrumFilter,
     omega_spec: OmegaSpec | None = None,
-    essential_margin: float | None = None,
-    kappa: float | None = None,
 ) -> EvsumStudy:
     """Amplitude sweep of the eigenvalue-sum bound with a power-law fit.
 
-    Each amplitude is solved densely, filtered to the sqrt|z| window, and
-    summed; lhs against rhs_raw over the sweep fits c1 * rhs**c2.  A kappa
-    sector keeps eigenvalues with |Im z| >= kappa Re z; kappa = 2 eps/lam
+    Each amplitude is solved densely, kept through filt (the filter EVSUM
+    verify applies), then windowed to 1/R0 <= sqrt|z| <= 1/h and summed;
+    lhs against rhs_raw over the sweep fits c1 * rhs**c2.  A kappa sector
+    in filt keeps eigenvalues with |Im z| >= kappa Re z; kappa = 2 eps/lam
     of the campaign parameterization separates discrete states from the
     box's blurred half-line.
     """
-    from .randomize import anderson_randomize
-    from .spectra import SpectrumFilter, eigenvalues_dense, filter_discrete, hamiltonian_matrix
-
-    margin = SpectrumFilter.default_margin(grid) if essential_margin is None else essential_margin
-    filt = SpectrumFilter.from_scales(R0, h, margin, kappa=kappa)
     reports = []
     for a in amplitudes:
         spec = dataclasses.replace(base_spec, amplitude=complex(a) * base_spec.amplitude)
@@ -597,19 +617,18 @@ def evsum_sweep(
 def stein_tomas_spread(lam: float, R_list, d: int = 2, dx: float = 0.25) -> dict:
     """Extension norms into L^2 of the R-ball, normalized by R^{d/2}.
 
-    The norm is taken from counting l^2 on the net, so the normalized
-    ratio is the quantity whose R-stability mirrors the restriction
-    estimate; returns per-R norms, ratios, and the max relative spread.
+    The norm is taken from counting l^2 on the net: the net weights are
+    uniform, so the squared norm is the deterministic sandwich norm of the
+    unit ball indicator over the weight.  The normalized ratio is the
+    quantity whose R-stability mirrors the restriction estimate; returns
+    per-R norms, ratios, and the max relative spread.
     """
     ratios = {}
     norms = {}
     for R in R_list:
-        gs = campaign_grid(R, d, dx)
-        field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
-        net = build_net(lam, R, d)
-        # The net weights are uniform, so the plain Gram is the sandwich over w.
-        gram_norm = spectral_norm(sandwich(net, net, field).matrix) / net.weights[0]
-        norm = float(np.sqrt(gram_norm))
+        weight = build_net(lam, R, d).weights[0]
+        gram_norm = deterministic_ext_norm(PotentialSpec(kind="indicator_ball"), lam, R, d, dx)
+        norm = float(np.sqrt(gram_norm / weight))
         norms[float(R)] = norm
         ratios[float(R)] = norm / R ** (d / 2)
     vals = np.array(list(ratios.values()))

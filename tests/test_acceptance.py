@@ -178,7 +178,8 @@ def test_criterion_5_concentration_tail(campaign, capfd):
 
 
 def test_criterion_6_weighted_singular_value_decay(capfd):
-    res = schatten_campaign(1.0, [16.0, 32.0], 1.0, CAMPAIGN_TEMPLATE, n_samples=100)
+    unit_ball = PotentialSpec(kind="indicator_ball")
+    res = schatten_campaign(unit_ball, 1.0, [16.0, 32.0], 1.0, CAMPAIGN_TEMPLATE, n_samples=100)
     r16, r32 = res[16.0]["ratio"], res[32.0]["ratio"]
     tails = [res[R]["median_tail_ratio"] for R in (16.0, 32.0)]
     ok = (
@@ -207,8 +208,7 @@ def test_criterion_8_eigenvalue_sum_amplitude_fit(capfd):
         eps=0.1,
         R0=4.0,
         h=0.25,
-        essential_margin=1e-12,
-        kappa=0.1,
+        filt=SpectrumFilter.from_scales(4.0, 0.25, 1e-12, kappa=0.1),
     )
     ok = study.c2 > 1.0 and study.r_squared >= 0.9
     _announce(capfd, 8, "eigenvalue-sum amplitude scaling", ok)

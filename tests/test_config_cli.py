@@ -602,3 +602,85 @@ def test_readme_demo_configs_have_a_driver():
         ("campaign", "PROP_EXTNORM"),
         ("campaign", "EVSUM"),
     }
+
+
+def _schatten_dict(nu=1.0, d=2, campaign=False):
+    data = _campaign_dict()
+    data["grid"] = {"d": d, "L": 32.0, "N": 64}
+    data["experiment"] = {"name": "SCHATTEN_DECAY", "nu": nu, "n_samples": 2}
+    data["experiment"].update({"R_list": [8.0]} if campaign else {"R": 8.0})
+    return data
+
+
+@pytest.mark.parametrize("command", ["verify", "campaign"])
+@pytest.mark.parametrize(
+    "nu,d,field", [(5.0, 2, "experiment.nu:"), (0.0, 2, "experiment.nu:"), (1.0, 3, "grid.d:")]
+)
+def test_schatten_parameters_are_checked_before_any_work(
+    tmp_path, capsys, monkeypatch, command, nu, d, field
+):
+    import evbounds.harness as harness
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before nu and d were checked")
+
+    monkeypatch.setattr(harness, "SandwichEnsemble", no_work)
+    monkeypatch.setattr(harness, "singular_values", no_work)
+    monkeypatch.setattr(cli, "singular_values", no_work)
+    code, out = _run(tmp_path, _schatten_dict(nu, d, command == "campaign"), command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,experiment,potential,field",
+    [
+        ("verify", {"name": "KLT_DET", "q": "x"}, None, "experiment.q:"),
+        ("campaign", {"name": "PROP_EXTNORM", "R_list": "abc"}, None, "experiment.R_list:"),
+        ("campaign", {"name": "PROP_EXTNORM", "R_list": [8.0], "n_samples": "x"}, None,
+         "experiment.n_samples:"),
+        ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0], "lam": "x"}, None, "experiment.lam:"),
+        ("verify", {"name": "EVSUM", "eps": 0.1, "R0": 4.0, "h": "x"}, None, "experiment.h:"),
+        ("campaign", {"name": "TAIL", "R": 8.0, "thresholds": ["x"]}, None,
+         "experiment.thresholds:"),
+        ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0]}, {"kind": "tabulated"},
+         "potential.kind:"),
+    ],
+    ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated"],
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, experiment,
+                                      potential, field):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was read")
+
+    for name in ("ext_norm_samples", "identity_ext_norm", "deterministic_ext_norm",
+                 "eigenvalues_dense"):
+        monkeypatch.setattr(cli, name, no_work)
+    data = _campaign_dict()
+    data["experiment"] = experiment
+    if potential is not None:
+        data["potential"] = potential
+    code, out = _run(tmp_path, data, command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not out.exists()
+
+
+def test_evsum_campaign_filters_as_verify_does(tmp_path):
+    data = _base_dict(
+        grid={"d": 1, "L": 8.0, "N": 64},
+        potential={"kind": "indicator_ball", "amplitude": [0.0, 2.0], "R": 1.0},
+        experiment={"name": "EVSUM", "amplitudes": [1.0, 2.0], "eps": 0.1, "R0": 4.0,
+                    "h": 0.125, "essential_margin": 0.05, "kappa_filter": 0.1,
+                    "band": [0.0, 1.0]},
+    )
+    _run(tmp_path, data, command="verify")
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    report = json.loads(next(out.glob("report_*.json")).read_text(encoding="utf-8"))
+    row = next(out.glob("evsum_*.csv")).read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert float(row[0]) == 1.0
+    assert float(row[1]) == report["lhs"]

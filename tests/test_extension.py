@@ -7,12 +7,10 @@ from evbounds import GridSpec
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
-    SchattenParams,
-    beltrami_weighted_sandwich,
+    angular_weight,
     build_net,
     extension_matrix,
     sandwich,
-    sandwich_randomized,
     schatten_norm,
     singular_values,
     weak_schatten,
@@ -165,7 +163,7 @@ def test_identity_realization_matches_deterministic():
     field = _field(gs, amplitude=1.0 + 0.5j, R=2.0)
     spec = _omega_spec(h=1.0)
     plain = sandwich(net, net, field)
-    ones = sandwich_randomized(net, net, field, OmegaField.constant(spec, gs, 1.0))
+    ones = SandwichEnsemble(net, net, field, spec.h).with_omega(OmegaField.constant(spec, gs, 1.0))
     scale = np.abs(plain.matrix).max()
     np.testing.assert_allclose(ones.matrix, plain.matrix, atol=1e-12 * scale)
 
@@ -184,7 +182,7 @@ def test_randomized_sandwich_matches_node_level_route(h):
     net = build_net(lam=1.0, R=4.0, d=2)
     field = _field(gs, amplitude=1.5, R=2.0)
     omega = draw_omega(_omega_spec(h=h, seed=21), gs)
-    fast = sandwich_randomized(net, net, field, omega)
+    fast = SandwichEnsemble(net, net, field, h).with_omega(omega)
     slow = sandwich(net, net, anderson_randomize(field, omega))
     scale = np.abs(slow.matrix).max()
     np.testing.assert_allclose(fast.matrix, slow.matrix, atol=1e-10 * scale)
@@ -365,25 +363,23 @@ def test_phase_rotation_leaves_singular_values():
     )
 
 
-def test_beltrami_zero_weight_is_plain_sandwich():
+def test_angular_weight_zero_order_is_plain_sandwich():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
     field = _field(gs, amplitude=1.0 + 1.0j, R=2.0)
     plain = sandwich(net, net, field)
-    weighted = beltrami_weighted_sandwich(net, field, nu=0.0)
-    np.testing.assert_allclose(
-        weighted.matrix, plain.matrix, atol=1e-12 * np.abs(plain.matrix).max()
-    )
+    weighted = angular_weight(plain.matrix, net.lam, nu=0.0)
+    np.testing.assert_allclose(weighted, plain.matrix, atol=1e-12 * np.abs(plain.matrix).max())
 
 
-def test_beltrami_zero_potential():
+def test_angular_weight_zero_potential():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
-    out = beltrami_weighted_sandwich(net, _field(gs, amplitude=0.0), nu=1.0)
-    assert np.all(out.matrix == 0)
+    out = angular_weight(sandwich(net, net, _field(gs, amplitude=0.0)).matrix, net.lam, nu=1.0)
+    assert np.all(out == 0)
 
 
-def test_beltrami_matches_direct_conjugation():
+def test_angular_weight_matches_direct_conjugation():
     """Angular multiplier (2+(k/lam)^2)^(nu/4) applied as a dense conjugation."""
     gs = GridSpec(d=2, L=8.0, N=32)
     lam, nu = 1.0, 1.0
@@ -395,41 +391,14 @@ def test_beltrami_matches_direct_conjugation():
     mult = (2.0 + (np.fft.fftfreq(n, d=1.0 / n) / lam) ** 2) ** (nu / 4.0)
     w = np.linalg.inv(fmat) @ np.diag(mult) @ fmat
     want = w @ plain @ w
-    got = beltrami_weighted_sandwich(net, field, nu=nu).matrix
+    got = angular_weight(plain, lam, nu=nu)
     np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
     assert got is not plain
     assert np.abs(got - plain).max() > 1e-3 * np.abs(plain).max()  # weight acted
 
 
-def test_beltrami_rejects_sphere_net():
-    net3 = build_net(lam=1.0, R=8.0, d=3)
-    gs = GridSpec(d=2, L=8.0, N=32)
-    with pytest.raises(ValueError):
-        beltrami_weighted_sandwich(net3, _field(gs), nu=1.0)
-
-
-def test_beltrami_rejects_negative_weight():
+def test_angular_weight_rejects_negative_order():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
     with pytest.raises(ValueError):
-        beltrami_weighted_sandwich(net, _field(gs), nu=-0.5)
-
-
-def test_schatten_params_validation():
-    with pytest.raises(ValueError):
-        SchattenParams(p=0.5, nu=1.0, eps=0.1)
-    with pytest.raises(ValueError):
-        SchattenParams(p=1.0, nu=0.0, eps=0.1)
-    with pytest.raises(ValueError):
-        SchattenParams(p=1.0, nu=1.0, eps=0.0)
-
-
-def test_schatten_params_from_smoothing_order():
-    pars = SchattenParams.from_nu(nu=1.0, d=2, eps=0.1)
-    assert pars.p == pytest.approx(1.0)
-    assert SchattenParams.from_nu(nu=0.5, d=2, eps=0.1).p == pytest.approx(2.0)
-    assert SchattenParams.from_nu(nu=2.0, d=3, eps=0.1).p == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        SchattenParams.from_nu(nu=1.5, d=2, eps=0.1)
-    with pytest.raises(ValueError):
-        SchattenParams.from_nu(nu=0.0, d=2, eps=0.1)
+        angular_weight(sandwich(net, net, _field(gs)).matrix, net.lam, nu=-0.5)

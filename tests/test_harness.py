@@ -20,6 +20,7 @@ from evbounds.harness import (
     check_thm1,
     check_thm3,
     concentration_tail,
+    config_sandwiches,
     evsum_sweep,
     ext_norm_samples,
     deterministic_ext_norm,
@@ -434,8 +435,19 @@ def test_stein_tomas_ratio_stability():
     assert out["max_rel_spread"] < 0.25
 
 
+def test_stein_tomas_norm_is_the_node_level_sandwich_norm():
+    R, dx = 8.0, 0.5
+    out = stein_tomas_spread(lam=1.0, R_list=(R,), dx=dx)
+    gs = GridSpec(d=2, L=4 * R, N=int(4 * R / dx))
+    field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
+    net = build_net(1.0, R, 2)
+    want = np.sqrt(spectral_norm(sandwich(net, net, field).matrix) / net.weights[0])
+    assert out["norms"][R] == pytest.approx(want, rel=1e-12)
+
+
 def test_schatten_campaign_shape():
-    out = schatten_campaign(1.0, [8.0], 1.0, _omega(), n_samples=5)
+    unit_ball = PotentialSpec(kind="indicator_ball")
+    out = schatten_campaign(unit_ball, 1.0, [8.0], 1.0, _omega(), n_samples=5)
     entry = out[8.0]
     assert entry["median_lhs"] > 0
     assert entry["rhs_raw"] > 0
@@ -444,11 +456,49 @@ def test_schatten_campaign_shape():
     assert entry["last_svals"].shape == (51,)
 
 
+def test_schatten_campaign_takes_the_potential_amplitude():
+    runs = [
+        schatten_campaign(
+            PotentialSpec(kind="indicator_ball", amplitude=a), 1.0, [8.0], 1.0, _omega(), 2
+        )[8.0]
+        for a in (1.0, 2.0)
+    ]
+    assert runs[1]["median_lhs"] == pytest.approx(2 * runs[0]["median_lhs"], rel=1e-12)
+    assert runs[1]["rhs_raw"] == pytest.approx(2 * runs[0]["rhs_raw"], rel=1e-12)
+    assert runs[1]["ratio"] == pytest.approx(runs[0]["ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,d", [(1.0, 3), (5.0, 2), (0.0, 2)])
+def test_schatten_campaign_checks_nu_and_d_before_building(monkeypatch, nu, d):
+    """The angular weighting is the circle's: d = 3 nets and nu outside (0, d-1] are refused."""
+    import evbounds.harness as harness
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the ensemble was built")
+
+    monkeypatch.setattr(harness, "_campaign_ensemble", no_build)
+    with pytest.raises(ValueError, match="nu must lie|d=2"):
+        schatten_campaign(PotentialSpec(kind="indicator_ball"), 1.0, [8.0], nu, _omega(), 2, d=d)
+
+
+@pytest.mark.parametrize(
+    "L,N,R,lam", [(8.0, 32, 2.0, 1.0), (7.0, 32, 1.7, 1.0), (0.5, 16, 0.125, 10.0)]
+)
+def test_config_sandwiches_deterministic_is_the_node_level_sandwich(L, N, R, lam):
+    """M(1) on unit cells, on a tiled grid, on a grid they do not tile, and on a box below 1."""
+    gs = GridSpec(d=2, L=L, N=N)
+    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0 + 0.5j)
+    field, ops = config_sandwiches(spec, gs, lam, R)
+    net = build_net(lam, R, 2)
+    want = sandwich(net, net, field).matrix
+    np.testing.assert_allclose(next(ops).matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_evsum_sweep_fits_power_law():
     gs = GridSpec(d=1, L=8.0, N=64)
     base = PotentialSpec(kind="indicator_ball", amplitude=1.0j, R=1.0)
-    study = evsum_sweep((1.0, 2.0, 4.0), base, gs, eps=0.1, R0=4.0, h=0.125,
-                        essential_margin=0.05)
+    filt = SpectrumFilter.from_scales(4.0, 0.125, 0.05)
+    study = evsum_sweep((1.0, 2.0, 4.0), base, gs, eps=0.1, R0=4.0, h=0.125, filt=filt)
     assert len(study.reports) == 3
     assert np.isfinite(study.c2) and np.isfinite(study.r_squared)
     assert all(r.params["n_window"] > 0 for r in study.reports)
@@ -457,8 +507,9 @@ def test_evsum_sweep_fits_power_law():
 def test_evsum_sweep_randomized_path():
     gs = GridSpec(d=1, L=8.0, N=64)
     base = PotentialSpec(kind="indicator_ball", amplitude=1.0j, R=1.0)
-    study = evsum_sweep((1.0, 2.0), base, gs, eps=0.1, R0=4.0, h=0.125,
-                        omega_spec=_omega(h=0.5), essential_margin=0.05)
+    filt = SpectrumFilter.from_scales(4.0, 0.125, 0.05)
+    study = evsum_sweep((1.0, 2.0), base, gs, eps=0.1, R0=4.0, h=0.125, filt=filt,
+                        omega_spec=_omega(h=0.5))
     assert len(study.reports) == 2
 
 
