@@ -18,16 +18,12 @@ import argparse
 import numpy as np
 
 from evbounds import GridSpec, PotentialSpec, sample_potential
-from evbounds.extension import (
-    SandwichEnsemble,
-    angular_weight,
-    build_net,
-    singular_values,
-    weak_schatten,
-)
+from evbounds.extension import SandwichEnsemble, angular_weight, build_net, singular_values
 from evbounds.harness import (
     FITTED_CONSTANTS,
+    check_extnorm,
     check_klt_det,
+    check_schatten_decay,
     check_sector,
     evsum_sweep,
     ext_norm_samples,
@@ -39,7 +35,6 @@ from evbounds.spectra import (
     filter_discrete,
     hamiltonian_matrix,
 )
-from evbounds.util import bracket
 
 TEMPLATE = OmegaSpec(h=1.0, distribution="bernoulli", master_seed=2026)
 
@@ -82,13 +77,13 @@ def schatten_family(n_samples: int) -> float:
         gs = GridSpec(d=2, L=4.0 * R, N=int(16 * R))
         field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
         net = build_net(1.0, R, 2)
-        ensemble = SandwichEnsemble(net, net, field, 1.0)
-        lr, lh = bracket(R), bracket(1.0)
-        rhs = R**1.5 * np.sqrt(np.log(lr)) * lh * (np.log(lr) + np.log(lh)) ** 2
+        ensemble = SandwichEnsemble(net, net, field, TEMPLATE.h)
+        params = {"lam": 1.0, "R": R, "h": TEMPLATE.h, "v_inf": float(np.abs(field.values).max())}
         for i in range(n_samples):
             omega = draw_omega(TEMPLATE.with_realization(i), gs)
             svals = singular_values(angular_weight(ensemble.with_omega(omega).matrix, 1.0, 1.0))
-            worst = max(worst, weak_schatten(svals, 1.0) / rhs)
+            report = check_schatten_decay(svals, 1.0, 2, params)
+            worst = max(worst, report.lhs / report.rhs_raw)
     return worst
 
 
@@ -98,8 +93,8 @@ def extnorm_family(n_samples: int) -> float:
     worst = 0.0
     for R in (8.0, 16.0, 32.0, 64.0):
         norms = ext_norm_samples(spec, TEMPLATE, 1.0, R, range(n_samples))
-        rhs = R**0.5 * bracket(1.0) * np.log(bracket(R)) ** 2.5
-        worst = max(worst, norms.mean() / rhs)
+        report = check_extnorm(norms, R, TEMPLATE.h, abs(spec.amplitude))
+        worst = max(worst, report.lhs / report.rhs_raw)
     return worst
 
 

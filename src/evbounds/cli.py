@@ -5,6 +5,13 @@ hash, and writes UTF-8 CSV/JSON only.  Reruns of an unchanged config
 produce byte-identical files; campaigns resume from whatever realization
 indices are already on disk.  DRIVERS maps every experiment name to its
 verify and campaign drivers; an experiment without one has no such command.
+
+A bad config exits 2 with "config error: <field>: <message>" and does no
+work.  Every config value is converted, and every constructor, precondition
+and checker argument check it reaches is run, under config.checked before
+any solve, ensemble, sampler or output directory; a key set to null counts
+as absent.  The reads at the top of each driver are the one list of the
+keys it needs.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, checked, load_config
 from .errors import ConfigError
 from .harness import (
     campaign_grid,
@@ -44,7 +51,13 @@ from .harness import (
 from .extension import build_net, singular_values
 from .potential import sample_potential
 from .randomize import MIN_SAMPLES, anderson_randomize, draw_omega
-from .spectra import SpectrumFilter, eigenvalues_dense, filter_discrete, hamiltonian_matrix
+from .spectra import (
+    SpectrumFilter,
+    check_dense_size,
+    eigenvalues_dense,
+    filter_discrete,
+    hamiltonian_matrix,
+)
 
 __all__ = ["main"]
 
@@ -56,29 +69,32 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _need(exp: dict, key: str):
-    if key not in exp:
-        raise ConfigError(f"experiment.{key}: required for experiment {exp.get('name')}")
-    return exp[key]
+_REQUIRED = object()
 
 
-def _num(key: str, value, kind=float):
-    """kind(value) for experiment.<key>; ConfigError naming the key when it is not a number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"experiment.{key}: expected a number, got {value!r}") from None
+def _get(cfg: RunConfig, key: str, kind=float, default=_REQUIRED):
+    """kind(experiment.<key>) under config.checked; default when the key is absent or null."""
+    value = cfg.experiment.get(key)
+    if value is not None:
+        return checked(f"experiment.{key}", kind, value)
+    if default is _REQUIRED:
+        raise ConfigError(f"experiment.{key}: required for experiment {cfg.experiment['name']}")
+    return default
 
 
-def _nums(key: str, values) -> list[float]:
-    """The list experiment.<key> as floats; ConfigError naming the key otherwise."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"experiment.{key}: expected a list of numbers, got {values!r}")
-    return [_num(key, v) for v in values]
+def _numbers(values) -> list[float]:
+    """A non-empty JSON list of numbers, as floats."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"expected a non-empty list of numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
+def _floats(cfg: RunConfig, *keys) -> list[float]:
+    return [_get(cfg, k) for k in keys]
 
 
 def _lam(cfg: RunConfig) -> float:
-    return _num("lam", cfg.experiment.get("lam", 1.0))
+    return _get(cfg, "lam", float, 1.0)
 
 
 def _omega(cfg: RunConfig):
@@ -87,27 +103,28 @@ def _omega(cfg: RunConfig):
     return cfg.omega
 
 
-def _radii(cfg: RunConfig, key: str) -> list[float]:
+def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     """experiment.R_list, or [experiment.R] (default potential.R) for key "R".
 
-    Every radius must give a campaign grid, L = 4R at the config's dx, that
-    GridSpec accepts; this is checked before anything is computed or written.
+    Each radius is checked before any work: its sphere net at experiment.lam
+    and, for a campaign, its L = 4R grid at the config's dx.  Outside a
+    campaign R_list defaults to [potential.R].
     """
-    exp = cfg.experiment
-    radii = _need(exp, key) if key == "R_list" else [exp.get(key, cfg.potential.R)]
-    radii = _nums(key, radii)
-    dx = cfg.grid.dx
+    if key == "R_list":
+        radii = _get(cfg, key, _numbers, _REQUIRED if campaign else [cfg.potential.R])
+    else:
+        radii = [_get(cfg, key, float, cfg.potential.R)]
+    lam, d, dx = _lam(cfg), cfg.grid.d, cfg.grid.dx
     for R in radii:
-        try:
-            campaign_grid(R, cfg.grid.d, dx)
-        except ValueError as err:
-            raise ConfigError(f"experiment.{key}: R = {R:g} at dx = {dx:g}: {err}") from None
+        checked(f"experiment.{key}: R = {R:g}", build_net, lam, R, d)
+        if campaign:
+            checked(f"experiment.{key}: R = {R:g} at dx = {dx:g}", campaign_grid, R, d, dx)
     return radii
 
 
 def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
     """experiment.n_samples (default when absent), checked against minimum before any work."""
-    n = _num("n_samples", cfg.experiment.get("n_samples", default), int)
+    n = _get(cfg, "n_samples", int, default)
     if n < minimum:
         name = cfg.experiment["name"]
         raise ConfigError(f"experiment.n_samples: {name} needs at least {minimum}, got {n}")
@@ -115,45 +132,31 @@ def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
 
 
 def _cell_size(cfg: RunConfig) -> float:
-    exp = cfg.experiment
-    if "h" in exp:
-        return _num("h", exp["h"])
-    if cfg.omega is not None:
-        return cfg.omega.h
-    raise ConfigError("experiment.h: required when no omega section is present")
+    """experiment.h, by default the omega's cell size; required without an omega section."""
+    return _get(cfg, "h", float, _REQUIRED if cfg.omega is None else cfg.omega.h)
 
 
 def _spectrum_filter(cfg: RunConfig) -> SpectrumFilter:
-    exp = cfg.experiment
-    margin = exp.get("essential_margin")
-    if margin is None:
-        margin = SpectrumFilter.default_margin(cfg.grid)
-    margin = _num("essential_margin", margin)
-    kappa = exp.get("kappa_filter")
-    kappa = None if kappa is None else _num("kappa_filter", kappa)
-    if exp.get("band") is not None:
-        band = _nums("band", exp["band"])
-        if len(band) != 2:
-            raise ConfigError(f"experiment.band: expected [lo, hi], got {exp['band']!r}")
-        return SpectrumFilter(tuple(band), margin, kappa)
-    if "R0" in exp:
-        return SpectrumFilter.from_scales(_num("R0", exp["R0"]), _cell_size(cfg), margin, kappa)
-    return SpectrumFilter((0.0, np.inf), margin, kappa)
+    """Window from experiment.band, else from R0 and h, else all of [0, inf)."""
+    margin = _get(cfg, "essential_margin", float, SpectrumFilter.default_margin(cfg.grid))
+    kappa = _get(cfg, "kappa_filter", float, None)
+    band = _get(cfg, "band", _numbers, None)
+    if band is None and cfg.experiment.get("R0") is not None:
+        scales = _get(cfg, "R0"), _cell_size(cfg)
+        return checked("experiment", SpectrumFilter.from_scales, *scales, margin, kappa)
+    return checked("experiment", SpectrumFilter, tuple(band or (0.0, np.inf)), margin, kappa)
 
 
-def _solved(cfg: RunConfig, deterministic: bool = False):
-    """sample -> randomize -> hamiltonian -> eigensolve -> filter: (kept points, field).
+def _sampled(cfg: RunConfig, spec=None):
+    """(V, omega) on the config grid, both under config.checked.
 
-    The field is the randomized one, or with deterministic=True the sampled V.
-    The filter's keys are read before the eigensolve.
+    V samples spec, by default the config's potential; omega is the
+    config's omega drawn, or None without one or under identity_omega.
     """
-    filt = _spectrum_filter(cfg)
-    field_det = sample_potential(cfg.potential, cfg.grid)
-    field = field_det
-    if cfg.omega is not None and not cfg.identity_omega:
-        field = anderson_randomize(field_det, draw_omega(cfg.omega, cfg.grid))
-    points = eigenvalues_dense(hamiltonian_matrix(cfg.grid, field))
-    return filter_discrete(points, filt), field_det if deterministic else field
+    field = checked("potential", sample_potential, spec or cfg.potential, cfg.grid)
+    if cfg.omega is None or cfg.identity_omega:
+        return field, None
+    return field, checked("omega", draw_omega, cfg.omega, cfg.grid)
 
 
 def _ensure_dir(cfg: RunConfig) -> Path:
@@ -187,7 +190,7 @@ def _write_manifest(out: Path, cfg: RunConfig, outputs: list[str], extra: dict |
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    kept, _ = _solved(cfg)
+    kept = _spectral(cfg, lambda points, field: points)
     out = _ensure_dir(cfg)
     tag = cfg.config_hash()
     om = cfg.omega
@@ -207,32 +210,33 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # spectral ones are the lambdas in DRIVERS.
 
 
-def _floats(cfg: RunConfig, *keys) -> list[float]:
-    return [_num(k, _need(cfg.experiment, k)) for k in keys]
+def _spectral(cfg: RunConfig, check, *args, deterministic: bool = False):
+    """check(kept points, field, *args) after sample -> randomize -> eigensolve -> filter.
+
+    The field is the randomized one, or with deterministic=True the sampled
+    V.  The filter, the dense size and the sampled fields are checked before
+    the solve, and so are check's own argument checks, run on its vacuous
+    case: no points.
+    """
+    filt = _spectrum_filter(cfg)
+    checked("grid", check_dense_size, cfg.grid.node_count)
+    field_det, omega = _sampled(cfg)
+    field = field_det if omega is None else anderson_randomize(field_det, omega)
+    reported = field_det if deterministic else field
+    checked("experiment", check, [], reported, *args)
+    points = eigenvalues_dense(hamiltonian_matrix(cfg.grid, field))
+    return check(filter_discrete(points, filt), reported, *args)
 
 
 def _nu(cfg: RunConfig) -> float:
     """experiment.nu of SCHATTEN_DECAY, checked with grid.d before any work."""
-    (nu,) = _floats(cfg, "nu")
-    key = "grid.d" if cfg.grid.d != 2 else "experiment.nu"
-    try:
-        schatten_exponent(nu, cfg.grid.d)
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err}") from None
+    nu = _get(cfg, "nu")
+    checked("grid.d" if cfg.grid.d != 2 else "experiment.nu", schatten_exponent, nu, cfg.grid.d)
     return nu
 
 
-def _thresholds(cfg: RunConfig) -> list[float]:
-    return _nums("thresholds", cfg.experiment.get("thresholds", _TAIL_THRESHOLDS))
-
-
-def _spectral(cfg: RunConfig, check, *args, deterministic: bool = False):
-    """check(kept points, field, *args); args are read from cfg before the solve."""
-    return check(*_solved(cfg, deterministic), *args)
-
-
 def _verify_extnorm(cfg: RunConfig):
-    # Every radius is validated; only the largest, the one reported, is computed.
+    # Every radius is checked; only the largest, the one reported, is computed.
     omega, R = _omega(cfg), max(_radii(cfg, "R_list"))
     n = _n_samples(cfg, 200, 0 if cfg.identity_omega else MIN_SAMPLES)
     d, dx = cfg.grid.d, cfg.grid.dx
@@ -244,18 +248,18 @@ def _verify_extnorm(cfg: RunConfig):
 
 
 def _verify_schatten(cfg: RunConfig):
-    nu = _nu(cfg)
-    lam, R, h = _lam(cfg), _num("R", cfg.experiment.get("R", cfg.potential.R)), _cell_size(cfg)
+    nu, (R,), h = _nu(cfg), _radii(cfg, "R", campaign=False), _cell_size(cfg)
     omegas = None if cfg.omega is None or cfg.identity_omega else [cfg.omega]
-    field, ops = config_sandwiches(cfg.potential, cfg.grid, lam, R, omegas)
-    svals = singular_values(next(ops))
-    params = {"lam": lam, "R": R, "h": h, "v_inf": float(np.abs(field.values).max())}
+    field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
+    svals = singular_values(next(config_sandwiches(field, _lam(cfg), R, omegas)))
+    params = {"lam": _lam(cfg), "R": R, "h": h, "v_inf": float(np.abs(field.values).max())}
     return check_schatten_decay(svals, nu, cfg.grid.d, params)
 
 
 def _verify_tail(cfg: RunConfig):
     omega, (R,) = _omega(cfg), _radii(cfg, "R")
-    n, thresholds = _n_samples(cfg, 200, MIN_SAMPLES), _thresholds(cfg)
+    n = _n_samples(cfg, 200, MIN_SAMPLES)
+    thresholds = _get(cfg, "thresholds", _numbers, _TAIL_THRESHOLDS)
     norms = ext_norm_samples(
         cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
     )
@@ -358,7 +362,8 @@ def _collect_norms(cfg: RunConfig, R: float, n: int) -> np.ndarray:
 def _campaign_tail(cfg: RunConfig) -> int:
     _omega(cfg)
     (R,) = _radii(cfg, "R")
-    n, thresholds = _n_samples(cfg, 2000, MIN_SAMPLES), _thresholds(cfg)
+    n = _n_samples(cfg, 2000, MIN_SAMPLES)
+    thresholds = _get(cfg, "thresholds", _numbers, _TAIL_THRESHOLDS)
     study = concentration_tail(_collect_norms(cfg, R, n), thresholds=thresholds)
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(
@@ -427,16 +432,13 @@ def _campaign_schatten(cfg: RunConfig) -> int:
 
 
 def _campaign_evsum(cfg: RunConfig) -> int:
-    amplitudes = _nums("amplitudes", _need(cfg.experiment, "amplitudes"))
-    study = evsum_sweep(
-        amplitudes,
-        cfg.potential,
-        cfg.grid,
-        *_floats(cfg, "eps", "R0"),
-        _cell_size(cfg),
-        _spectrum_filter(cfg),
-        omega_spec=None if cfg.identity_omega else cfg.omega,
-    )
+    amplitudes = _get(cfg, "amplitudes", _numbers)
+    args = (*_floats(cfg, "eps", "R0"), _cell_size(cfg))
+    filt = _spectrum_filter(cfg)
+    checked("grid", check_dense_size, cfg.grid.node_count)
+    checked("experiment", check_evsum, [], _sampled(cfg)[0], *args)
+    omega = None if cfg.identity_omega else cfg.omega
+    study = evsum_sweep(amplitudes, cfg.potential, cfg.grid, *args, filt, omega_spec=omega)
     out = _ensure_dir(cfg)
     name = _write_lines(
         out / f"evsum_{cfg.config_hash()}.csv",
@@ -493,16 +495,16 @@ def cmd_campaign(cfg: RunConfig) -> int:
 
 
 def cmd_svd(cfg: RunConfig) -> int:
-    exp = cfg.experiment
     tag = cfg.config_hash()
-    R = _num("R", exp.get("R", cfg.potential.R))
+    (R,) = _radii(cfg, "R", campaign=False)
     if cfg.omega is None or cfg.identity_omega:
         omegas, names = None, [f"svals_{tag}_det.csv"]
     else:
         n = _n_samples(cfg, 1)
         omegas = [cfg.omega.with_realization(i) for i in range(n)]
         names = [f"svals_{tag}_r{i:04d}.csv" for i in range(n)]
-    _, ops = config_sandwiches(cfg.potential, cfg.grid, _lam(cfg), R, omegas)
+    field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
+    ops = config_sandwiches(field, _lam(cfg), R, omegas)
     out = _ensure_dir(cfg)
     for name, op in zip(names, ops):
         _write_lines(
@@ -518,8 +520,7 @@ def cmd_svd(cfg: RunConfig) -> int:
 def cmd_net_info(cfg: RunConfig) -> int:
     from scipy.spatial import cKDTree
 
-    lam = _lam(cfg)
-    r_list = _nums("R_list", cfg.experiment.get("R_list", [cfg.potential.R]))
+    lam, r_list = _lam(cfg), _radii(cfg, "R_list", campaign=False)
     out = _ensure_dir(cfg)
     lines = []
     for R in r_list:
@@ -569,7 +570,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
+            cfg = checked("omega.master_seed", cfg.with_seed, args.seed)
         if args.out is not None:
             cfg = cfg.with_out_dir(args.out)
         if args.workers < 1:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridSpec
-from .potential import KINDS, PotentialSpec
-from .randomize import DISTRIBUTIONS, OmegaSpec
+from .potential import PotentialSpec
+from .randomize import OmegaSpec
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "checked", "load_config"]
 
 EXPERIMENTS = (
     "AAD1D",
@@ -38,11 +38,17 @@ def _require(cond: bool, field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
 
-def _build(section: str, ctor, **kwargs):
+def checked(field: str, fn, *args):
+    """fn(*args), with a ValueError or TypeError raised as ConfigError("<field>: <message>").
+
+    The one rule of a config value: it is converted, and every constructor
+    or precondition it reaches before work is called, through this helper.
+    Work itself (solves, ensembles, samplers) never runs under it.
+    """
     try:
-        return ctor(**kwargs)
+        return fn(*args)
     except (ValueError, TypeError) as err:
-        raise ConfigError(f"{section}: {err}") from err
+        raise ConfigError(f"{field}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -91,12 +97,12 @@ class RunConfig:
         _require(isinstance(gd, dict), "grid", "must be an object")
         for key in ("d", "L", "N"):
             _require(key in gd, f"grid.{key}", "missing")
-        grid = _build("grid", GridSpec, d=int(gd["d"]), L=float(gd["L"]), N=int(gd["N"]))
+        d, L, N = (checked(f"grid.{k}", t, gd[k]) for k, t in zip("dLN", (int, float, int)))
+        grid = checked("grid", GridSpec, d, L, N)
 
         pd = data["potential"]
         _require(isinstance(pd, dict), "potential", "must be an object")
         _require("kind" in pd, "potential.kind", "missing")
-        _require(pd["kind"] in KINDS, "potential.kind", f"must be one of {KINDS}")
         _require(
             pd["kind"] != "tabulated",
             "potential.kind",
@@ -108,14 +114,18 @@ class RunConfig:
             "potential.amplitude",
             "must be a [re, im] pair",
         )
-        potential = _build(
+        osc = pd.get("oscillation")
+        _require(osc is None or isinstance(osc, dict), "potential.oscillation", "must be an object")
+        for key, value in (osc or {}).items():
+            checked(f"potential.oscillation.{key}", float, value)
+        potential = checked(
             "potential",
             PotentialSpec,
-            kind=pd["kind"],
-            amplitude=complex(float(amp[0]), float(amp[1])),
-            R=float(pd.get("R", 1.0)),
-            s=float(pd.get("s", 1.0)),
-            oscillation=pd.get("oscillation"),
+            pd["kind"],
+            complex(*(checked("potential.amplitude", float, a) for a in amp)),
+            checked("potential.R", float, pd.get("R", 1.0)),
+            checked("potential.s", float, pd.get("s", 1.0)),
+            osc,
         )
 
         om = data.get("omega")
@@ -124,18 +134,13 @@ class RunConfig:
             _require(isinstance(om, dict), "omega", "must be an object or null")
             for key in ("h", "distribution", "master_seed"):
                 _require(key in om, f"omega.{key}", "missing")
-            _require(
-                om["distribution"] in DISTRIBUTIONS,
-                "omega.distribution",
-                f"must be one of {DISTRIBUTIONS}",
-            )
-            omega = _build(
+            omega = checked(
                 "omega",
                 OmegaSpec,
-                h=float(om["h"]),
-                distribution=om["distribution"],
-                master_seed=int(om["master_seed"]),
-                realization_index=int(om.get("realization_index", 0)),
+                checked("omega.h", float, om["h"]),
+                om["distribution"],
+                checked("omega.master_seed", int, om["master_seed"]),
+                checked("omega.realization_index", int, om.get("realization_index", 0)),
             )
 
         exp = data["experiment"]
@@ -149,7 +154,8 @@ class RunConfig:
 
         out_dir = data.get("out_dir", "runs")
         _require(isinstance(out_dir, str) and out_dir, "out_dir", "must be a nonempty string")
-        identity = bool(data.get("identity_omega", False))
+        identity = data.get("identity_omega", False)
+        _require(isinstance(identity, bool), "identity_omega", "must be true or false")
         return cls(
             grid=grid,
             potential=potential,
@@ -184,9 +190,7 @@ def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = checked(f"config: invalid JSON in {path}", json.load, fh)
     except OSError as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config: invalid JSON in {path}: {err}") from err
     return RunConfig.from_dict(data)

@@ -281,26 +281,26 @@ def _campaign_ensemble(
     gs = campaign_grid(R, d, dx)
     field = sample_potential(dataclasses.replace(potential_spec, R=R), gs)
     if magnitude:
-        field.values = np.abs(field.values).astype(complex)
+        field = PotentialField(gs, np.abs(field.values).astype(complex), field.support_radius)
     net = build_net(lam, R, d)
     return SandwichEnsemble(net, net, field, h)
 
 
-def config_sandwiches(spec: PotentialSpec, grid: GridSpec, lam: float, R: float, omegas=None):
-    """The chain on a config's own grid: sample_potential at R -> build_net -> ensemble.
+def config_sandwiches(field: PotentialField, lam: float, R: float, omegas=None):
+    """Sandwiches of a field sampled on a config's own grid, over the net at (lam, R).
 
-    Returns the field and an iterator over sandwiches: the deterministic
-    one, the ensemble's M(1) on unit cells (one cell on a box of side below
-    1), when omegas is None, else one realization per OmegaSpec (one h).
+    An iterator over the deterministic sandwich, the ensemble's M(1) on
+    unit cells (one cell on a box of side below 1), when omegas is None,
+    else over one realization per OmegaSpec (one h).
     """
-    field = sample_potential(dataclasses.replace(spec, R=R), grid)
+    grid = field.grid
     net = build_net(lam, R, grid.d)
     if omegas is None:
         cells = dataclasses.replace(_UNIT_CELLS, h=min(_UNIT_CELLS.h, grid.L))
         ensemble = SandwichEnsemble(net, net, field, cells.h)
-        return field, iter([_identity_realization(ensemble, cells)])
+        return iter([_identity_realization(ensemble, cells)])
     ensemble = SandwichEnsemble(net, net, field, omegas[0].h) if omegas else None
-    return field, (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
+    return (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
 
 
 def _identity_realization(ensemble: SandwichEnsemble, omega_spec: OmegaSpec):

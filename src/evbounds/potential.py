@@ -1,14 +1,14 @@
 """Potential families on the grid, their norms, and support decompositions.
 
 Covers sampling of the built-in analytic families (complex amplitudes
-throughout), tabulated fields from CSV, Lebesgue norms with caching, the
-dyadic level-set decomposition by half-measure thresholds, and the grouping
-of a level set into sparse ball families.
+throughout), tabulated fields from CSV, Lebesgue norms, the dyadic
+level-set decomposition by half-measure thresholds, and the grouping of a
+level set into sparse ball families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,19 @@ class PotentialSpec:
             raise ValueError("indicator_ball needs R > 0")
         if self.kind == "power_decay" and not self.s > 0:
             raise ValueError("power_decay needs s > 0")
+        if self.kind == "knapp_oscillatory":
+            eps = _oscillation(self, "eps", 0.25)
+            if not 0 < eps < 1:
+                raise ValueError(f"knapp_oscillatory needs oscillation.eps in (0, 1), got {eps}")
 
 
 @dataclass
 class PotentialField:
-    """Sampled potential values on a grid, with cached norms.
-
-    Treat `values` as read-only; cached_norms is filled lazily by lq_norm.
-    """
+    """Sampled potential values on a grid; treat `values` as read-only."""
 
     grid: GridSpec
     values: np.ndarray
     support_radius: float
-    cached_norms: dict = dc_field(default_factory=dict)
 
     @property
     def shape(self):
@@ -127,8 +127,6 @@ def _oscillation(spec: PotentialSpec, key: str, default: float) -> float:
 
 def _slab_half_widths(spec: PotentialSpec, d: int) -> np.ndarray:
     eps = _oscillation(spec, "eps", 0.25)
-    if not 0 < eps < 1:
-        raise ValueError(f"knapp_oscillatory needs eps in (0, 1), got {eps}")
     # Knapp-type box: short extent 1/eps along d-1 axes, long extent 1/eps^2
     # along the last axis, centered at the origin.
     extents = np.full(d, 1.0 / eps)
@@ -178,16 +176,11 @@ def sample_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialField:
 
 
 def lq_norm(field: PotentialField, q: float) -> float:
-    """Grid L^q norm (sum |V|^q * cellvol)^(1/q), cached per exponent."""
+    """Grid L^q norm (sum |V|^q * cellvol)^(1/q)."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    key = float(q)
-    if key not in field.cached_norms:
-        cellvol = field.grid.cellvol
-        field.cached_norms[key] = float(
-            (np.abs(field.values) ** q).sum() ** (1.0 / q) * cellvol ** (1.0 / q)
-        )
-    return field.cached_norms[key]
+    cellvol = field.grid.cellvol
+    return float((np.abs(field.values) ** q).sum() ** (1.0 / q) * cellvol ** (1.0 / q))
 
 
 def weighted_sup_norm(field: PotentialField, exponent: float) -> float:

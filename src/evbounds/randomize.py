@@ -32,7 +32,6 @@ __all__ = [
 DISTRIBUTIONS = ("bernoulli", "gaussian")
 # Fewest Monte Carlo samples behind a tail table or a mean extension norm.
 MIN_SAMPLES = 100
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class OmegaSpec:
             raise ValueError(f"cell size must be positive, got {self.h}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.realization_index < 0:
-            raise ValueError("realization_index must be nonnegative")
+        if not 0 <= self.master_seed < 2**64 or not 0 <= self.realization_index < 2**64:
+            raise ValueError("master_seed and realization_index must lie in [0, 2**64)")
 
     def with_realization(self, index: int) -> OmegaSpec:
         return OmegaSpec(self.h, self.distribution, self.master_seed, index)
@@ -103,10 +102,7 @@ def _node_cell_index(spec: OmegaSpec, gs: GridSpec):
 
 
 def _raw_stream(spec: OmegaSpec, count: int) -> np.ndarray:
-    key = np.array(
-        [np.uint64(spec.master_seed) & _U64, np.uint64(spec.realization_index) & _U64],
-        dtype=np.uint64,
-    )
+    key = np.array([spec.master_seed, spec.realization_index], dtype=np.uint64)
     return np.random.Philox(key=key).random_raw(count)
 
 

@@ -19,6 +19,7 @@ from .grid import GridSpec, apply_multiplier
 __all__ = [
     "SpectralPoint",
     "SpectrumFilter",
+    "check_dense_size",
     "hamiltonian_matrix",
     "eigenvalues_dense",
     "filter_discrete",
@@ -62,9 +63,8 @@ class SpectrumFilter:
     kappa: float | None = None
 
     def __post_init__(self):
-        lo, hi = self.band
-        if lo < 0 or hi < lo:
-            raise ValueError(f"band must satisfy 0 <= lower <= upper, got {self.band}")
+        if len(self.band) != 2 or not 0 <= self.band[0] <= self.band[1]:
+            raise ValueError(f"band must be [lo, hi] with 0 <= lo <= hi, got {self.band}")
         if not self.essential_margin > 0:
             raise ValueError("essential_margin must be positive")
 
@@ -91,6 +91,12 @@ def delta_dist(z: complex) -> float:
     return abs(z.imag) if z.real >= 0 else abs(z)
 
 
+def check_dense_size(n: int) -> None:
+    """ValueError when a dense n x n Hamiltonian or eigensolve exceeds the budget."""
+    if n > _DENSE_BUDGET:
+        raise ValueError(f"dense solves are budgeted at {_DENSE_BUDGET} nodes, got {n}")
+
+
 def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     """Dense position-basis matrix of -Delta - V on the grid.
 
@@ -99,8 +105,7 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     on random vectors before being returned.
     """
     n = grid.node_count
-    if n > _DENSE_BUDGET:
-        raise ValueError(f"dense Hamiltonian budget is {_DENSE_BUDGET} nodes, got {n}")
+    check_dense_size(n)
     vals = potential.values if hasattr(potential, "values") else np.asarray(potential)
     if vals.shape != grid.shape:
         raise ValueError(f"potential shape {vals.shape} does not match grid {grid.shape}")
@@ -143,8 +148,7 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     n = h.shape[0]
-    if n > _DENSE_BUDGET:
-        raise ValueError(f"dense eigensolve budget is {_DENSE_BUDGET}, got {n}")
+    check_dense_size(n)
 
     w, vr = scipy.linalg.eig(h)
     vnorms = np.linalg.norm(vr, axis=0)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,24 +72,58 @@ def test_file_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Solves, samplers and ensembles raise: a config error must come first."""
+    import evbounds.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for module, name in ((cli, "eigenvalues_dense"), (harness, "eigenvalues_dense"),
+                         (cli, "ext_norm_samples"), (harness, "SandwichEnsemble")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _assert_config_error(tmp_path, capsys, code, out, field):
+    assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("campaign_*"))
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "command,mutate,field",
     [
-        lambda d: d.pop("grid"),
-        lambda d: d["grid"].pop("N"),
-        lambda d: d["potential"].update(kind="mystery"),
-        lambda d: d["potential"].update(amplitude=[1.0]),
-        lambda d: d["experiment"].update(name="NOPE"),
-        lambda d: d.update(omega={"h": 1.0, "distribution": "cauchy", "master_seed": 1}),
-        lambda d: d.update(out_dir=""),
-        lambda d: d["grid"].update(N=100),
+        ("spectrum", lambda d: d.pop("grid"), "grid:"),
+        ("spectrum", lambda d: d["grid"].pop("N"), "grid.N:"),
+        ("spectrum", lambda d: d["potential"].update(kind="mystery"), "potential:"),
+        ("spectrum", lambda d: d["potential"].update(amplitude=[1.0]), "potential.amplitude:"),
+        ("spectrum", lambda d: d["experiment"].update(name="NOPE"), "experiment.name:"),
+        ("spectrum", lambda d: d.update(omega={"h": 1.0, "distribution": "cauchy",
+                                               "master_seed": 1}), "omega:"),
+        ("spectrum", lambda d: d.update(out_dir=""), "out_dir:"),
+        ("spectrum", lambda d: d["grid"].update(N=100), "grid:"),
+        ("spectrum", lambda d: d["grid"].update(d="x"), "grid.d:"),
+        ("spectrum", lambda d: d["potential"].update(amplitude=["a", 0]), "potential.amplitude:"),
+        ("spectrum", lambda d: d["potential"].update(R="big"), "potential.R:"),
+        ("spectrum", lambda d: d.update(omega={"h": 1.0, "distribution": "bernoulli",
+                                               "master_seed": "s"}), "omega.master_seed:"),
+        ("spectrum", lambda d: d["potential"].update(oscillation={"wavenumber": "k"}),
+         "potential.oscillation.wavenumber:"),
+        ("verify", lambda d: d.update(_campaign_dict(n_samples=1), identity_omega="false"),
+         "identity_omega:"),
     ],
+    ids=["no_grid", "no_N", "kind", "amplitude_pair", "name", "distribution", "out_dir",
+         "N_100", "d", "amplitude", "R", "master_seed", "oscillation", "identity_omega"],
 )
-def test_validation_failures_name_the_field(mutate):
+def test_validation_failures_name_the_field(tmp_path, capsys, no_work, command, mutate, field):
     data = _base_dict()
     mutate(data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^" + re.escape(field)):
         RunConfig.from_dict(data)
+    code, out = _run(tmp_path, data, command=command)
+    _assert_config_error(tmp_path, capsys, code, out, field)
 
 
 def test_load_config_bad_file(tmp_path):
@@ -97,6 +133,10 @@ def test_load_config_bad_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(binary)
 
 
 def test_seed_and_out_overrides():
@@ -581,16 +621,12 @@ def test_dispatch_table_covers_exactly_the_experiments():
 
 
 def test_readme_demo_configs_have_a_driver():
-    import re
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    runs = re.findall(r"evbounds (\w+) +--config demos/configs/([\w.]+\.json)", readme)
-    assert {p.name for p in (root / "demos" / "configs").glob("*.json")} == {f for _, f in runs}
+    runs = _readme_runs()
+    configs = runs[0][1].parent
+    assert {p.name for p in configs.glob("*.json")} == {path.name for _, path in runs}
     seen = set()
-    for command, fname in runs:
-        name = load_config(root / "demos" / "configs" / fname).experiment["name"]
+    for command, path in runs:
+        name = load_config(path).experiment["name"]
         seen.add((command, name))
         if command == "spectrum":
             assert name in cli.DRIVERS
@@ -602,6 +638,61 @@ def test_readme_demo_configs_have_a_driver():
         ("campaign", "PROP_EXTNORM"),
         ("campaign", "EVSUM"),
     }
+
+
+def _readme_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    runs = re.findall(r"evbounds (\w+) +--config demos/configs/([\w.]+\.json)", readme)
+    return [(command, root / "demos" / "configs" / fname) for command, fname in runs]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every leaf of a JSON value: scalars, nulls and empty containers."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    if not items:
+        yield path
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+class _Solver(Exception):
+    """Raised by the patched solver entry points."""
+
+
+def test_demo_config_mutations_end_in_a_config_error_or_the_solver(tmp_path, capsys, monkeypatch):
+    def solver(*args, **kwargs):
+        raise _Solver
+
+    for name in ("eigenvalues_dense", "ext_norm_samples", "identity_ext_norm",
+                 "deterministic_ext_norm", "evsum_sweep", "schatten_campaign",
+                 "config_sandwiches", "singular_values"):
+        monkeypatch.setattr(cli, name, solver)
+    faults, runs = [], 0
+    for command, path in _readme_runs():
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for keys in _leaf_paths(data):
+            for value in ("x", [], None):
+                mutated = json.loads(json.dumps(data))
+                node = mutated
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = value
+                try:
+                    _run(tmp_path, mutated, command=command)
+                except _Solver:
+                    pass
+                except Exception as err:  # noqa: BLE001 - every other exception is a fault
+                    faults.append(f"{path.name} {'.'.join(map(str, keys))} = {value!r}: {err!r}")
+                runs += 1
+    capsys.readouterr()
+    assert runs > 100
+    assert not faults, "\n".join(faults)
 
 
 def _schatten_dict(nu=1.0, d=2, campaign=False):
@@ -634,39 +725,76 @@ def test_schatten_parameters_are_checked_before_any_work(
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command,experiment,potential,field",
-    [
-        ("verify", {"name": "KLT_DET", "q": "x"}, None, "experiment.q:"),
-        ("campaign", {"name": "PROP_EXTNORM", "R_list": "abc"}, None, "experiment.R_list:"),
-        ("campaign", {"name": "PROP_EXTNORM", "R_list": [8.0], "n_samples": "x"}, None,
-         "experiment.n_samples:"),
-        ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0], "lam": "x"}, None, "experiment.lam:"),
-        ("verify", {"name": "EVSUM", "eps": 0.1, "R0": 4.0, "h": "x"}, None, "experiment.h:"),
-        ("campaign", {"name": "TAIL", "R": 8.0, "thresholds": ["x"]}, None,
-         "experiment.thresholds:"),
-        ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0]}, {"kind": "tabulated"},
-         "potential.kind:"),
-    ],
-    ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated"],
-)
-def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, experiment,
-                                      potential, field):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the config was read")
+def _experiment(**experiment):
+    return lambda d: d.update(experiment=experiment)
 
-    for name in ("ext_norm_samples", "identity_ext_norm", "deterministic_ext_norm",
-                 "eigenvalues_dense"):
-        monkeypatch.setattr(cli, name, no_work)
+
+def _well(potential=None, grid=None, **experiment):
+    """A 1-D well (L = 16, N = 256, radius 1) with the campaign's omega."""
+    return lambda d: d.update(
+        grid=grid or {"d": 1, "L": 16.0, "N": 256},
+        potential=potential or {"kind": "indicator_ball", "amplitude": [2.0, 0.0], "R": 1.0},
+        experiment=experiment,
+    )
+
+
+def _schatten(**experiment):
+    return lambda d: d.update(grid={"d": 2, "L": 32.0, "N": 64},
+                              experiment={"name": "SCHATTEN_DECAY", "nu": 1.0, **experiment})
+
+
+_EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize(
+    "command,mutate,field",
+    [
+        ("verify", _experiment(name="KLT_DET", q="x"), "experiment.q:"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list="abc"), "experiment.R_list:"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=[8.0], n_samples="x"),
+         "experiment.n_samples:"),
+        ("verify", _experiment(name="PROP_EXTNORM", R_list=[8.0], lam="x"), "experiment.lam:"),
+        ("verify", _experiment(name="EVSUM", eps=0.1, R0=4.0, h="x"), "experiment.h:"),
+        ("campaign", _experiment(name="TAIL", R=8.0, thresholds=["x"]), "experiment.thresholds:"),
+        ("verify", lambda d: d.update(potential={"kind": "tabulated"},
+                                      experiment={"name": "PROP_EXTNORM", "R_list": [8.0]}),
+         "potential.kind:"),
+        # before any work: the field, the filter, the dense size and every sphere net
+        ("spectrum", _well({"kind": "indicator_ball", "R": 5.0}, name="SPECTRUM"), "potential:"),
+        ("spectrum", _well({"kind": "knapp_oscillatory", "oscillation": {"eps": 2}},
+                           name="SPECTRUM"), "potential:"),
+        ("spectrum", _well(grid={"d": 2, "L": 32.0, "N": 128}, name="SPECTRUM"), "grid:"),
+        ("verify", _well(grid={"d": 2, "L": 32.0, "N": 128}, name="KLT_DET", q=1.0), "grid:"),
+        ("spectrum", _well(name="SPECTRUM", band=[2.0, 1.0]), "experiment: band"),
+        ("svd", _schatten(R=0.5), "experiment.R: R = 0.5"),
+        ("net-info", _schatten(R_list=[0.5]), "experiment.R_list: R = 0.5"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=[0.5]), "experiment.R_list: R = 0.5"),
+        # the checker's own argument checks, on its vacuous case, before the solve
+        ("verify", _well(name="KLT_DET", q=5.0), "experiment: q must"),
+        ("verify", _well(name="SECTOR", q=1.0, kappa=0.0), "experiment: kappa must"),
+        ("verify", _well(name="THM3", q=9.0, M=5.0), "experiment: q must"),
+        ("verify", _well(name="THM1", q=1.0, R=0.25, M=5.0), "experiment: potential support"),
+        ("verify", _well(**_EVSUM), "experiment: eps must"),
+        ("campaign", _well(**_EVSUM), "experiment: eps must"),
+        # empty lists
+        ("verify", _experiment(name="PROP_EXTNORM", R_list=[], n_samples=100),
+         "experiment.R_list:"),
+        ("verify", _experiment(name="TAIL", R=8.0, n_samples=100, thresholds=[]),
+         "experiment.thresholds:"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=[], n_samples=2),
+         "experiment.R_list:"),
+    ],
+    ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated",
+         "support", "knapp_eps", "dense_spectrum", "dense_verify", "band", "svd_net",
+         "net_info_net", "campaign_net", "KLT_DET_q", "SECTOR_kappa", "THM3_q", "THM1_R",
+         "EVSUM_eps_verify", "EVSUM_eps_campaign", "empty_R_list_verify",
+         "empty_thresholds", "empty_R_list_campaign"],
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, no_work, command, mutate, field):
     data = _campaign_dict()
-    data["experiment"] = experiment
-    if potential is not None:
-        data["potential"] = potential
+    mutate(data)
     code, out = _run(tmp_path, data, command=command)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and field in err
-    assert not out.exists()
+    _assert_config_error(tmp_path, capsys, code, out, field)
 
 
 def test_evsum_campaign_filters_as_verify_does(tmp_path):

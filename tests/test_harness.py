@@ -487,8 +487,9 @@ def test_schatten_campaign_checks_nu_and_d_before_building(monkeypatch, nu, d):
 def test_config_sandwiches_deterministic_is_the_node_level_sandwich(L, N, R, lam):
     """M(1) on unit cells, on a tiled grid, on a grid they do not tile, and on a box below 1."""
     gs = GridSpec(d=2, L=L, N=N)
-    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0 + 0.5j)
-    field, ops = config_sandwiches(spec, gs, lam, R)
+    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0 + 0.5j, R=R)
+    field = sample_potential(spec, gs)
+    ops = config_sandwiches(field, lam, R)
     net = build_net(lam, R, 2)
     want = sandwich(net, net, field).matrix
     np.testing.assert_allclose(next(ops).matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -58,6 +58,11 @@ def test_unknown_kind_rejected():
         PotentialSpec(kind="nope")
 
 
+def test_knapp_eps_is_checked_by_the_spec():
+    with pytest.raises(ValueError, match="eps"):
+        PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 2.0})
+
+
 def test_lq_norm_zero_field():
     gs = GridSpec(d=1, L=8.0, N=32)
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=1.0, amplitude=0.0), gs)

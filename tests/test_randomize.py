@@ -56,6 +56,8 @@ def test_cell_larger_than_box_rejected():
     dict(h=0.0, distribution="bernoulli", master_seed=1),
     dict(h=1.0, distribution="poisson", master_seed=1),
     dict(h=1.0, distribution="bernoulli", master_seed=1, realization_index=-1),
+    dict(h=1.0, distribution="bernoulli", master_seed=-1),
+    dict(h=1.0, distribution="bernoulli", master_seed=2**64),
 ])
 def test_omega_spec_validation(bad):
     with pytest.raises(ValueError):
