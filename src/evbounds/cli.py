@@ -50,7 +50,7 @@ from .harness import (
 )
 from .extension import build_net, singular_values
 from .potential import sample_potential
-from .randomize import MIN_SAMPLES, anderson_randomize, draw_omega
+from .randomize import MIN_SAMPLES, OmegaField, anderson_randomize, draw_omega
 from .spectra import (
     SpectrumFilter,
     check_dense_size,
@@ -107,8 +107,8 @@ def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     """experiment.R_list, or [experiment.R] (default potential.R) for key "R".
 
     Each radius is checked before any work: its sphere net at experiment.lam
-    and, for a campaign, its L = 4R grid at the config's dx.  Outside a
-    campaign R_list defaults to [potential.R].
+    and, for a campaign, its L = 4R grid at the config's dx and the omega's
+    cells on that box.  Outside a campaign R_list defaults to [potential.R].
     """
     if key == "R_list":
         radii = _get(cfg, key, _numbers, _REQUIRED if campaign else [cfg.potential.R])
@@ -118,7 +118,8 @@ def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     for R in radii:
         checked(f"experiment.{key}: R = {R:g}", build_net, lam, R, d)
         if campaign:
-            checked(f"experiment.{key}: R = {R:g} at dx = {dx:g}", campaign_grid, R, d, dx)
+            grid = checked(f"experiment.{key}: R = {R:g} at dx = {dx:g}", campaign_grid, R, d, dx)
+            checked(f"omega.h: R = {R:g}", OmegaField.constant, _omega(cfg), grid)
     return radii
 
 

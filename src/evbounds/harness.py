@@ -464,6 +464,8 @@ def check_evsum(
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    if not (R0 > 0 and h > 0):
+        raise ValueError(f"R0 and h must be positive, got R0 = {R0}, h = {h}")
     lo, hi = 1.0 / R0, 1.0 / h
     windowed = [pt for pt in points if lo <= np.sqrt(abs(complex(pt.z))) <= hi]
     # sigma chosen so the |z| exponent collapses to zero: 2 p sigma - 1 + eps = 1.

@@ -82,6 +82,8 @@ class SpectrumFilter:
         kappa: float | None = None,
     ) -> SpectrumFilter:
         """Window 1/R0 <= sqrt|z| <= 1/h from the sparse and cell scales."""
+        if not (R0 > 0 and h > 0):
+            raise ValueError(f"R0 and h must be positive, got R0 = {R0}, h = {h}")
         return cls((1.0 / R0, 1.0 / h), essential_margin, kappa)
 
 
@@ -101,24 +103,32 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     """Dense position-basis matrix of -Delta - V on the grid.
 
     The Laplacian block is the circulant with the DFT-diagonal symbol
-    |2 pi xi|^2; the result is self-checked against spectral application
-    on random vectors before being returned.
+    |2 pi xi|^2.  Its kernel is the real part of the inverse DFT of the
+    symbol, averaged with its k -> -k reflection on each axis; the symbol
+    is even, so this is exact and makes H == H^T bit for bit.  When the
+    imaginary part of V is exactly zero, H is float64 and so exactly real
+    symmetric; otherwise it is complex symmetric.  The result is
+    self-checked against spectral application on random vectors before
+    being returned.
     """
     n = grid.node_count
     check_dense_size(n)
     vals = potential.values if hasattr(potential, "values") else np.asarray(potential)
     if vals.shape != grid.shape:
         raise ValueError(f"potential shape {vals.shape} does not match grid {grid.shape}")
+    if not np.imag(vals).any():
+        vals = np.real(vals)
 
-    kernel = np.fft.ifftn(grid.lap_symbol)
+    kernel = np.fft.ifftn(grid.lap_symbol).real
+    for ax in range(grid.d):
+        kernel = 0.5 * (kernel + np.roll(np.flip(kernel, ax), 1, ax))
     # Multi-axis circulant: index the kernel by the per-axis differences of
     # the row and column multi-indices.
     multi = np.unravel_index(np.arange(n), grid.shape)
     gather = tuple(
         (multi[ax][:, None] - multi[ax][None, :]) % grid.N for ax in range(grid.d)
     )
-    lap = kernel[gather]
-    h = lap.astype(complex)
+    h = kernel[gather].astype(np.result_type(vals, float), copy=False)
     h[np.diag_indices(n)] -= vals.ravel()
 
     rng = np.random.default_rng(0xA11CE)
@@ -135,6 +145,10 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
 def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     """All eigenvalues of a square matrix, clustered into SpectralPoints.
 
+    The driver follows from exact structure, with no tolerance: a matrix
+    equal bit for bit to its conjugate transpose goes to the Hermitian
+    solver `scipy.linalg.eigh`, whose eigenvalues are exactly real, and
+    every other matrix to the general solver `scipy.linalg.eig`.
     Residuals are ||(H - z)v|| / ||v|| for the computed right eigenvectors.
     Multiplicities come from single-linkage clustering: eigenvalues within
     1e-7 max|z| of each other, with max|z| the spectral radius of the
@@ -150,7 +164,10 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     n = h.shape[0]
     check_dense_size(n)
 
-    w, vr = scipy.linalg.eig(h)
+    if np.array_equal(h, h.conj().T):
+        w, vr = scipy.linalg.eigh(h)
+    else:
+        w, vr = scipy.linalg.eig(h)
     vnorms = np.linalg.norm(vr, axis=0)
     residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / vnorms
 

@@ -33,12 +33,18 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value ||A||_2 from one LAPACK SVD (values only).
+    """Largest singular value ||A||_2 from one LAPACK call (values only).
 
-    Exact to working precision, with no tolerance, iteration budget or
-    fallback; an empty matrix has norm 0.0.
+    The path follows from exact structure, with no tolerance: a square
+    matrix equal bit for bit to its conjugate transpose gives max |lambda|
+    from the Hermitian eigensolver `np.linalg.eigvalsh`, any other matrix
+    its largest singular value from the SVD.  Both are exact to working
+    precision, with no iteration budget or fallback; an empty matrix has
+    norm 0.0.
     """
     a = np.asarray(matrix)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    if np.array_equal(a, a.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(a)).max())
+    return float(np.linalg.svd(a, compute_uv=False)[0])

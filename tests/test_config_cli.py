@@ -776,6 +776,12 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
         ("verify", _well(name="THM1", q=1.0, R=0.25, M=5.0), "experiment: potential support"),
         ("verify", _well(**_EVSUM), "experiment: eps must"),
         ("campaign", _well(**_EVSUM), "experiment: eps must"),
+        # zero scales: the filter window and the checker's window
+        ("verify", _well(**{**_EVSUM, "eps": 0.1, "R0": 0}), "experiment: R0 and h must"),
+        ("verify", _well(**{**_EVSUM, "eps": 0.1, "h": 0, "band": [0.0, 1.0]}),
+         "experiment: R0 and h must"),
+        # omega cells larger than the L = 4R campaign box
+        ("campaign", lambda d: d["omega"].update(h=40.0), "omega.h: R = 8"),
         # empty lists
         ("verify", _experiment(name="PROP_EXTNORM", R_list=[], n_samples=100),
          "experiment.R_list:"),
@@ -787,7 +793,8 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
     ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated",
          "support", "knapp_eps", "dense_spectrum", "dense_verify", "band", "svd_net",
          "net_info_net", "campaign_net", "KLT_DET_q", "SECTOR_kappa", "THM3_q", "THM1_R",
-         "EVSUM_eps_verify", "EVSUM_eps_campaign", "empty_R_list_verify",
+         "EVSUM_eps_verify", "EVSUM_eps_campaign", "EVSUM_R0_zero", "EVSUM_h_zero",
+         "omega_cells_over_box", "empty_R_list_verify",
          "empty_thresholds", "empty_R_list_campaign"],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, no_work, command, mutate, field):

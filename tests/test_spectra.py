@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from evbounds import GridSpec
 from evbounds.birman_schwinger import assemble_bs
@@ -41,7 +42,66 @@ def test_free_laplacian_levels():
 def test_real_potential_hermitian():
     gs = GridSpec(d=1, L=16.0, N=64)
     h = hamiltonian_matrix(gs, _well(gs))
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12 * np.abs(h).max()
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude,dtype",
+    [
+        (GridSpec(d=2, L=8.0, N=16), 2.0, np.float64),
+        # a complex amplitude with zero imaginary part is a real well
+        (GridSpec(d=2, L=8.0, N=16), 2.0 + 0.0j, np.float64),
+        (GridSpec(d=1, L=16.0, N=64), 2.0 + 1.0j, np.complex128),
+        (GridSpec(d=2, L=8.0, N=16), 1.0 + 2.0j, np.complex128),
+    ],
+    ids=["real_2d", "zero_imag_2d", "dissipative_1d", "dissipative_2d"],
+)
+def test_hamiltonian_is_exactly_symmetric(grid, amplitude, dtype):
+    h = hamiltonian_matrix(grid, _well(grid, amplitude))
+    assert h.dtype == dtype
+    assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude",
+    [(GridSpec(d=1, L=16.0, N=128), 2.0), (GridSpec(d=1, L=16.0, N=128), 6.0),
+     (GridSpec(d=2, L=8.0, N=16), 6.0)],
+    ids=["1d_depth2", "1d_depth6", "2d_depth6"],
+)
+def test_real_wells_match_the_general_eig_oracle(monkeypatch, grid, amplitude):
+    h = hamiltonian_matrix(grid, _well(grid, amplitude))
+    got = eigenvalues_dense(h)
+    monkeypatch.setattr(scipy.linalg, "eigh", scipy.linalg.eig)  # the oracle: eig on any H
+    want = eigenvalues_dense(h)
+    scale = np.abs(h).sum(axis=0).max()  # ||H||_1
+    assert [p.multiplicity for p in got] == [p.multiplicity for p in want]
+    # Both solvers are backward stable, so a point may move by a few
+    # eps ||H||; that is 1e-12 relative only away from z = 0, where the
+    # discrete points lie.
+    for p, q in zip(got, want):
+        assert p.z.imag == 0.0
+        assert abs(p.z - q.z) <= 1e-14 * scale
+    filt = SpectrumFilter(band=(0.0, np.inf), essential_margin=2 * (2 * np.pi / grid.L) ** 2)
+    kept, kept_oracle = filter_discrete(got, filt), filter_discrete(want, filt)
+    assert kept and len(kept) == len(kept_oracle)
+    for p, q in zip(kept, kept_oracle):
+        assert abs(p.z - q.z) <= 1e-12 * abs(q.z)
+    assert max(p.residual for p in got) <= 1e-10 * scale
+
+
+def test_one_ulp_off_hermitian_takes_the_general_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    gs = GridSpec(d=1, L=8.0, N=32)
+    h = hamiltonian_matrix(gs, _well(gs))
+    off = h.copy()
+    off[0, 1] = np.nextafter(off[0, 1], np.inf)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    with pytest.raises(AssertionError, match="eigh called"):
+        eigenvalues_dense(h)
+    assert sum(p.multiplicity for p in eigenvalues_dense(off)) == gs.node_count
 
 
 def test_budget_guard():
@@ -230,7 +290,11 @@ def test_transpose_spectrum_equality():
     field = sample_potential(
         PotentialSpec(kind="indicator_ball", amplitude=1.0 + 2.0j, R=1.0), gs
     )
-    h = hamiltonian_matrix(gs, field)
+    # H == H^T exactly, so a strictly upper-triangular perturbation keeps
+    # the comparison between a non-symmetric matrix and its transpose
+    rng = np.random.default_rng(11)
+    h = hamiltonian_matrix(gs, field) + np.triu(rng.standard_normal((gs.N, gs.N)), 1)
+    assert not np.array_equal(h, h.T)
     key = lambda z: (round(z.real, 8), round(z.imag, 8))
     a = sorted((p.z for p in eigenvalues_dense(h)), key=key)
     b = sorted((p.z for p in eigenvalues_dense(h.T)), key=key)
