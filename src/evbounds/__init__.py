@@ -10,17 +10,13 @@ pass/fail report.
 
 from .birman_schwinger import (
     BsOperator,
-    SmoothedSymbol,
     assemble_bs,
-    band_cutoff,
     gelfand_spr,
-    smoothed_symbol,
 )
 from .errors import (
     ConfigError,
     EmptySupportError,
     SingularSymbolError,
-    SparseSeparationError,
     SupportError,
 )
 from .extension import (
@@ -31,16 +27,13 @@ from .extension import (
     build_net,
     extension_matrix,
     sandwich,
-    schatten_norm,
     singular_values,
     weak_schatten,
 )
 from .grid import (
-    FrequencySymbol,
     GridSpec,
     apply_multiplier,
     apply_multiplier_stack,
-    laplacian_symbol,
     resolvent_symbol,
 )
 from .harness import (
@@ -68,13 +61,9 @@ from .potential import (
     DyadicLayer,
     PotentialField,
     PotentialSpec,
-    SparseFamily,
     dyadic_decompose,
-    load_tabulated,
     lq_norm,
     sample_potential,
-    save_tabulated,
-    sparse_decompose,
     weighted_sup_norm,
 )
 from .randomize import (

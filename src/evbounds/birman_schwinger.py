@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError
-from .grid import FrequencySymbol, GridSpec, apply_multiplier_stack, resolvent_symbol
+from .grid import GridSpec, apply_multiplier_stack, resolvent_symbol
 from .potential import PotentialField
 from .util import spectral_norm
 
 __all__ = [
     "BsOperator",
-    "SmoothedSymbol",
     "assemble_bs",
-    "smoothed_symbol",
-    "band_cutoff",
     "gelfand_spr",
 ]
 
@@ -44,15 +41,6 @@ class BsOperator:
 
     def norm(self) -> float:
         return spectral_norm(self.matrix)
-
-
-@dataclass(frozen=True)
-class SmoothedSymbol:
-    """Square-root regularization of the resolvent symbol at energy |z|."""
-
-    z: complex
-    delta: float
-    values: np.ndarray
 
 
 def assemble_bs(grid: GridSpec, potential: PotentialField, z: complex) -> BsOperator:
@@ -78,26 +66,6 @@ def assemble_bs(grid: GridSpec, potential: PotentialField, z: complex) -> BsOper
     # Rows: multiply by |V|^(1/2) and restrict to the support.
     matrix = (out[:, support] * root_abs[None, :]).T.copy()
     return BsOperator(grid, potential, z, matrix, support)
-
-
-def smoothed_symbol(grid: GridSpec, z: complex, delta: float) -> SmoothedSymbol:
-    """Canonical representative (||2 pi xi|^2 - |z|| + delta)^(-1/2).
-
-    Callers sandwiching a potential of support radius R conventionally take
-    delta = 1/(2R); the width is a free parameter here.
-    """
-    if not delta > 0:
-        raise ValueError(f"smoothing width must be positive, got {delta}")
-    vals = 1.0 / np.sqrt(np.abs(grid.lap_symbol - abs(z)) + delta)
-    return SmoothedSymbol(z, float(delta), vals)
-
-
-def band_cutoff(grid: GridSpec, lo: float, hi: float) -> FrequencySymbol:
-    """Sharp frequency-band indicator lo <= |2 pi xi| <= hi."""
-    if lo < 0 or not hi > lo:
-        raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    mag = np.sqrt(grid.lap_symbol)
-    return FrequencySymbol(((mag >= lo) & (mag <= hi)).astype(float))
 
 
 def gelfand_spr(matrix) -> float:

@@ -123,7 +123,7 @@ def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     return radii
 
 
-def _n_samples(cfg: RunConfig, default: int, minimum: int = 0) -> int:
+def _n_samples(cfg: RunConfig, default: int, minimum: int = 1) -> int:
     """experiment.n_samples (default when absent), checked against minimum before any work."""
     n = _get(cfg, "n_samples", int, default)
     if n < minimum:

@@ -103,11 +103,6 @@ class RunConfig:
         pd = data["potential"]
         _require(isinstance(pd, dict), "potential", "must be an object")
         _require("kind" in pd, "potential.kind", "missing")
-        _require(
-            pd["kind"] != "tabulated",
-            "potential.kind",
-            "a tabulated field is read by load_tabulated; a config cannot carry the table",
-        )
         amp = pd.get("amplitude", [1.0, 0.0])
         _require(
             isinstance(amp, (list, tuple)) and len(amp) == 2,

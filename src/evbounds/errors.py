@@ -13,18 +13,5 @@ class EmptySupportError(SupportError):
     """An operation that needs a nontrivial potential got the zero field."""
 
 
-class SparseSeparationError(RuntimeError):
-    """Greedy sparse grouping exceeded its family budget.
-
-    Carries the achieved family count and the budget so callers can report
-    diagnostics instead of guessing.
-    """
-
-    def __init__(self, message, families_needed, budget):
-        super().__init__(message)
-        self.families_needed = families_needed
-        self.budget = budget
-
-
 class ConfigError(ValueError):
     """A run configuration failed validation."""

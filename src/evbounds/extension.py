@@ -32,7 +32,6 @@ __all__ = [
     "extension_matrix",
     "sandwich",
     "singular_values",
-    "schatten_norm",
     "weak_schatten",
 ]
 
@@ -375,14 +374,6 @@ def singular_values(op) -> np.ndarray:
     """Descending singular values of a sandwich (or bare) matrix."""
     matrix = op.matrix if isinstance(op, SandwichOperator) else np.asarray(op)
     return np.linalg.svd(matrix, compute_uv=False)
-
-
-def schatten_norm(svals, p: float) -> float:
-    """(sum s_k^p)^(1/p); p >= 1."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    s = np.asarray(svals, dtype=float)
-    return float((s**p).sum() ** (1.0 / p))
 
 
 def weak_schatten(svals, p: float) -> float:

@@ -19,8 +19,6 @@ from .errors import SingularSymbolError
 
 __all__ = [
     "GridSpec",
-    "FrequencySymbol",
-    "laplacian_symbol",
     "resolvent_symbol",
     "apply_multiplier",
     "apply_multiplier_stack",
@@ -113,28 +111,9 @@ class GridSpec:
         mesh = self.coords(centered)
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """DFT with the quadrature weight, approximating the integral transform."""
-        return np.fft.fftn(values) * self.cellvol
 
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(spectrum) / self.cellvol
-
-
-@dataclass(frozen=True)
-class FrequencySymbol:
-    """Values of a Fourier multiplier on the dual lattice, in DFT layout."""
-
-    values: np.ndarray
-
-
-def laplacian_symbol(grid: GridSpec) -> FrequencySymbol:
-    """Multiplier |2*pi*xi|^2 of the (positive) free Laplacian."""
-    return FrequencySymbol(grid.lap_symbol)
-
-
-def resolvent_symbol(grid: GridSpec, z: complex) -> FrequencySymbol:
-    """Multiplier of (-Laplacian - z)^(-1).
+def resolvent_symbol(grid: GridSpec, z: complex) -> np.ndarray:
+    """Multiplier of (-Laplacian - z)^(-1), shape N^d in DFT layout.
 
     Raises SingularSymbolError when z hits one of the discrete Laplacian
     levels exactly; any other z, including real z between levels, is allowed.
@@ -144,13 +123,7 @@ def resolvent_symbol(grid: GridSpec, z: complex) -> FrequencySymbol:
         raise SingularSymbolError(
             f"z = {z} coincides with a discrete Laplacian level; resolvent undefined"
         )
-    return FrequencySymbol(1.0 / diff)
-
-
-def _symbol_values(symbol) -> np.ndarray:
-    if isinstance(symbol, FrequencySymbol):
-        return symbol.values
-    return np.asarray(symbol)
+    return 1.0 / diff
 
 
 def apply_multiplier(grid: GridSpec, symbol, values: np.ndarray) -> np.ndarray:
@@ -159,7 +132,7 @@ def apply_multiplier(grid: GridSpec, symbol, values: np.ndarray) -> np.ndarray:
     The quadrature weights cancel between the two transforms, so this is
     exact on the discrete space regardless of normalization.
     """
-    sym = _symbol_values(symbol)
+    sym = np.asarray(symbol)
     arr = np.asarray(values)
     if arr.shape != grid.shape:
         raise ValueError(f"field shape {arr.shape} does not match grid shape {grid.shape}")
@@ -170,6 +143,6 @@ def apply_multiplier(grid: GridSpec, symbol, values: np.ndarray) -> np.ndarray:
 
 def apply_multiplier_stack(grid: GridSpec, symbol, stack: np.ndarray) -> np.ndarray:
     """Multiplier applied to a batch of fields stacked along axis 0."""
-    sym = _symbol_values(symbol)
+    sym = np.asarray(symbol)
     axes = tuple(range(1, grid.d + 1))
     return np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)

@@ -1,9 +1,8 @@
 """Potential families on the grid, their norms, and support decompositions.
 
 Covers sampling of the built-in analytic families (complex amplitudes
-throughout), tabulated fields from CSV, Lebesgue norms, the dyadic
-level-set decomposition by half-measure thresholds, and the grouping of a
-level set into sparse ball families.
+throughout), Lebesgue norms, and the dyadic level-set decomposition by
+half-measure thresholds.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupportError, SparseSeparationError, SupportError
+from .errors import SupportError
 from .grid import GridSpec
 from .util import bracket
 
@@ -20,14 +19,10 @@ __all__ = [
     "PotentialSpec",
     "PotentialField",
     "DyadicLayer",
-    "SparseFamily",
     "sample_potential",
     "lq_norm",
     "weighted_sup_norm",
     "dyadic_decompose",
-    "sparse_decompose",
-    "load_tabulated",
-    "save_tabulated",
 ]
 
 KINDS = (
@@ -35,12 +30,7 @@ KINDS = (
     "power_decay",
     "wigner_von_neumann",
     "knapp_oscillatory",
-    "tabulated",
 )
-
-# Budget multiplier for the greedy sparse grouping; generous on purpose, the
-# achieved family counts are reported rather than asserted against it.
-_FAMILY_BUDGET_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -94,29 +84,6 @@ class DyadicLayer:
     lower_threshold: float  # H_{i+1}
     mask: np.ndarray
     values: np.ndarray
-    grid: GridSpec | None = None
-
-
-@dataclass(frozen=True)
-class SparseFamily:
-    """Ball centers that are pairwise (radius*count)^gamma separated."""
-
-    gamma: float
-    radius: float
-    centers: np.ndarray  # (n, d)
-
-    @property
-    def separation_required(self) -> float:
-        return (self.radius * len(self.centers)) ** self.gamma
-
-    def min_center_distance(self) -> float:
-        c = self.centers
-        if len(c) < 2:
-            return np.inf
-        diff = c[:, None, :] - c[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
 
 
 def _oscillation(spec: PotentialSpec, key: str, default: float) -> float:
@@ -141,9 +108,6 @@ def sample_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialField:
     L >= 4 * support radius, so that periodization does not fold the field
     onto itself.
     """
-    if spec.kind == "tabulated":
-        raise ValueError("tabulated potentials are built by load_tabulated")
-
     r = grid.radii()
     if spec.kind == "indicator_ball":
         support_radius = spec.R
@@ -256,127 +220,7 @@ def dyadic_decompose(field: PotentialField) -> list[DyadicLayer]:
                 lower_threshold=float(levels[idx + 1]),
                 mask=mask,
                 values=np.where(mask, field.values, 0.0),
-                grid=field.grid,
             )
         )
     return layers
 
-
-def _cell_cover(points: np.ndarray, weights: np.ndarray, radius: float) -> np.ndarray:
-    """One ball center per occupied cell of side radius/sqrt(d), heaviest node wins.
-
-    The cell diameter equals the ball radius, so every support node lies
-    within radius of its cell's center; distinct cells keep distinct centers.
-    Returned in decreasing weight order (stable on ties).
-    """
-    d = points.shape[1]
-    side = radius / np.sqrt(d)
-    bins = np.floor(points / side + 1e-9).astype(np.int64)
-    _, inverse = np.unique(bins, axis=0, return_inverse=True)
-    n_cells = inverse.max() + 1
-    best = np.full(n_cells, -1, dtype=np.int64)
-    for idx in np.argsort(-weights, kind="stable"):
-        cell = inverse[idx]
-        if best[cell] < 0:
-            best[cell] = idx
-    order = np.argsort(-weights[best], kind="stable")
-    return points[best[order]]
-
-
-def sparse_decompose(layer: DyadicLayer, gamma: float, K: int, grid=None) -> list[SparseFamily]:
-    """Group a layer's support into sparse families of radius-R_i balls.
-
-    The support is tiled by cells whose diameter equals the ball radius
-    2^(i * gamma^K); each occupied cell contributes one center (its heaviest
-    node).  Centers are then assigned first-fit to families in decreasing
-    |V| order, a family accepting a center only if all pairwise separations
-    stay above (radius * new_count)^gamma.  Raises SparseSeparationError
-    when more than ceil(16 * K * 2^(i/K)) families would be needed.
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not K >= 1:
-        raise ValueError("K must be >= 1")
-    if grid is None:
-        grid = layer.grid
-    if grid is None:
-        raise ValueError("layer carries no grid; pass one for node coordinates")
-    mask = layer.mask.ravel()
-    if not mask.any():
-        return []
-    points = grid.points(centered=True)[mask]
-    weights = np.abs(layer.values.ravel()[mask])
-    radius = 2.0 ** (layer.index * gamma**K)
-    centers = _cell_cover(points, weights, radius)
-
-    budget = int(np.ceil(_FAMILY_BUDGET_FACTOR * K * 2.0 ** (layer.index / K)))
-    families: list[list[np.ndarray]] = []
-    min_dists: list[float] = []  # running min pairwise distance per family
-    for c in centers:
-        placed = False
-        for fam_idx, fam in enumerate(families):
-            new_count = len(fam) + 1
-            need = (radius * new_count) ** gamma
-            dists = np.sqrt(((np.asarray(fam) - c) ** 2).sum(-1))
-            new_min = min(min_dists[fam_idx], float(dists.min()))
-            if new_min >= need:
-                fam.append(c)
-                min_dists[fam_idx] = new_min
-                placed = True
-                break
-        if not placed:
-            if len(families) >= budget:
-                raise SparseSeparationError(
-                    f"layer {layer.index}: separation needs more than {budget} families "
-                    f"({len(families)} in use, {len(centers)} centers, radius {radius})",
-                    families_needed=len(families) + 1,
-                    budget=budget,
-                )
-            families.append([c])
-            min_dists.append(np.inf)
-
-    return [
-        SparseFamily(gamma=gamma, radius=radius, centers=np.asarray(fam)) for fam in families
-    ]
-
-
-def save_tabulated(field: PotentialField, path) -> None:
-    """Write nonzero nodes as CSV rows (coordinates..., re, im)."""
-    pts = field.grid.points(centered=True)
-    vals = field.values.ravel()
-    keep = vals != 0
-    data = np.column_stack([pts[keep], vals[keep].real, vals[keep].imag])
-    with open(path, "w") as fh:
-        for row in data:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_tabulated(path, grid: GridSpec) -> PotentialField:
-    """Read CSV rows (coordinates..., re, im) onto the nearest grid nodes.
-
-    Rows must land within half a node spacing of a grid node; unlisted nodes
-    stay zero.
-    """
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-    if data.size == 0:
-        return PotentialField(grid, np.zeros(grid.shape, dtype=complex), 0.0)
-    if data.shape[1] != grid.d + 2:
-        raise ValueError(
-            f"expected {grid.d + 2} columns (coords..., re, im), got {data.shape[1]}"
-        )
-    coords = data[:, : grid.d]
-    vals = data[:, grid.d] + 1j * data[:, grid.d + 1]
-    dx = grid.dx
-    # Map torus representatives back to raw [0, L) and then to node indices.
-    raw = np.mod(coords, grid.L)
-    idx_f = raw / dx
-    idx = np.rint(idx_f).astype(int) % grid.N
-    off = np.abs(idx_f - np.rint(idx_f))
-    if np.any(off > 1e-6):
-        bad = np.argmax(off.max(axis=1))
-        raise ValueError(f"row {bad} does not lie on a grid node (offset {off.max():.3g} dx)")
-    values = np.zeros(grid.shape, dtype=complex)
-    values[tuple(idx.T)] = vals
-    radii = np.sqrt((np.minimum(raw, grid.L - raw) ** 2).sum(-1))
-    support_radius = float(radii[np.abs(vals) > 0].max()) if np.any(np.abs(vals) > 0) else 0.0
-    return PotentialField(grid, values, support_radius)

@@ -3,12 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evbounds import GridSpec, apply_multiplier
+from evbounds import GridSpec
 from evbounds.birman_schwinger import (
     assemble_bs,
-    band_cutoff,
     gelfand_spr,
-    smoothed_symbol,
 )
 from evbounds.errors import EmptySupportError, SingularSymbolError
 from evbounds.potential import PotentialSpec, sample_potential
@@ -127,74 +125,6 @@ def test_equivalence_both_directions(d, L, N, amp):
         if _smin(bs.matrix) > 0.1:
             assert np.min(np.abs(zs - z)) > 1e-6
             probed += 1
-
-
-def test_smoothed_symbol_on_shell():
-    gs = GridSpec(d=1, L=8.0, N=64)
-    sym = smoothed_symbol(gs, z=-(np.pi**2), delta=0.2)
-    on_shell = np.flatnonzero(np.abs(gs.lap_symbol - np.pi**2) < 1e-12)
-    assert on_shell.size > 0
-    assert sym.values[on_shell[0]] == pytest.approx(0.2**-0.5, rel=1e-12)
-
-
-def test_smoothed_symbol_monotone_in_delta():
-    gs = GridSpec(d=2, L=8.0, N=16)
-    small = smoothed_symbol(gs, z=2.0, delta=0.1)
-    large = smoothed_symbol(gs, z=2.0, delta=0.5)
-    assert np.all(large.values < small.values)
-
-
-def test_smoothed_symbol_defining_bound():
-    gs = GridSpec(d=2, L=8.0, N=16)
-    z, delta = 1.0 + 1.0j, 0.3
-    sym = smoothed_symbol(gs, z, delta)
-    cap = (np.abs(gs.lap_symbol - abs(z)) + delta) ** -0.5
-    assert np.all(np.abs(sym.values) <= cap + 1e-15)
-
-
-def test_smoothed_symbol_composition():
-    gs = GridSpec(d=1, L=8.0, N=64)
-    sym = smoothed_symbol(gs, z=3.0, delta=0.25)
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal(gs.shape) + 1j * rng.standard_normal(gs.shape)
-    twice = apply_multiplier(gs, sym.values, apply_multiplier(gs, sym.values, f))
-    once = apply_multiplier(gs, sym.values**2, f)
-    assert np.linalg.norm(twice - once) < 1e-12 * np.linalg.norm(once)
-
-
-@pytest.mark.parametrize("delta", [0.0, -0.5])
-def test_smoothed_symbol_rejects_nonpositive_width(delta):
-    with pytest.raises(ValueError):
-        smoothed_symbol(GridSpec(d=1, L=8.0, N=32), z=1.0, delta=delta)
-
-
-def test_band_cutoff_identity():
-    gs = GridSpec(d=1, L=8.0, N=32)
-    sym = band_cutoff(gs, 0.0, np.inf)
-    np.testing.assert_array_equal(sym.values, np.ones(32))
-
-
-def test_band_cutoff_counts_frequencies():
-    # direct integer-mode scan: |2 pi m / L| in [1/2, 2]
-    gs = GridSpec(d=1, L=8.0, N=64)
-    sym = band_cutoff(gs, 0.5, 2.0)
-    ms = np.arange(-gs.N // 2, gs.N // 2)
-    want = np.count_nonzero(
-        (np.abs(2 * np.pi * ms / gs.L) >= 0.5) & (np.abs(2 * np.pi * ms / gs.L) <= 2.0)
-    )
-    assert int(sym.values.sum()) == want == 4
-
-
-def test_band_cutoff_idempotent():
-    gs = GridSpec(d=2, L=8.0, N=16)
-    sym = band_cutoff(gs, 0.5, 2.0)
-    np.testing.assert_array_equal(sym.values**2, sym.values)
-
-
-@pytest.mark.parametrize("lo,hi", [(2.0, 1.0), (1.0, 1.0), (-1.0, 2.0)])
-def test_band_cutoff_rejects_bad_band(lo, hi):
-    with pytest.raises(ValueError):
-        band_cutoff(GridSpec(d=1, L=8.0, N=32), lo, hi)
 
 
 def test_gelfand_nilpotent():

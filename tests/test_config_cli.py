@@ -758,7 +758,7 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
         ("campaign", _experiment(name="TAIL", R=8.0, thresholds=["x"]), "experiment.thresholds:"),
         ("verify", lambda d: d.update(potential={"kind": "tabulated"},
                                       experiment={"name": "PROP_EXTNORM", "R_list": [8.0]}),
-         "potential.kind:"),
+         "potential:"),
         # before any work: the field, the filter, the dense size and every sphere net
         ("spectrum", _well({"kind": "indicator_ball", "R": 5.0}, name="SPECTRUM"), "potential:"),
         ("spectrum", _well({"kind": "knapp_oscillatory", "oscillation": {"eps": 2}},
@@ -789,13 +789,19 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
          "experiment.thresholds:"),
         ("campaign", _experiment(name="PROP_EXTNORM", R_list=[], n_samples=2),
          "experiment.R_list:"),
+        # no draws where at least one is needed
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=[2.0, 4.0, 8.0], n_samples=0),
+         "experiment.n_samples:"),
+        ("campaign", _schatten(R_list=[8.0], n_samples=0), "experiment.n_samples:"),
+        ("svd", _schatten(R=8.0, n_samples=0), "experiment.n_samples:"),
     ],
     ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated",
          "support", "knapp_eps", "dense_spectrum", "dense_verify", "band", "svd_net",
          "net_info_net", "campaign_net", "KLT_DET_q", "SECTOR_kappa", "THM3_q", "THM1_R",
          "EVSUM_eps_verify", "EVSUM_eps_campaign", "EVSUM_R0_zero", "EVSUM_h_zero",
          "omega_cells_over_box", "empty_R_list_verify",
-         "empty_thresholds", "empty_R_list_campaign"],
+         "empty_thresholds", "empty_R_list_campaign", "no_draws_extnorm_campaign",
+         "no_draws_schatten_campaign", "no_draws_svd"],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, no_work, command, mutate, field):
     data = _campaign_dict()

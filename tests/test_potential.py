@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from evbounds import GridSpec
-from evbounds.errors import SparseSeparationError
 from evbounds.potential import (
     KINDS,
-    DyadicLayer,
     PotentialSpec,
     dyadic_decompose,
-    load_tabulated,
     lq_norm,
     sample_potential,
-    save_tabulated,
-    sparse_decompose,
     weighted_sup_norm,
 )
 
@@ -170,110 +165,10 @@ def test_dyadic_masks_respect_threshold_window():
         assert measure <= 2.0 ** (layer.index - 1) + 1e-12
 
 
-def _point_layer(gs, flat_indices, value=1.0, index=0):
-    vals = np.zeros(gs.node_count, dtype=complex)
-    vals[flat_indices] = value
-    mask = vals != 0
-    return DyadicLayer(
-        index=index,
-        threshold=abs(value),
-        lower_threshold=0.0,
-        mask=mask.reshape(gs.shape),
-        values=vals.reshape(gs.shape),
-        grid=gs,
-    )
-
-
-def test_sparse_two_distant_points_one_family():
-    gs = GridSpec(d=1, L=256.0, N=512)
-    x = gs.points(centered=True).ravel()
-    idx = [int(np.argmin(np.abs(x + 50.0))), int(np.argmin(np.abs(x - 50.0)))]
-    layer = _point_layer(gs, idx)
-    fams = sparse_decompose(layer, gamma=0.5, K=1)
-    assert len(fams) == 1
-    assert fams[0].centers.shape[0] == 2
-    # separation 100 >= (radius * 2)^0.5 with radius 1
-    assert np.abs(fams[0].centers[0] - fams[0].centers[1]).max() >= (1.0 * 2) ** 0.5
-
-
-def test_sparse_adjacent_cells_need_two_families():
-    """Four adjacent unit cells at gamma=1 cannot share one family.
-
-    Exhaustive check over every assignment of the 4 centers to one family
-    confirms the separation (radius*count)^1 fails, so the greedy split
-    must produce at least two families.
-    """
-    gs = GridSpec(d=1, L=64.0, N=64)
-    x = gs.points(centered=True).ravel()
-    idx = [int(np.argmin(np.abs(x - t))) for t in (0.0, 1.0, 2.0, 3.0)]
-    layer = _point_layer(gs, idx)
-    fams = sparse_decompose(layer, gamma=1.0, K=1)
-    assert len(fams) >= 2
-    pts = x[idx]
-    # brute force: any single family holding all four violates separation
-    dists = np.abs(pts[:, None] - pts[None, :])[np.triu_indices(4, 1)]
-    assert dists.min() < (1.0 * 4) ** 1.0
-    for fam in fams:
-        c = fam.centers
-        n = c.shape[0]
-        if n < 2:
-            continue
-        pair = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(-1))
-        off = pair[np.triu_indices(n, 1)]
-        assert off.min() >= (fam.radius * n) ** fam.gamma - 1e-12
-
-
-def test_sparse_empty_layer():
-    gs = GridSpec(d=1, L=8.0, N=32)
-    layer = _point_layer(gs, [])
-    assert sparse_decompose(layer, gamma=0.5, K=1) == []
-
-
-def test_sparse_families_cover_support():
-    gs = GridSpec(d=2, L=32.0, N=64)
-    field = sample_potential(PotentialSpec(kind="indicator_ball", R=2.0), gs)
-    layer = next(l for l in dyadic_decompose(field) if l.mask.any())
-    fams = sparse_decompose(layer, gamma=0.25, K=2)
-    pts = gs.points(centered=True)[layer.mask.ravel()]
-    centers = np.concatenate([f.centers for f in fams])
-    radius = fams[0].radius
-    dist = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)
-    assert np.all(dist <= radius + 1e-12)
-
-
-def test_sparse_invalid_args():
-    gs = GridSpec(d=1, L=8.0, N=32)
-    layer = _point_layer(gs, [0])
-    with pytest.raises(ValueError):
-        sparse_decompose(layer, gamma=0.0, K=1)
-    with pytest.raises(ValueError):
-        sparse_decompose(layer, gamma=0.5, K=0)
-
-
-def test_sparse_budget_violation_reports():
-    # crowd enough adjacent centers that gamma=1 separation exhausts the budget
-    gs = GridSpec(d=1, L=512.0, N=512)
-    layer = _point_layer(gs, list(range(160, 400)))
-    with pytest.raises(SparseSeparationError):
-        sparse_decompose(layer, gamma=1.0, K=1)
-
-
-def test_tabulated_roundtrip(tmp_path):
-    gs = GridSpec(d=2, L=8.0, N=16)
-    field = sample_potential(
-        PotentialSpec(kind="indicator_ball", R=1.0, amplitude=1.0 + 2.0j), gs
-    )
-    path = tmp_path / "field.csv"
-    save_tabulated(field, path)
-    back = load_tabulated(path, gs)
-    np.testing.assert_allclose(back.values, field.values, atol=1e-12)
-
-
 def test_kind_listing_stable():
     assert set(KINDS) == {
         "indicator_ball",
         "power_decay",
         "wigner_von_neumann",
         "knapp_oscillatory",
-        "tabulated",
     }

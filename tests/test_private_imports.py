@@ -1,4 +1,4 @@
-"""No evbounds module or demo imports another module's private names.
+"""No evbounds module, demo or benchmark file imports another module's private names.
 
 A name with a leading underscore is a module's own detail; a caller that
 needs it should get a public name instead.  The files are read with ast,
@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "evbounds").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+SOURCES = sorted(
+    [
+        *(ROOT / "src" / "evbounds").glob("*.py"),
+        *(ROOT / "demos").glob("*.py"),
+        *(ROOT / "bench").glob("*.py"),
+    ]
+)
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -31,7 +37,7 @@ def _private_imports(path: Path) -> list[str]:
 
 def test_sources_are_found():
     names = {p.name for p in SOURCES}
-    assert {"harness.py", "extension.py", "calibrate_constants.py"} <= names
+    assert {"harness.py", "extension.py", "calibrate_constants.py", "cli_campaign.py"} <= names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(ROOT).as_posix() for p in SOURCES])
