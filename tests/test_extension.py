@@ -328,6 +328,14 @@ def test_weak_below_strong():
         assert weak_schatten(s, p) <= (s**p).sum() ** (1.0 / p) + 1e-12
 
 
+def test_weak_schatten_arithmetic():
+    # sup_k s_k k^(1/p) over the ranks of the sorted values, whatever the input order
+    s = [1.0, 3.0, 2.0]
+    assert weak_schatten(s, 1.0) == pytest.approx(4.0)
+    assert weak_schatten(s, 2.0) == pytest.approx(3.0)
+    assert weak_schatten([], 1.0) == 0.0
+
+
 def test_schatten_rejects_small_p():
     with pytest.raises(ValueError):
         weak_schatten([1.0], 0.5)

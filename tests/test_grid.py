@@ -146,3 +146,41 @@ def test_centered_coordinates_cover_half_open_box():
     pts = g.points(centered=True).ravel()
     assert pts.min() == -4.0 and pts.max() == 3.0
     assert set(np.diff(np.sort(pts))) == {1.0}
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 8)])
+def test_phase_multiplier_shifts_by_whole_cells(d, N):
+    # under the e^{-2 pi i x.xi} convention the multiplier e^{-2 pi i xi.a}
+    # translates by a; for a = s dx along axis 0 that is a roll by s nodes
+    g = GridSpec(d=d, L=8.0, N=N)
+    rng = np.random.default_rng(d)
+    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    s = 3
+    xi0 = np.meshgrid(*([g.freq_axis] * d), indexing="ij")[0]
+    phase = np.exp(-2j * np.pi * xi0 * s * g.dx)
+    np.testing.assert_allclose(apply_multiplier(g, phase, f), np.roll(f, s, axis=0), atol=1e-12)
+    # a unimodular multiplier is unitary on the node values (discrete Parseval)
+    assert np.linalg.norm(apply_multiplier(g, phase, f)) == pytest.approx(np.linalg.norm(f), rel=1e-13)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 8)])
+def test_lap_symbol_is_exactly_even(d, N):
+    # hamiltonian_matrix symmetrizes its kernel with the k -> -k reflection
+    # np.roll(np.flip(k, ax), 1, ax); that is exact only if the symbol is even
+    lap = GridSpec(d=d, L=8.0, N=N).lap_symbol
+    for ax in range(d):
+        assert np.array_equal(np.roll(np.flip(lap, ax), 1, ax), lap)
+
+
+def test_radii_are_torus_distances():
+    g = GridSpec(d=2, L=6.0, N=8)
+    pts = g.points(centered=False)
+    images = [np.array([a, b]) * g.L for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    want = np.min([np.linalg.norm(pts + img, axis=1) for img in images], axis=0)
+    np.testing.assert_allclose(g.radii().ravel(), want, rtol=0, atol=1e-14)
+
+
+def test_resolvent_symbol_is_conjugate_symmetric_in_z():
+    g = GridSpec(d=2, L=8.0, N=16)
+    z = 1.3 + 0.4j
+    assert np.array_equal(resolvent_symbol(g, np.conj(z)), np.conj(resolvent_symbol(g, z)))

@@ -27,6 +27,7 @@ from evbounds.harness import (
     fit_scaling,
     identity_ext_norm,
     schatten_campaign,
+    schatten_exponent,
     stein_tomas_spread,
 )
 from evbounds.potential import PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
@@ -351,6 +352,11 @@ def test_schatten_rhs_formula():
     lr, lh = 2.0 + 8.0, 2.0 + 1.0
     want = 8.0**1.5 * np.sqrt(np.log(lr)) * lh * (np.log(lr) + np.log(lh)) ** 2 * 2.0
     assert report.rhs_raw == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,p", [(1.0, 1.0), (0.5, 2.0), (0.25, 4.0)])
+def test_schatten_exponent_is_d_minus_one_over_nu(nu, p):
+    assert schatten_exponent(nu, 2) == p
 
 
 def test_schatten_validation():

@@ -10,6 +10,7 @@ from evbounds.potential import PotentialSpec, sample_potential
 from evbounds.spectra import (
     SpectralPoint,
     SpectrumFilter,
+    check_dense_size,
     delta_dist,
     eigenvalue_sum,
     eigenvalues_dense,
@@ -108,6 +109,14 @@ def test_budget_guard():
     gs = GridSpec(d=1, L=8.0, N=8192)
     with pytest.raises(ValueError):
         hamiltonian_matrix(gs, np.zeros(gs.shape))
+
+
+def test_dense_budget_admits_4096_nodes_and_no_more():
+    # a 64 x 64 grid in 2-D or 16^3 in 3-D is the largest dense solve allowed
+    check_dense_size(GridSpec(d=2, L=8.0, N=64).node_count)
+    check_dense_size(GridSpec(d=3, L=8.0, N=16).node_count)
+    with pytest.raises(ValueError, match="budgeted at 4096 nodes, got 4097"):
+        check_dense_size(4097)
 
 
 def test_potential_shape_guard():

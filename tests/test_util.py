@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evbounds.util import spectral_norm
+from evbounds.util import spectral_norm, wilson_interval
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-3])
@@ -70,3 +70,32 @@ def test_spectral_norm_path_follows_exact_structure(monkeypatch, kind, path):
     got = spectral_norm(a)
     assert calls == ([path] if path else [])
     assert abs(got - want) <= 1e-14 * want
+
+
+def _wilson_oracle(k, n, z):
+    # the Wilson interval is the set of p with (k/n - p)^2 <= z^2 p (1 - p) / n:
+    # the two roots of (1 + z^2/n) p^2 - (2 k/n + z^2/n) p + (k/n)^2 = 0
+    ph = k / n
+    a, b, c = 1.0 + z * z / n, -(2.0 * ph + z * z / n), ph * ph
+    disc = np.sqrt(b * b - 4.0 * a * c)
+    return (-b - disc) / (2.0 * a), (-b + disc) / (2.0 * a)
+
+
+@pytest.mark.parametrize("k,n", [(0, 10), (3, 10), (5, 10), (10, 10), (17, 400)])
+def test_wilson_interval_is_the_inverted_score_test(k, n):
+    lo, hi = wilson_interval(k, n)
+    want_lo, want_hi = _wilson_oracle(k, n, 1.959963984540054)
+    assert lo == pytest.approx(max(want_lo, 0.0), abs=1e-12)
+    assert hi == pytest.approx(min(want_hi, 1.0), abs=1e-12)
+    assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+def test_wilson_interval_narrows_with_trials():
+    widths = [np.subtract(*wilson_interval(n // 4, n)[::-1]) for n in (20, 80, 320)]
+    assert widths[0] > widths[1] > widths[2] > 0
+
+
+@pytest.mark.parametrize("k,n", [(0, 0), (-1, 10), (11, 10)])
+def test_wilson_interval_rejects_bad_counts(k, n):
+    with pytest.raises(ValueError):
+        wilson_interval(k, n)
