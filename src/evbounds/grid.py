@@ -106,11 +106,6 @@ class GridSpec:
         """Torus distance of every node to the origin."""
         return self._radii
 
-    def points(self, centered: bool = True) -> np.ndarray:
-        """All node coordinates stacked as an (N^d, d) array."""
-        mesh = self.coords(centered)
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def resolvent_symbol(grid: GridSpec, z: complex) -> np.ndarray:
     """Multiplier of (-Laplacian - z)^(-1), shape N^d in DFT layout.

@@ -29,6 +29,7 @@ __all__ = [
 
 _DENSE_BUDGET = 4096
 _CLUSTER_REL_TOL = 1e-7
+_REFLECTION_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,98 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     return h
 
 
+def _torus_reflection(n: int, d: int) -> np.ndarray | None:
+    """Point reflection m -> -m (mod N) of the torus (N,)^d with N^d = n.
+
+    None unless N is a power of two >= 4, the grids a GridSpec admits.
+    """
+    side = round(n ** (1.0 / d))
+    if side < 4 or side & (side - 1) or side**d != n:
+        return None
+    shape = (side,) * d
+    multi = np.unravel_index(np.arange(n), shape)
+    return np.ravel_multi_index(tuple(-m % side for m in multi), shape)
+
+
+def _commuting_reflection(h: np.ndarray) -> np.ndarray | None:
+    """The first torus reflection J, d = 1, 2, 3, with J H J == H bit for bit.
+
+    The diagonal is compared first, then _REFLECTION_ROWS rows at a time,
+    so no n x n temporary is formed and a non-symmetric H fails early.
+    """
+    n = h.shape[0]
+    diag = h.diagonal()
+    for d in (1, 2, 3):
+        j = _torus_reflection(n, d)
+        if j is None or not np.array_equal(diag[j], diag):
+            continue
+        if all(
+            np.array_equal(h[np.ix_(j[lo:lo + _REFLECTION_ROWS], j)], h[lo:lo + _REFLECTION_ROWS])
+            for lo in range(0, n, _REFLECTION_ROWS)
+        ):
+            return j
+    return None
+
+
+def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors: `eigh` when h == h^H bit for bit, else `eig`."""
+    if np.array_equal(h, h.conj().T):
+        return scipy.linalg.eigh(h)
+    return scipy.linalg.eig(h)
+
+
+def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of h from its blocks even and odd under the reflection j.
+
+    The eigenvectors are lifted back to the position basis, one per column.
+    """
+    n = h.shape[0]
+    k = np.arange(n)
+    reps = np.flatnonzero(k <= j)  # fixed points and pair representatives
+    pairs = np.flatnonzero(k < j)
+    fixed = j[reps] == reps
+    half = np.sqrt(0.5)
+    c = np.where(fixed, half, 1.0)
+    even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, j[reps])]) * np.outer(c, c)
+    odd = h[np.ix_(pairs, pairs)] - h[np.ix_(pairs, j[pairs])]
+    w_even, u_even = _solve(even)
+    w_odd, u_odd = _solve(odd)
+
+    # Even columns cover every row through R and JR; odd ones vanish on
+    # the fixed points.
+    vr = np.zeros((n, n), dtype=np.result_type(u_even, u_odd))
+    m = len(reps)
+    lifted = u_even * np.where(fixed, 1.0, half)[:, None]
+    vr[reps, :m] = lifted
+    vr[j[reps], :m] = lifted
+    lifted = u_odd * half
+    vr[pairs, m:] = lifted
+    vr[j[pairs], m:] = -lifted
+    return np.concatenate([w_even, w_odd]), vr
+
+
 def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     """All eigenvalues of a square matrix, clustered into SpectralPoints.
 
-    The driver follows from exact structure, with no tolerance: a matrix
-    equal bit for bit to its conjugate transpose goes to the Hermitian
-    solver `scipy.linalg.eigh`, whose eigenvalues are exactly real, and
-    every other matrix to the general solver `scipy.linalg.eig`.
-    Residuals are ||(H - z)v|| / ||v|| for the computed right eigenvectors.
+    The driver follows from exact structure, with no tolerance.
+    - Reflection split.  For d = 1, 2, 3 in turn, if n = N^d with N a
+      power of two >= 4, let J be the point reflection m -> -m (mod N) of
+      the torus (N,)^d.  The first J with J H J == H bit for bit splits
+      the solve in two.  With R the representatives {k <= Jk}, P the pair
+      representatives {k < Jk} and c_k = sqrt(1/2) on fixed points, 1 on
+      pairs, the even block is (H[R,R] + H[R,JR]) * (c c^T) and the odd
+      block is H[P,P] - H[P,JP], of sizes (n +- 2^d)/2.  Both are
+      exactly symmetric when H is, and exactly Hermitian when H is.
+      Their eigenvectors u are lifted to v[r] = v[Jr] = u/sqrt(2) (even)
+      or v[p] = -v[Jp] = u/sqrt(2) (odd), with v[f] = u on fixed points.
+      Any such J is an exact symmetry of H, so the split is never wrong;
+      with none, H is solved whole.
+    - Driver.  A matrix (H or a block) equal bit for bit to its conjugate
+      transpose goes to the Hermitian solver `scipy.linalg.eigh`, whose
+      eigenvalues are exactly real, and every other matrix to the general
+      solver `scipy.linalg.eig`.
+    Residuals are ||(H - z)v|| / ||v|| for the lifted right eigenvectors,
+    always against the full position-basis H, so they certify the split.
     Multiplicities come from single-linkage clustering: eigenvalues within
     1e-7 max|z| of each other, with max|z| the spectral radius of the
     computed eigenvalues, are linked, and each connected group is one point.
@@ -164,10 +249,8 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     n = h.shape[0]
     check_dense_size(n)
 
-    if np.array_equal(h, h.conj().T):
-        w, vr = scipy.linalg.eigh(h)
-    else:
-        w, vr = scipy.linalg.eig(h)
+    j = _commuting_reflection(h)
+    w, vr = _solve(h) if j is None else _solve_split(h, j)
     vnorms = np.linalg.norm(vr, axis=0)
     residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / vnorms
 

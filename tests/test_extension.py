@@ -148,7 +148,7 @@ def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     R = 2.0 if d == 2 else 1.0
     net_out = build_net(lam=1.0, R=R, d=d)
     net_in = net_out if lam_in is None else build_net(lam=lam_in, R=R, d=d)
-    pts = gs.points(centered=True)
+    pts = np.stack([m.ravel() for m in gs.coords(centered=True)], axis=-1)
     e_out = extension_matrix(net_out, pts) / np.sqrt(net_out.weights)
     e_in = extension_matrix(net_in, pts) / np.sqrt(net_in.weights)
     want = (e_out.conj().T * (field.values.ravel() * gs.cellvol)) @ e_in

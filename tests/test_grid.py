@@ -143,7 +143,7 @@ def test_cached_arrays_do_not_enter_equality_or_hash():
 
 def test_centered_coordinates_cover_half_open_box():
     g = GridSpec(d=1, L=8.0, N=8)
-    pts = g.points(centered=True).ravel()
+    pts = g.axis_centered
     assert pts.min() == -4.0 and pts.max() == 3.0
     assert set(np.diff(np.sort(pts))) == {1.0}
 
@@ -174,7 +174,7 @@ def test_lap_symbol_is_exactly_even(d, N):
 
 def test_radii_are_torus_distances():
     g = GridSpec(d=2, L=6.0, N=8)
-    pts = g.points(centered=False)
+    pts = np.stack([m.ravel() for m in g.coords(centered=False)], axis=-1)
     images = [np.array([a, b]) * g.L for a in (-1, 0, 1) for b in (-1, 0, 1)]
     want = np.min([np.linalg.norm(pts + img, axis=1) for img in images], axis=0)
     np.testing.assert_allclose(g.radii().ravel(), want, rtol=0, atol=1e-14)

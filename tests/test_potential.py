@@ -20,7 +20,7 @@ def test_indicator_values():
     """indicator_ball a=1 R=1: value 1 at x=0, value 0 at x=4."""
     gs = GridSpec(d=1, L=8.0, N=64)
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=1.0), gs)
-    x = gs.points(centered=True).ravel()
+    x = gs.axis_centered
     assert field.values[np.argmin(np.abs(x))] == 1.0
     assert field.values[np.argmin(np.abs(x - 4.0))] == 0.0
     assert field.values[np.argmin(np.abs(x - 1.0))] == 1.0  # boundary node included
@@ -29,7 +29,7 @@ def test_indicator_values():
 def test_power_decay_value():
     gs = GridSpec(d=1, L=16.0, N=64)
     field = sample_potential(PotentialSpec(kind="power_decay", s=1.0), gs)
-    x = gs.points(centered=True).ravel()
+    x = gs.axis_centered
     k = np.argmin(np.abs(x - 2.0))
     assert field.values[k] == pytest.approx(1.0 / 4.0)  # <2> = 2 + |2| = 4
 
@@ -38,7 +38,7 @@ def test_wigner_decay_envelope():
     """|V(x)|*|x| stays bounded over |x| in [10, 100]."""
     gs = GridSpec(d=1, L=256.0, N=2048)
     field = sample_potential(PotentialSpec(kind="wigner_von_neumann"), gs)
-    x = gs.points(centered=True).ravel()
+    x = gs.axis_centered
     sel = (np.abs(x) >= 10.0) & (np.abs(x) <= 100.0)
     assert np.max(np.abs(field.values[sel]) * np.abs(x[sel])) < 10.0
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from evbounds import GridSpec
+from evbounds import GridSpec, spectra
 from evbounds.birman_schwinger import assemble_bs
 from evbounds.potential import PotentialSpec, sample_potential
+from evbounds.randomize import OmegaSpec, anderson_randomize, draw_omega
 from evbounds.spectra import (
     SpectralPoint,
     SpectrumFilter,
@@ -47,6 +48,12 @@ def test_real_potential_hermitian():
     assert np.array_equal(h, h.T)
 
 
+def _reflection(gs):
+    """Flat indices of the point reflection m -> -m (mod N) of the grid."""
+    multi = np.unravel_index(np.arange(gs.node_count), gs.shape)
+    return np.ravel_multi_index(tuple(-m % gs.N for m in multi), gs.shape)
+
+
 @pytest.mark.parametrize(
     "grid,amplitude,dtype",
     [
@@ -55,13 +62,118 @@ def test_real_potential_hermitian():
         (GridSpec(d=2, L=8.0, N=16), 2.0 + 0.0j, np.float64),
         (GridSpec(d=1, L=16.0, N=64), 2.0 + 1.0j, np.complex128),
         (GridSpec(d=2, L=8.0, N=16), 1.0 + 2.0j, np.complex128),
+        (GridSpec(d=1, L=16.0, N=64), 2.0, np.float64),
+        (GridSpec(d=3, L=4.0, N=8), 2.0, np.float64),
+        (GridSpec(d=3, L=4.0, N=8), 1.0 + 2.0j, np.complex128),
     ],
-    ids=["real_2d", "zero_imag_2d", "dissipative_1d", "dissipative_2d"],
+    ids=["real_2d", "zero_imag_2d", "dissipative_1d", "dissipative_2d", "real_1d",
+         "real_3d", "dissipative_3d"],
 )
 def test_hamiltonian_is_exactly_symmetric(grid, amplitude, dtype):
     h = hamiltonian_matrix(grid, _well(grid, amplitude))
     assert h.dtype == dtype
     assert np.array_equal(h, h.T)
+    # the radial well is even, so H commutes with the point reflection J
+    # bit for bit: the property eigenvalues_dense splits on
+    j = _reflection(grid)
+    assert np.array_equal(h, h[np.ix_(j, j)])
+
+
+def _spy_solvers(monkeypatch):
+    """Record the shape of every matrix handed to scipy.linalg.eigh and eig."""
+    shapes = []
+    for name in ("eigh", "eig"):
+        solver = getattr(scipy.linalg, name)
+
+        def spy(a, *args, _solver=solver, **kwargs):
+            shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return shapes
+
+
+def _unsplit(monkeypatch, h):
+    """The oracle: eigenvalues_dense with eigh or eig on the whole of H."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_commuting_reflection", lambda matrix: None)
+        return eigenvalues_dense(h)
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude",
+    [
+        # the spectrum_well benchmark's grid, a real and a dissipative well
+        (GridSpec(d=1, L=32.0, N=512), 2.7),
+        (GridSpec(d=1, L=32.0, N=512), 3.2 * np.exp(1j * np.deg2rad(60.0))),
+        (GridSpec(d=2, L=8.0, N=16), 4.0),
+        (GridSpec(d=2, L=8.0, N=16), 2.0 + 2.0j),
+        (GridSpec(d=3, L=4.0, N=8), 3.0 + 1.0j),
+    ],
+    ids=["1d_real", "1d_dissipative", "2d_real", "2d_dissipative", "3d_dissipative"],
+)
+def test_reflection_split_matches_the_unsplit_solve(monkeypatch, grid, amplitude):
+    h = hamiltonian_matrix(grid, _well(grid, amplitude))
+    want = _unsplit(monkeypatch, h)
+    shapes = _spy_solvers(monkeypatch)
+    got = eigenvalues_dense(h)
+    n, fixed = grid.node_count, 2**grid.d
+    assert shapes == [((n + fixed) // 2,) * 2, ((n - fixed) // 2,) * 2]
+
+    scale = np.abs(h).sum(axis=0).max()  # ||H||_1
+    assert len(got) == len(want)
+    zs = np.array([q.z for q in want])
+    matched = []
+    for p in got:
+        i = int(np.argmin(np.abs(zs - p.z)))
+        matched.append(i)
+        assert abs(p.z - want[i].z) <= 1e-13 * scale
+        assert p.multiplicity == want[i].multiplicity
+    assert len(set(matched)) == len(want)
+    if np.isrealobj(h):
+        filt = SpectrumFilter(band=(0.0, np.inf), essential_margin=2 * (2 * np.pi / grid.L) ** 2)
+        kept, kept_oracle = filter_discrete(got, filt), filter_discrete(want, filt)
+        assert kept and len(kept) == len(kept_oracle)
+        for p, q in zip(kept, kept_oracle):
+            assert abs(p.z - q.z) <= 1e-12 * abs(q.z)
+    assert max(p.residual for p in got) <= 1e-10 * scale
+
+
+def _knapp_well(gs):
+    spec = PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5})
+    return hamiltonian_matrix(gs, sample_potential(spec, gs))
+
+
+def _anderson_well(gs):
+    omega = draw_omega(OmegaSpec(h=1.0, distribution="bernoulli", master_seed=3), gs)
+    return hamiltonian_matrix(gs, anderson_randomize(_well(gs, 2.0 + 1.0j), omega))
+
+
+def _nudged_well(gs):
+    h = hamiltonian_matrix(gs, _well(gs))
+    # H[J1, J2] equals H[1, 2] until the pair moves by one ulp
+    h[1, 2] = h[2, 1] = np.nextafter(h[1, 2], np.inf)
+    return h
+
+
+@pytest.mark.parametrize(
+    "grid,build",
+    [
+        (GridSpec(d=1, L=16.0, N=64), _knapp_well),
+        (GridSpec(d=2, L=16.0, N=16), _knapp_well),
+        (GridSpec(d=1, L=16.0, N=64), _anderson_well),
+        (GridSpec(d=1, L=16.0, N=64), _nudged_well),
+    ],
+    ids=["knapp_1d", "knapp_2d", "anderson", "one_ulp_pair"],
+)
+def test_no_split_without_exact_reflection_symmetry(monkeypatch, grid, build):
+    h = build(grid)
+    j = _reflection(grid)
+    assert not np.array_equal(h, h[np.ix_(j, j)])
+    want = _unsplit(monkeypatch, h)
+    shapes = _spy_solvers(monkeypatch)
+    assert eigenvalues_dense(h) == want
+    assert shapes == [h.shape]
 
 
 @pytest.mark.parametrize(
