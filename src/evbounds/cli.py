@@ -296,9 +296,9 @@ def _read_norms(path: Path) -> dict[int, float]:
     """Stored norms by realization index; {} when the file does not exist.
 
     A file _write_norms did not leave whole (wrong header, no final newline,
-    a row that is not one integer index and one finite norm, or an index
-    seen twice) raises ConfigError naming it, so a campaign never resumes
-    from a cut or corrupted row.
+    a row that is not one index idx >= 0 spelled str(idx) and one finite
+    norm, or an index seen twice) raises ConfigError naming it and the
+    line, so a campaign never resumes from a cut or corrupted row.
     """
     if not path.exists():
         return {}
@@ -314,6 +314,8 @@ def _read_norms(path: Path) -> dict[int, float]:
             if len(fields) != 2:
                 raise ValueError(f"{len(fields)} fields")
             idx, val = int(fields[0]), float(fields[1])
+            if idx < 0 or fields[0] != str(idx):
+                raise ValueError(f"index {fields[0]!r} is not a plain nonnegative integer")
         except ValueError as err:
             raise ConfigError(f"{path}, line {lineno}: malformed row {line!r} ({err})") from None
         if not np.isfinite(val):

@@ -167,11 +167,6 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:12]
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def with_seed(self, master_seed: int) -> RunConfig:
         if self.omega is None:
             return self

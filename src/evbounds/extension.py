@@ -21,7 +21,6 @@ import numpy as np
 
 from .potential import PotentialField
 from .randomize import OmegaField, anderson_randomize
-from .util import spectral_norm
 
 __all__ = [
     "SphereNet",
@@ -76,14 +75,8 @@ class SphereNet:
 class SandwichOperator:
     """Dense co-extension / potential / extension product."""
 
-    net_out: SphereNet
-    net_in: SphereNet
     matrix: np.ndarray
     potential_ref: dict = dc_field(default_factory=dict)  # provenance of the sandwiched field
-
-    def norm(self) -> float:
-        """Operator norm ||E* V E||: the exact largest singular value."""
-        return spectral_norm(self.matrix)
 
 
 def build_net(lam: float, R: float, d: int) -> SphereNet:
@@ -194,25 +187,15 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
         rows_in = None if t_in is None else _phase_rows(t_in, idx)
         m += _gram(_phase_rows(t_out, idx), weights[lo : lo + step], rows_in)
     _apply_net_weights(m, net_out, net_in)
-    return SandwichOperator(net_out, net_in, m, {"support_nodes": int(support.size)})
+    return SandwichOperator(m, {"support_nodes": int(support.size)})
 
 
-def _cell_blocks(field: PotentialField, h: float):
-    """Split node values into h-cell blocks; None when cells don't tile nodes."""
-    gs = field.grid
-    ratio = h / gs.dx
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9:
-        return None
-    nc = gs.N // r
-    if nc * r != gs.N:
-        return None
-    d = gs.d
-    shape = sum(((nc, r),) * d, ())
-    blocks = field.values.reshape(shape)
+def _cell_rows(a: np.ndarray, r: int) -> np.ndarray:
+    """Regroup an (N,)^d node array into (nc^d, r^d): row-major cells of row-major nodes."""
+    d, nc = a.ndim, a.shape[0] // r
     # (nc, r, nc, r, ...) -> (nc, ..., nc, r, ..., r)
     order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-    return np.ascontiguousarray(blocks.transpose(order)), nc, r
+    return a.reshape(sum(((nc, r),) * d, ())).transpose(order).reshape(nc**d, r**d)
 
 
 class SandwichEnsemble:
@@ -240,35 +223,28 @@ class SandwichEnsemble:
         self.field = field
         self.h = float(h)
         gs = field.grid
-        split = _cell_blocks(field, h)
-        self._factored = split is not None
+        r = int(round(h / gs.dx))
+        self._factored = r >= 1 and abs(h / gs.dx - r) <= 1e-9 and gs.N % r == 0
         if not self._factored:
             return
-        blocks, nc, r = split
-        d = gs.d
-        flat = blocks.reshape(nc**d, r**d)
+        d, nc = gs.d, gs.N // r
+        flat = _cell_rows(field.values, r)
 
-        const = np.all(flat == flat[:, :1], axis=1)
-        tau_axis = (gs.axis_raw >= gs.L / 2).astype(int)
-        tau_blocks = tau_axis.reshape(nc, r)
-        tau_const_axis = np.all(tau_blocks == tau_blocks[:, :1], axis=1)
-        tau_ok = tau_const_axis
-        for _ in range(d - 1):
-            tau_ok = np.logical_and.outer(tau_ok, tau_const_axis)
-        uniform = const & tau_ok.ravel()
+        # A uniform cell also keeps one torus offset.  N and r are powers of
+        # two, so L/2 falls on a cell boundary unless one cell spans the box.
         cell_vals = flat[:, 0]
-        active = uniform & (cell_vals != 0)
+        active = np.all(flat == flat[:, :1], axis=1) & (cell_vals != 0) & (nc > 1)
         self._uniform_cells = np.flatnonzero(active)
         self._uniform_vals = cell_vals[active]
         corners = tuple(c * r for c in np.unravel_index(self._uniform_cells, (nc,) * d))
 
         mixed = np.flatnonzero(~active & np.any(flat != 0, axis=1))
         self._n_mixed = mixed.size
-        nodes = _cell_nodes(nc, r, d, mixed)
-        node_vals = field.values[nodes]
+        node_vals = flat[mixed]
         keep = node_vals != 0
-        nodes = tuple(ax[keep] for ax in nodes)
-        self._mixed_cell_of_row = np.repeat(mixed, r**d)[keep]
+        node_ids = _cell_rows(np.arange(gs.node_count).reshape(gs.shape), r)[mixed][keep]
+        nodes = np.unravel_index(node_ids, gs.shape)
+        self._mixed_cell_of_row = mixed[keep.nonzero()[0]]
         self._mixed_vals = node_vals[keep]
 
         tables = _axis_tables(gs.axis_centered, net_out)
@@ -318,8 +294,6 @@ class SandwichEnsemble:
         m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
         return SandwichOperator(
-            self.net_out,
-            self.net_in,
             m,
             {
                 "uniform_cells": int(self._uniform_cells.size),
@@ -328,13 +302,6 @@ class SandwichEnsemble:
                 "realization_index": omega.spec.realization_index,
             },
         )
-
-
-def _cell_nodes(nc, r, d, cells):
-    """Per-axis node indices of the given flat cell indices, cell-major order."""
-    cell_multi = np.unravel_index(cells, (nc,) * d)
-    offsets = np.meshgrid(*([np.arange(r)] * d), indexing="ij")
-    return tuple((c[:, None] * r + o.ravel()[None, :]).ravel() for c, o in zip(cell_multi, offsets))
 
 
 def _axis_tables(axis, net):

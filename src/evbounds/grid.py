@@ -95,12 +95,11 @@ class GridSpec:
 
     @cached_property
     def _radii(self) -> np.ndarray:
-        return _read_only(np.sqrt(sum(c * c for c in self.coords(centered=True))))
+        return _read_only(np.sqrt(sum(c * c for c in self.coords())))
 
-    def coords(self, centered: bool = True) -> list[np.ndarray]:
-        """Node coordinate meshes, one array of shape N^d per dimension."""
-        axis = self.axis_centered if centered else self.axis_raw
-        return np.meshgrid(*([axis] * self.d), indexing="ij")
+    def coords(self) -> list[np.ndarray]:
+        """Torus-centered node coordinate meshes, one array of shape N^d per dimension."""
+        return np.meshgrid(*([self.axis_centered] * self.d), indexing="ij")
 
     def radii(self) -> np.ndarray:
         """Torus distance of every node to the origin."""

@@ -81,7 +81,8 @@ FITTED_CONSTANTS: dict = {
     ("EVSUM", 2): (0.0623, 1.914),
 }
 
-_EPS_RATIO_DEFAULT = 0.05
+# Points with |eps| > _EPS_RATIO * lam are left out of the THM1/THM3 maxima.
+_EPS_RATIO = 0.05
 
 
 @dataclass(frozen=True)
@@ -192,12 +193,12 @@ def check_sector(points, potential: PotentialField, q: float, kappa: float) -> B
     return _report("SECTOR", lhs, rhs, constant, params, vacuous=not points)
 
 
-def _bracket_bound_lhs(points, d, q, h, log_arg_scale, log_power, eps_ratio):
+def _bracket_bound_lhs(points, d, q, h, log_arg_scale, log_power):
     """max over admissible points of lambda^{2-d/q} / (<lam h>^{d/2} ln(<lam s>)^pow)."""
     vals = []
     for pt in points:
         lam, eps = pt.lam, pt.eps
-        if lam <= 0 or abs(eps) > eps_ratio * lam:
+        if lam <= 0 or abs(eps) > _EPS_RATIO * lam:
             continue
         denom = bracket(lam * h) ** (d / 2) * np.log(bracket(lam * log_arg_scale)) ** log_power
         vals.append(lam ** (2.0 - d / q) / denom)
@@ -213,7 +214,6 @@ def check_thm1(
     q: float,
     R: float,
     M: float,
-    eps_ratio: float = _EPS_RATIO_DEFAULT,
 ) -> BoundReport:
     """Per-realization check of the R-ball eigenvalue bound with log power 7/2."""
     d = potential_det.grid.d
@@ -225,9 +225,9 @@ def check_thm1(
         )
     if not omega_spec.h < R:
         raise ValueError(f"cell size h={omega_spec.h} must be below R={R}")
-    lhs, vacuous = _bracket_bound_lhs(points, d, q, omega_spec.h, R, 3.5, eps_ratio)
+    lhs, vacuous = _bracket_bound_lhs(points, d, q, omega_spec.h, R, 3.5)
     rhs = lq_norm(potential_det, q)
-    params = {"d": d, "q": q, "R": R, "M": M, "h": omega_spec.h, "eps_ratio": eps_ratio}
+    params = {"d": d, "q": q, "R": R, "M": M, "h": omega_spec.h, "eps_ratio": _EPS_RATIO}
     seed = {
         "master_seed": omega_spec.master_seed,
         "realization_index": omega_spec.realization_index,
@@ -241,15 +241,14 @@ def check_thm3(
     omega_spec: OmegaSpec,
     q: float,
     M: float,
-    eps_ratio: float = _EPS_RATIO_DEFAULT,
 ) -> BoundReport:
     """As check_thm1 with the cell-scale log factor squared and no ball."""
     d = potential.grid.d
     if not q < d + 1:
         raise ValueError(f"q must be < d+1 = {d + 1}, got {q}")
-    lhs, vacuous = _bracket_bound_lhs(points, d, q, omega_spec.h, omega_spec.h, 2.0, eps_ratio)
+    lhs, vacuous = _bracket_bound_lhs(points, d, q, omega_spec.h, omega_spec.h, 2.0)
     rhs = lq_norm(potential, q)
-    params = {"d": d, "q": q, "M": M, "h": omega_spec.h, "eps_ratio": eps_ratio}
+    params = {"d": d, "q": q, "M": M, "h": omega_spec.h, "eps_ratio": _EPS_RATIO}
     seed = {
         "master_seed": omega_spec.master_seed,
         "realization_index": omega_spec.realization_index,
@@ -305,7 +304,7 @@ def config_sandwiches(field: PotentialField, lam: float, R: float, omegas=None):
 
 def _identity_realization(ensemble: SandwichEnsemble, omega_spec: OmegaSpec):
     """The ensemble's omega = 1 realization, its deterministic M(1)."""
-    return ensemble.with_omega(OmegaField.constant(omega_spec, ensemble.field.grid, 1.0))
+    return ensemble.with_omega(OmegaField.constant(omega_spec, ensemble.field.grid))
 
 
 # Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
@@ -454,13 +453,13 @@ def check_evsum(
     eps: float,
     R0: float,
     h: float,
-    constants: tuple[float, float] | None = None,
 ) -> BoundReport:
     """Windowed sum of delta(z_j) against the weighted sup norm of V.
 
     The window keeps 1/R0 <= sqrt|z| <= 1/h; the sum runs through
-    eigenvalue_sum on its exponent-zero path.  constants is (c1, c2) with
-    rhs_raw reported for c2 = 1 and the margin computed under both.
+    eigenvalue_sum on its exponent-zero path.  The constants (c1, c2) are
+    FITTED_CONSTANTS[("EVSUM", d)], (1, 1) for a d without an entry;
+    rhs_raw is reported for c2 = 1 and the margin lhs / (c1 rhs_raw^c2).
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
@@ -471,7 +470,7 @@ def check_evsum(
     # sigma chosen so the |z| exponent collapses to zero: 2 p sigma - 1 + eps = 1.
     lhs = eigenvalue_sum(windowed, p=1.0, sigma=(2.0 - eps) / 2.0, eps=eps)
     rhs = weighted_sup_norm(potential, 0.5 + 3.0 * eps)
-    c1, c2 = constants or FITTED_CONSTANTS.get(("EVSUM", potential.grid.d), (1.0, 1.0))
+    c1, c2 = FITTED_CONSTANTS.get(("EVSUM", potential.grid.d), (1.0, 1.0))
     params = {
         "d": potential.grid.d,
         "eps": eps,
@@ -493,8 +492,8 @@ def check_evsum(
     )
 
 
-def concentration_tail(norms, mean: float | None = None, thresholds=(1.25, 1.5, 2.0)) -> TailStudy:
-    """Exceedance fractions at M*mean and the slope of log-fraction vs M^2.
+def concentration_tail(norms, thresholds=(1.25, 1.5, 2.0)) -> TailStudy:
+    """Exceedance fractions at M times the sample mean and the slope of log-fraction vs M^2.
 
     The reported c is the negated fitted slope, so Gaussian-type
     concentration shows up as c > 0.  Reported fractions are exact k/n;
@@ -503,7 +502,7 @@ def concentration_tail(norms, mean: float | None = None, thresholds=(1.25, 1.5, 
     overstates an unobserved tail, so the fitted c is conservative.
     """
     norms = np.asarray(norms, dtype=float)
-    mu = float(norms.mean()) if mean is None else float(mean)
+    mu = float(norms.mean())
     ms = tuple(float(m) for m in thresholds)
     entries = tail_table(norms, [m * mu for m in ms])
     fracs = np.array([e.fraction for e in entries])
@@ -596,12 +595,12 @@ def evsum_sweep(
     of the campaign parameterization separates discrete states from the
     box's blurred half-line.
     """
+    omega = None if omega_spec is None else draw_omega(omega_spec, grid)
     reports = []
     for a in amplitudes:
         spec = dataclasses.replace(base_spec, amplitude=complex(a) * base_spec.amplitude)
         field = sample_potential(spec, grid)
-        if omega_spec is not None:
-            omega = draw_omega(omega_spec, grid)
+        if omega is not None:
             field = anderson_randomize(field, omega)
         hmat = hamiltonian_matrix(grid, field)
         points = filter_discrete(eigenvalues_dense(hmat), filt)

@@ -81,7 +81,6 @@ class DyadicLayer:
 
     index: int
     threshold: float  # H_i, upper bound of |V| on the mask
-    lower_threshold: float  # H_{i+1}
     mask: np.ndarray
     values: np.ndarray
 
@@ -123,7 +122,7 @@ def sample_potential(spec: PotentialSpec, grid: GridSpec) -> PotentialField:
     elif spec.kind == "knapp_oscillatory":
         half = _slab_half_widths(spec, grid.d)
         support_radius = float(np.sqrt((half**2).sum()))
-        mesh = grid.coords(centered=True)
+        mesh = grid.coords()
         inside = np.ones(grid.shape, dtype=bool)
         for axis_coord, h in zip(mesh, half):
             inside &= np.abs(axis_coord) <= h
@@ -217,7 +216,6 @@ def dyadic_decompose(field: PotentialField) -> list[DyadicLayer]:
             DyadicLayer(
                 index=idx,
                 threshold=float(levels[idx]),
-                lower_threshold=float(levels[idx + 1]),
                 mask=mask,
                 values=np.where(mask, field.values, 0.0),
             )

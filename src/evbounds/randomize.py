@@ -61,17 +61,13 @@ class OmegaField:
 
     spec: OmegaSpec
     grid: GridSpec
-    cells: np.ndarray  # shape (cells_per_axis,) * d
-
-    @property
-    def cells_per_axis(self) -> int:
-        return self.cells.shape[0]
+    cells: np.ndarray  # shape (nc,) * d, nc cells per axis
 
     @classmethod
-    def constant(cls, spec: OmegaSpec, grid: GridSpec, value: float = 1.0) -> OmegaField:
-        """All-equal weights; value 1 reproduces the deterministic potential."""
+    def constant(cls, spec: OmegaSpec, grid: GridSpec) -> OmegaField:
+        """Weight 1 on every cell: the deterministic potential, nothing drawn."""
         nc = _cells_per_axis(spec, grid)
-        return cls(spec, grid, np.full((nc,) * grid.d, value, dtype=float))
+        return cls(spec, grid, np.ones((nc,) * grid.d))
 
     def at_nodes(self) -> np.ndarray:
         """Expand cell weights to the grid nodes (node x sits in cell floor(x/h))."""

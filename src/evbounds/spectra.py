@@ -123,19 +123,22 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     kernel = np.fft.ifftn(grid.lap_symbol).real
     for ax in range(grid.d):
         kernel = 0.5 * (kernel + np.roll(np.flip(kernel, ax), 1, ax))
-    # Multi-axis circulant: index the kernel by the per-axis differences of
-    # the row and column multi-indices.
-    multi = np.unravel_index(np.arange(n), grid.shape)
+    # Multi-axis circulant: the kernel at the per-axis differences of row and
+    # column multi-indices, axis a's N x N differences broadcast on axes a, d + a.
+    d, N = grid.d, grid.N
+    diff = (np.arange(N)[:, None] - np.arange(N)) % N
     gather = tuple(
-        (multi[ax][:, None] - multi[ax][None, :]) % grid.N for ax in range(grid.d)
+        diff.reshape((1,) * a + (N,) + (1,) * (d - 1) + (N,) + (1,) * (d - 1 - a))
+        for a in range(d)
     )
-    h = kernel[gather].astype(np.result_type(vals, float), copy=False)
+    h = kernel[gather].reshape(n, n).astype(np.result_type(vals, float), copy=False)
     h[np.diag_indices(n)] -= vals.ravel()
 
     rng = np.random.default_rng(0xA11CE)
     for _ in range(2):
         v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        direct = (h @ v.ravel()).reshape(grid.shape)
+        # Real and imaginary parts apart, so a real H is never cast to complex.
+        direct = (h @ v.real.ravel() + 1j * (h @ v.imag.ravel())).reshape(grid.shape)
         spectral = apply_multiplier(grid, grid.lap_symbol, v) - vals * v
         err = np.linalg.norm(direct - spectral) / np.linalg.norm(spectral)
         if err > 1e-10:

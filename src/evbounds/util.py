@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# 95% two-sided normal quantile, used by every Wilson interval in the package.
-_Z95 = 1.959963984540054
-
 
 def bracket(t):
     """Regularized magnitude <t> := 2 + |t|, elementwise on arrays."""
     return 2.0 + np.abs(t)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion.
 
     Preferred over the Wald interval because it stays inside [0, 1] and
     behaves at zero counts, which tail studies hit routinely.
@@ -23,6 +20,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
+    z = 1.959963984540054  # 95% two-sided normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

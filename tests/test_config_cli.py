@@ -68,7 +68,7 @@ def test_canonical_form_is_minimal():
 def test_file_roundtrip(tmp_path):
     cfg = RunConfig.from_dict(_base_dict())
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    path.write_text(json.dumps(cfg.to_dict(), indent=2), encoding="utf-8")
     assert load_config(path) == cfg
 
 
@@ -376,10 +376,14 @@ def test_campaign_rejects_norms_file_cut_mid_row(tmp_path, capsys):
         "realization_index,norm\n0,nan\n",
         "realization_index,norm\n0,inf\n",
         "realization_index,norm\n0,1.5\n0,1.5\n",
+        "realization_index,norm\n-1,0.5\n",
+        "realization_index,norm\n+3,2.0\n",
+        "realization_index,norm\n 4,1.0\n",
     ],
     ids=[
         "empty", "header", "no_final_newline", "three_fields", "one_field", "blank_row",
-        "float_index", "bad_value", "nan", "inf", "repeated_index",
+        "float_index", "bad_value", "nan", "inf", "repeated_index", "negative_index",
+        "signed_index", "padded_index",
     ],
 )
 def test_read_norms_rejects_damaged_file(tmp_path, text):

@@ -14,8 +14,9 @@ from evbounds.extension import (
     singular_values,
     weak_schatten,
 )
-from evbounds.potential import PotentialSpec, sample_potential
+from evbounds.potential import PotentialField, PotentialSpec, sample_potential
 from evbounds.randomize import OmegaField, OmegaSpec, anderson_randomize, draw_omega
+from evbounds.util import spectral_norm
 
 import oracles
 
@@ -148,7 +149,7 @@ def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     R = 2.0 if d == 2 else 1.0
     net_out = build_net(lam=1.0, R=R, d=d)
     net_in = net_out if lam_in is None else build_net(lam=lam_in, R=R, d=d)
-    pts = np.stack([m.ravel() for m in gs.coords(centered=True)], axis=-1)
+    pts = np.stack([m.ravel() for m in gs.coords()], axis=-1)
     e_out = extension_matrix(net_out, pts) / np.sqrt(net_out.weights)
     e_in = extension_matrix(net_in, pts) / np.sqrt(net_in.weights)
     want = (e_out.conj().T * (field.values.ravel() * gs.cellvol)) @ e_in
@@ -162,7 +163,7 @@ def test_identity_realization_matches_deterministic():
     field = _field(gs, amplitude=1.0 + 0.5j, R=2.0)
     spec = _omega_spec(h=1.0)
     plain = sandwich(net, net, field)
-    ones = SandwichEnsemble(net, net, field, spec.h).with_omega(OmegaField.constant(spec, gs, 1.0))
+    ones = SandwichEnsemble(net, net, field, spec.h).with_omega(OmegaField.constant(spec, gs))
     scale = np.abs(plain.matrix).max()
     np.testing.assert_allclose(ones.matrix, plain.matrix, atol=1e-12 * scale)
 
@@ -231,6 +232,17 @@ def test_ensemble_with_two_nets_matches_node_level_route():
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
 
+def test_single_cell_straddling_the_seam_matches_node_level_route():
+    """At h = L the one cell holds both torus offsets, so V constant on it is no uniform cell."""
+    gs = GridSpec(d=2, L=4.0, N=16)
+    field = PotentialField(gs, np.ones(gs.shape, dtype=complex), support_radius=gs.L)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    omega = draw_omega(OmegaSpec(h=gs.L, distribution="gaussian", master_seed=5), gs)
+    fast = SandwichEnsemble(net, net, field, h=gs.L).with_omega(omega).matrix
+    slow = sandwich(net, net, anderson_randomize(field, omega)).matrix
+    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
 def test_ensemble_is_hermitian_for_real_potential_and_signs():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
@@ -247,9 +259,9 @@ def test_ensemble_gram_rows_count_changed_weights():
     field = _field(gs, amplitude=1.0, R=2.0)
     spec = _omega_spec(h=1.0)
     ens = SandwichEnsemble(net, net, field, h=1.0)
-    ones = ens.with_omega(OmegaField.constant(spec, gs, 1.0))
+    ones = ens.with_omega(OmegaField.constant(spec, gs))
     assert ones.potential_ref["gram_rows"] == 0
-    flipped = ens.with_omega(OmegaField.constant(spec, gs, -1.0)).potential_ref
+    flipped = ens.with_omega(OmegaField(spec, gs, -np.ones((8, 8)))).potential_ref
     per_cell = 4**2  # h / dx = 4 nodes per axis
     support = np.count_nonzero(field.values)
     assert flipped["mixed_cells"] > 0
@@ -345,7 +357,7 @@ def test_operator_norm_is_top_singular_value():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
     op = sandwich(net, net, _field(gs, amplitude=1.0 + 1.0j, R=2.0))
-    assert op.norm() == pytest.approx(singular_values(op)[0], rel=1e-10)
+    assert spectral_norm(op.matrix) == pytest.approx(singular_values(op)[0], rel=1e-10)
 
 
 def test_phase_rotation_leaves_singular_values():

@@ -41,7 +41,7 @@ def test_identity_multiplier():
 def test_plane_wave_is_laplacian_eigenfunction(m):
     d = len(m)
     g = GridSpec(d=d, L=4.0, N=16)
-    mesh = g.coords(centered=False)
+    mesh = np.meshgrid(*([g.axis_raw] * d), indexing="ij")
     phase = sum(mi / g.L * x for mi, x in zip(m, mesh))
     wave = np.exp(2j * np.pi * phase)
     out = apply_multiplier(g, g.lap_symbol, wave)
@@ -174,7 +174,8 @@ def test_lap_symbol_is_exactly_even(d, N):
 
 def test_radii_are_torus_distances():
     g = GridSpec(d=2, L=6.0, N=8)
-    pts = np.stack([m.ravel() for m in g.coords(centered=False)], axis=-1)
+    mesh = np.meshgrid(g.axis_raw, g.axis_raw, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
     images = [np.array([a, b]) * g.L for a in (-1, 0, 1) for b in (-1, 0, 1)]
     want = np.min([np.linalg.norm(pts + img, axis=1) for img in images], axis=0)
     np.testing.assert_allclose(g.radii().ravel(), want, rtol=0, atol=1e-14)

@@ -9,6 +9,7 @@ from evbounds import GridSpec
 from evbounds.errors import SupportError
 from evbounds.extension import SandwichEnsemble, build_net, sandwich
 from evbounds.harness import (
+    FITTED_CONSTANTS,
     BoundReport,
     check_aad_1d,
     check_evsum,
@@ -278,7 +279,8 @@ def test_deterministic_ext_norm_matches_node_level_sandwich(spec, R, dx, path):
     if path == "node":
         assert not ens._factored
     else:
-        ref = ens.with_omega(OmegaField.constant(_omega(), ens.field.grid, -1.0)).potential_ref
+        flip = -OmegaField.constant(_omega(), ens.field.grid).cells
+        ref = ens.with_omega(OmegaField(_omega(), ens.field.grid, flip)).potential_ref
         assert (ref["uniform_cells"] > 0) == (path == "uniform")
     got = deterministic_ext_norm(spec, lam=1.0, R=R, dx=dx)
     assert got == pytest.approx(want, rel=1e-12)
@@ -384,10 +386,11 @@ def test_evsum_single_point_unit_mass():
     assert report.rhs_raw == pytest.approx(weighted_sup_norm(field, 0.8), rel=1e-12)
 
 
-def test_evsum_custom_constants_margin():
+def test_evsum_custom_constants_margin(monkeypatch):
+    monkeypatch.setitem(FITTED_CONSTANTS, ("EVSUM", 2), (2.0, 1.5))
     gs = GridSpec(d=2, L=8.0, N=16)
     field = sample_potential(PotentialSpec(kind="indicator_ball", amplitude=1.0j), gs)
-    report = check_evsum([_pt(-1.0)], field, eps=0.1, R0=4.0, h=0.25, constants=(2.0, 1.5))
+    report = check_evsum([_pt(-1.0)], field, eps=0.1, R0=4.0, h=0.25)
     assert report.margin == pytest.approx(1.0 / (2.0 * report.rhs_raw**1.5), rel=1e-12)
 
 
@@ -409,9 +412,9 @@ def test_concentration_tail_gaussian_like():
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
 
-def test_concentration_tail_explicit_mean():
-    norms = np.concatenate([np.full(150, 0.5), np.full(50, 3.0)])
-    study = concentration_tail(norms, mean=1.0, thresholds=(2.0, 4.0))
+def test_concentration_tail_thresholds_scale_the_sample_mean():
+    norms = np.concatenate([np.full(150, 0.5), np.full(50, 2.5)])  # mean 1
+    study = concentration_tail(norms, thresholds=(2.0, 4.0))
     assert study.entries[0].fraction == pytest.approx(0.25)
     assert study.entries[1].fraction == 0.0
 

@@ -155,12 +155,14 @@ def test_dyadic_zero_field_empty():
 def test_dyadic_masks_respect_threshold_window():
     gs = GridSpec(d=1, L=64.0, N=512)
     field = sample_potential(PotentialSpec(kind="power_decay", s=1.0), gs)
-    for layer in dyadic_decompose(field):
+    layers = dyadic_decompose(field)
+    lower = [layer.threshold for layer in layers[1:]] + [0.0]
+    for layer, low in zip(layers, lower):
         mags = np.abs(layer.values[layer.mask])
         if mags.size == 0:
             continue
         assert np.all(mags <= layer.threshold + 1e-15)
-        assert np.all(mags >= layer.lower_threshold - 1e-15)
+        assert np.all(mags >= low - 1e-15)
         measure = np.count_nonzero(np.abs(field.values) > layer.threshold) * field.grid.cellvol
         assert measure <= 2.0 ** (layer.index - 1) + 1e-12
 

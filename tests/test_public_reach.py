@@ -5,8 +5,11 @@ benchmark and the acceptance tests.  A name is reached when a root loads
 it, or when the body of a reached module-level definition loads it; a
 string constant that spells an identifier counts as a load, since the
 benchmark wraps functions it names by string.  Every name in a module's
-__all__ and every name the package __init__ imports must be reached.  The
-files are read with ast: nothing is imported or run.
+__all__ and every name the package __init__ imports must be reached, and
+so must every method, property and annotated field of a class under
+src/evbounds.  Members are matched by name alone, like module names: a
+member shares its reach with any attribute of the same name.  The files
+are read with ast: nothing is imported or run.
 """
 
 from __future__ import annotations
@@ -92,6 +95,28 @@ def _reached() -> set[str]:
     return reached
 
 
+def _members() -> list[tuple[str, str]]:
+    """(qualified name, name) of every method, property and annotated field of a class.
+
+    Dunder methods are left out: Python calls them, no program names them.
+    """
+    members = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.append((f"evbounds.{path.stem}.{cls.name}.{name}", name))
+    return members
+
+
 def test_roots_are_found():
     names = {p.relative_to(ROOT).as_posix() for p in ROOTS}
     assert {"src/evbounds/cli.py", "demos/well_spectrum.py", "bench/run.py"} <= names
@@ -104,3 +129,10 @@ def test_every_export_is_reached():
     reached = _reached()
     unreached = sorted(f"{where}.{name}" for name, where in exports.items() if name not in reached)
     assert unreached == []
+
+
+def test_every_class_member_is_reached():
+    members = _members()
+    assert ("evbounds.grid.GridSpec.coords", "coords") in members
+    reached = _reached()
+    assert sorted(qual for qual, name in members if name not in reached) == []

@@ -67,7 +67,7 @@ def test_omega_spec_validation(bad):
 def test_constant_plus_one_is_identity():
     gs = GridSpec(d=1, L=8.0, N=64)
     field = sample_potential(PotentialSpec(kind="power_decay", s=1.0), gs)
-    omega = OmegaField.constant(_spec(), gs, value=1.0)
+    omega = OmegaField.constant(_spec(), gs)
     out = anderson_randomize(field, omega)
     np.testing.assert_array_equal(out.values, field.values)
 
@@ -75,7 +75,7 @@ def test_constant_plus_one_is_identity():
 def test_constant_minus_one_flips_sign():
     gs = GridSpec(d=1, L=8.0, N=64)
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=2.0), gs)
-    out = anderson_randomize(field, OmegaField.constant(_spec(), gs, value=-1.0))
+    out = anderson_randomize(field, OmegaField(_spec(), gs, -np.ones(8)))
     np.testing.assert_array_equal(out.values, -field.values)
 
 
@@ -111,7 +111,7 @@ def test_cells_partition_nodes():
     gs = GridSpec(d=2, L=8.0, N=32)
     spec = _spec(h=1.5)
     omega = draw_omega(spec, gs)
-    nc = omega.cells_per_axis
+    nc = omega.cells.shape[0]
     labels = OmegaField(spec, gs, np.arange(nc**2, dtype=float).reshape(nc, nc))
     node_labels = labels.at_nodes()
     assert node_labels.shape == gs.shape
@@ -123,8 +123,8 @@ def test_cells_partition_nodes():
 
 def test_cell_count_covers_box():
     gs = GridSpec(d=1, L=8.0, N=32)
-    assert draw_omega(_spec(h=1.0), gs).cells_per_axis == 8
-    assert draw_omega(_spec(h=3.0), gs).cells_per_axis == 3  # last cell partial
+    assert draw_omega(_spec(h=1.0), gs).cells.shape == (8,)
+    assert draw_omega(_spec(h=3.0), gs).cells.shape == (3,)  # last cell partial
 
 
 def test_tail_table_degenerate_sample():

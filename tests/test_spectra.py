@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,6 +79,28 @@ def test_hamiltonian_is_exactly_symmetric(grid, amplitude, dtype):
     # bit for bit: the property eigenvalues_dense splits on
     j = _reflection(grid)
     assert np.array_equal(h, h[np.ix_(j, j)])
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude",
+    [
+        (GridSpec(d=2, L=8.0, N=32), 2.0),
+        (GridSpec(d=2, L=8.0, N=32), 1.0 + 2.0j),
+        (GridSpec(d=3, L=4.0, N=8), 2.0),
+        (GridSpec(d=3, L=4.0, N=8), 1.0 + 2.0j),
+    ],
+    ids=["real_2d", "dissipative_2d", "real_3d", "dissipative_3d"],
+)
+def test_hamiltonian_peak_memory_stays_near_one_matrix(grid, amplitude):
+    """No n x n index array or complex copy of a real H is formed on the way to H."""
+    well = _well(grid, amplitude)
+    tracemalloc.start()
+    try:
+        h = hamiltonian_matrix(grid, well)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * h.nbytes
 
 
 def _spy_solvers(monkeypatch):
