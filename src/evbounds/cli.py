@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, checked, load_config
+from .config import RunConfig, checked, integer, load_config
 from .errors import ConfigError
 from .harness import (
     campaign_grid,
@@ -125,7 +125,7 @@ def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
 
 def _n_samples(cfg: RunConfig, default: int, minimum: int = 1) -> int:
     """experiment.n_samples (default when absent), checked against minimum before any work."""
-    n = _get(cfg, "n_samples", int, default)
+    n = _get(cfg, "n_samples", integer, default)
     if n < minimum:
         name = cfg.experiment["name"]
         raise ConfigError(f"experiment.n_samples: {name} needs at least {minimum}, got {n}")
@@ -297,8 +297,9 @@ def _read_norms(path: Path) -> dict[int, float]:
 
     A file _write_norms did not leave whole (wrong header, no final newline,
     a row that is not one index idx >= 0 spelled str(idx) and one finite
-    norm, or an index seen twice) raises ConfigError naming it and the
-    line, so a campaign never resumes from a cut or corrupted row.
+    norm spelled _fmt(norm), or an index seen twice) raises ConfigError
+    naming it and the line, so a campaign never resumes from a cut or
+    corrupted row.
     """
     if not path.exists():
         return {}
@@ -316,6 +317,8 @@ def _read_norms(path: Path) -> dict[int, float]:
             idx, val = int(fields[0]), float(fields[1])
             if idx < 0 or fields[0] != str(idx):
                 raise ValueError(f"index {fields[0]!r} is not a plain nonnegative integer")
+            if fields[1] != _fmt(val):
+                raise ValueError(f"norm {fields[1]!r} is not written as {_fmt(val)!r}")
         except ValueError as err:
             raise ConfigError(f"{path}, line {lineno}: malformed row {line!r} ({err})") from None
         if not np.isfinite(val):
@@ -521,9 +524,9 @@ def cmd_svd(cfg: RunConfig) -> int:
 
 
 def cmd_net_info(cfg: RunConfig) -> int:
+    lam, r_list = _lam(cfg), _radii(cfg, "R_list", campaign=False)
     from scipy.spatial import cKDTree
 
-    lam, r_list = _lam(cfg), _radii(cfg, "R_list", campaign=False)
     out = _ensure_dir(cfg)
     lines = []
     for R in r_list:

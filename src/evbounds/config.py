@@ -17,7 +17,7 @@ from .grid import GridSpec
 from .potential import PotentialSpec
 from .randomize import OmegaSpec
 
-__all__ = ["RunConfig", "checked", "load_config"]
+__all__ = ["RunConfig", "checked", "integer", "load_config"]
 
 EXPERIMENTS = (
     "AAD1D",
@@ -49,6 +49,19 @@ def checked(field: str, fn, *args):
         return fn(*args)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"{field}: {err}") from err
+
+
+def integer(value) -> int:
+    """A JSON integer as an int: an int or an integral float.
+
+    Bools, strings and fractional or non-finite floats raise instead of
+    being truncated, so "N": 128.9 never runs as N = 128.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,8 @@ class RunConfig:
         _require(isinstance(gd, dict), "grid", "must be an object")
         for key in ("d", "L", "N"):
             _require(key in gd, f"grid.{key}", "missing")
-        d, L, N = (checked(f"grid.{k}", t, gd[k]) for k, t in zip("dLN", (int, float, int)))
+        kinds = (integer, float, integer)
+        d, L, N = (checked(f"grid.{k}", t, gd[k]) for k, t in zip("dLN", kinds))
         grid = checked("grid", GridSpec, d, L, N)
 
         pd = data["potential"]
@@ -134,8 +148,8 @@ class RunConfig:
                 OmegaSpec,
                 checked("omega.h", float, om["h"]),
                 om["distribution"],
-                checked("omega.master_seed", int, om["master_seed"]),
-                checked("omega.realization_index", int, om.get("realization_index", 0)),
+                checked("omega.master_seed", integer, om["master_seed"]),
+                checked("omega.realization_index", integer, om.get("realization_index", 0)),
             )
 
         exp = data["experiment"]

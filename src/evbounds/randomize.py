@@ -6,6 +6,9 @@ from a counter-based Philox stream keyed by (master_seed, realization_index)
 with the flattened cell index as counter position, so a cell's value never
 depends on platform, draw order, or how many other cells exist before it in
 a parallel schedule.
+
+scipy is imported inside the Gaussian branch of `cell_values`, at the first
+Gaussian draw: sign draws, and importing this module, never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import SupportError
 from .grid import GridSpec
@@ -112,6 +114,8 @@ def cell_values(spec: OmegaSpec, count: int) -> np.ndarray:
     raw = _raw_stream(spec, count)
     if spec.distribution == "bernoulli":
         return np.where(raw & np.uint64(1), 1.0, -1.0)
+    from scipy.special import ndtri
+
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     return ndtri(u)
 

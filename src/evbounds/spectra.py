@@ -4,6 +4,9 @@ The grid Hamiltonian is a circulant Laplacian minus a diagonal potential.
 Filtering separates genuine discrete eigenvalues from the finite-box shadow
 of the essential spectrum [0, inf); the surviving points feed the weighted
 eigenvalue sums.
+
+scipy.linalg is imported inside `_solve`, at the first dense eigensolve, so
+importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridSpec, apply_multiplier
 
@@ -181,6 +183,8 @@ def _commuting_reflection(h: np.ndarray) -> np.ndarray | None:
 
 def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors: `eigh` when h == h^H bit for bit, else `eig`."""
+    import scipy.linalg
+
     if np.array_equal(h, h.conj().T):
         return scipy.linalg.eigh(h)
     return scipy.linalg.eig(h)

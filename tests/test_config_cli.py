@@ -59,6 +59,18 @@ def test_hash_tracks_content():
     assert len(cfg.config_hash()) == 12
 
 
+def test_integral_floats_read_as_integers():
+    omega = {"h": 1.0, "distribution": "bernoulli", "master_seed": 2026, "realization_index": 3}
+    ints = RunConfig.from_dict(_base_dict(omega=omega))
+    floats = RunConfig.from_dict(_base_dict(
+        grid={"d": 1.0, "L": 16.0, "N": 256.0},
+        omega={**omega, "master_seed": 2026.0, "realization_index": 3.0},
+    ))
+    assert floats == ints
+    assert floats.config_hash() == ints.config_hash()
+    assert type(floats.grid.N) is int and type(floats.omega.master_seed) is int
+
+
 def test_canonical_form_is_minimal():
     text = RunConfig.from_dict(_base_dict()).canonical()
     assert ": " not in text and ", " not in text
@@ -379,11 +391,18 @@ def test_campaign_rejects_norms_file_cut_mid_row(tmp_path, capsys):
         "realization_index,norm\n-1,0.5\n",
         "realization_index,norm\n+3,2.0\n",
         "realization_index,norm\n 4,1.0\n",
+        "realization_index,norm\n0, 1.5\n",
+        "realization_index,norm\n0,1.5 \n",
+        "realization_index,norm\n0,+1.5\n",
+        "realization_index,norm\n0,1.50\n",
+        "realization_index,norm\n0,1e0\n",
+        "realization_index,norm\n0,1_0.5\n",
     ],
     ids=[
         "empty", "header", "no_final_newline", "three_fields", "one_field", "blank_row",
         "float_index", "bad_value", "nan", "inf", "repeated_index", "negative_index",
-        "signed_index", "padded_index",
+        "signed_index", "padded_index", "spaced_norm", "trailing_space_norm", "signed_norm",
+        "padded_norm", "exponent_norm", "underscore_norm",
     ],
 )
 def test_read_norms_rejects_damaged_file(tmp_path, text):
@@ -798,6 +817,15 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
          "experiment.n_samples:"),
         ("campaign", _schatten(R_list=[8.0], n_samples=0), "experiment.n_samples:"),
         ("svd", _schatten(R=8.0, n_samples=0), "experiment.n_samples:"),
+        # integer fields: no bool, string or fraction is truncated to an int
+        ("campaign", lambda d: d["grid"].update(d=True), "grid.d:"),
+        ("campaign", lambda d: d["grid"].update(N=128.9), "grid.N:"),
+        ("campaign", lambda d: d["grid"].update(N="128"), "grid.N:"),
+        ("campaign", lambda d: d["omega"].update(master_seed=1.5), "omega.master_seed:"),
+        ("campaign", lambda d: d["omega"].update(realization_index=0.5),
+         "omega.realization_index:"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=[8.0], n_samples=20.7),
+         "experiment.n_samples:"),
     ],
     ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated",
          "support", "knapp_eps", "dense_spectrum", "dense_verify", "band", "svd_net",
@@ -805,7 +833,8 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
          "EVSUM_eps_verify", "EVSUM_eps_campaign", "EVSUM_R0_zero", "EVSUM_h_zero",
          "omega_cells_over_box", "empty_R_list_verify",
          "empty_thresholds", "empty_R_list_campaign", "no_draws_extnorm_campaign",
-         "no_draws_schatten_campaign", "no_draws_svd"],
+         "no_draws_schatten_campaign", "no_draws_svd", "bool_d", "fractional_N", "string_N",
+         "fractional_master_seed", "fractional_realization_index", "fractional_n_samples"],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, no_work, command, mutate, field):
     data = _campaign_dict()

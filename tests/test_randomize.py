@@ -47,6 +47,22 @@ def test_gaussian_moments():
     assert abs(np.mean(vals)) <= 5.0 / np.sqrt(vals.size)
 
 
+def test_gaussian_draws_are_pinned():
+    """Gaussian weights are ndtri of the top 53 raw Philox bits, bit for bit."""
+    from scipy.special import ndtri
+
+    vals = cell_values(OmegaSpec(1.0, "gaussian", 7, 3), 8)
+    pinned = [
+        -0.044811945217110724, 0.5951714761734049, -1.6423954417775588,
+        -0.47855709875016383, 0.4697929630937766, -0.8584648893158611,
+        0.03152468734045036, -0.4847998709547846,
+    ]
+    assert [repr(float(v)) for v in vals] == [repr(v) for v in pinned]
+    raw = np.random.Philox(key=np.array([7, 3], dtype=np.uint64)).random_raw(8)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert vals.tobytes() == ndtri(u).tobytes()
+
+
 def test_cell_larger_than_box_rejected():
     with pytest.raises(SupportError):
         draw_omega(_spec(h=16.0), GridSpec(d=1, L=8.0, N=32))
