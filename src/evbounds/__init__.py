@@ -33,7 +33,6 @@ from .extension import (
 from .grid import (
     GridSpec,
     apply_multiplier,
-    apply_multiplier_stack,
     resolvent_symbol,
 )
 from .harness import (

@@ -1,10 +1,11 @@
 """Birman-Schwinger operators on the grid and their spectral radius.
 
 The operator |V|^(1/2) (-Laplacian - z)^(-1) V^(1/2) is assembled densely on
-the support nodes of V, with V^(1/2) := V / |V|^(1/2).  On the discrete
-space the correspondence is algebraically exact: z is an eigenvalue of
--Laplacian - V away from the free spectrum iff 1 is an eigenvalue of the
-assembled matrix.
+the support nodes of V, with V^(1/2) := V / |V|^(1/2), from one inverse FFT
+of the resolvent symbol gathered at support-node differences.  On the
+discrete space the correspondence is algebraically exact: z is an
+eigenvalue of -Laplacian - V away from the free spectrum iff 1 is an
+eigenvalue of the assembled matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError
-from .grid import GridSpec, apply_multiplier_stack, resolvent_symbol
+from .grid import GridSpec, resolvent_symbol
 from .potential import PotentialField
 from .util import spectral_norm
 
@@ -29,9 +30,6 @@ __all__ = [
 class BsOperator:
     """Dense Birman-Schwinger matrix restricted to the support nodes."""
 
-    grid: GridSpec
-    potential: PotentialField
-    z: complex
     matrix: np.ndarray
     support_indices: np.ndarray  # flat node indices, row/column order
 
@@ -46,26 +44,21 @@ class BsOperator:
 def assemble_bs(grid: GridSpec, potential: PotentialField, z: complex) -> BsOperator:
     """Assemble the Birman-Schwinger matrix at spectral parameter z.
 
-    Column k is |V|^(1/2) R(z) (V^(1/2) e_k) for the k-th support node,
-    evaluated with one batched multiplier application; the resolvent symbol
-    rejects z sitting exactly on a discrete Laplacian level.
+    The resolvent kernel g is the inverse DFT of the resolvent symbol, and
+    R(z)[m, m'] = g[(m - m') mod N], the difference taken on each axis.  So
+    K[i, j] = |V|^(1/2)[i] g[(m_i - m_j) mod N] V^(1/2)[j] over the
+    support nodes m_i: one inverse FFT, then a gather.  The resolvent
+    symbol rejects z sitting exactly on a discrete Laplacian level.
     """
     vals = potential.values.ravel()
     support = np.flatnonzero(vals)
     if support.size == 0:
         raise EmptySupportError("potential vanishes identically; no support to restrict to")
-    sym = resolvent_symbol(grid, z)
+    kernel = np.fft.ifftn(resolvent_symbol(grid, z))
+    gather = tuple((m[:, None] - m) % grid.N for m in np.unravel_index(support, grid.shape))
     root_abs = np.sqrt(np.abs(vals[support]))
     half = vals[support] / root_abs  # V^(1/2) = V / |V|^(1/2)
-
-    n = support.size
-    stack = np.zeros((n, grid.node_count), dtype=complex)
-    stack[np.arange(n), support] = half
-    stack = stack.reshape((n,) + grid.shape)
-    out = apply_multiplier_stack(grid, sym, stack).reshape(n, grid.node_count)
-    # Rows: multiply by |V|^(1/2) and restrict to the support.
-    matrix = (out[:, support] * root_abs[None, :]).T.copy()
-    return BsOperator(grid, potential, z, matrix, support)
+    return BsOperator(root_abs[:, None] * kernel[gather] * half, support)
 
 
 def gelfand_spr(matrix) -> float:

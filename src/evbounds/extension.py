@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .potential import PotentialField
-from .randomize import OmegaField, anderson_randomize
+from .randomize import OmegaField, anderson_randomize, cell_steps
 
 __all__ = [
     "SphereNet",
@@ -223,8 +223,9 @@ class SandwichEnsemble:
         self.field = field
         self.h = float(h)
         gs = field.grid
-        r = int(round(h / gs.dx))
-        self._factored = r >= 1 and abs(h / gs.dx - r) <= 1e-9 and gs.N % r == 0
+        steps = cell_steps(self.h, gs)
+        r = int(steps)
+        self._factored = steps == r and gs.N % r == 0
         if not self._factored:
             return
         d, nc = gs.d, gs.N // r

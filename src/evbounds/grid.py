@@ -21,7 +21,6 @@ __all__ = [
     "GridSpec",
     "resolvent_symbol",
     "apply_multiplier",
-    "apply_multiplier_stack",
 ]
 
 
@@ -134,9 +133,3 @@ def apply_multiplier(grid: GridSpec, symbol, values: np.ndarray) -> np.ndarray:
         raise ValueError(f"symbol shape {sym.shape} does not match grid shape {grid.shape}")
     return np.fft.ifftn(sym * np.fft.fftn(arr))
 
-
-def apply_multiplier_stack(grid: GridSpec, symbol, stack: np.ndarray) -> np.ndarray:
-    """Multiplier applied to a batch of fields stacked along axis 0."""
-    sym = np.asarray(symbol)
-    axes = tuple(range(1, grid.d + 1))
-    return np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)

@@ -26,6 +26,7 @@ __all__ = [
     "OmegaSpec",
     "OmegaField",
     "TailEntry",
+    "cell_steps",
     "draw_omega",
     "anderson_randomize",
     "tail_table",
@@ -92,9 +93,20 @@ def _cells_per_axis(spec: OmegaSpec, gs: GridSpec) -> int:
     return int(np.ceil(ratio - 1e-9 * max(1.0, ratio)))
 
 
+def cell_steps(h: float, gs: GridSpec) -> float:
+    """Cell side h in grid steps, snapped to the whole r within 1e-9 of it.
+
+    Node k sits in cell floor(k / steps + 1e-9) on each axis, so in cell
+    k // r when h is r steps, as SandwichEnsemble groups nodes.
+    """
+    ratio = h / gs.dx
+    r = round(ratio)
+    return float(r) if r >= 1 and abs(ratio - r) <= 1e-9 else ratio
+
+
 def _node_cell_index(spec: OmegaSpec, gs: GridSpec):
     nc = _cells_per_axis(spec, gs)
-    axis_idx = np.floor(np.arange(gs.N) * (gs.L / gs.N) / spec.h).astype(int)
+    axis_idx = np.floor(np.arange(gs.N) / cell_steps(spec.h, gs) + 1e-9).astype(int)
     axis_idx = np.minimum(axis_idx, nc - 1)
     return np.ix_(*([axis_idx] * gs.d)) if gs.d > 1 else axis_idx
 

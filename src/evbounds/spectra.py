@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, apply_multiplier
+from .potential import PotentialField
 
 __all__ = [
     "SpectralPoint",
@@ -102,7 +103,7 @@ def check_dense_size(n: int) -> None:
         raise ValueError(f"dense solves are budgeted at {_DENSE_BUDGET} nodes, got {n}")
 
 
-def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
+def hamiltonian_matrix(grid: GridSpec, potential: PotentialField) -> np.ndarray:
     """Dense position-basis matrix of -Delta - V on the grid.
 
     The Laplacian block is the circulant with the DFT-diagonal symbol
@@ -116,7 +117,7 @@ def hamiltonian_matrix(grid: GridSpec, potential) -> np.ndarray:
     """
     n = grid.node_count
     check_dense_size(n)
-    vals = potential.values if hasattr(potential, "values") else np.asarray(potential)
+    vals = potential.values
     if vals.shape != grid.shape:
         raise ValueError(f"potential shape {vals.shape} does not match grid {grid.shape}")
     if not np.imag(vals).any():

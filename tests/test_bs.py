@@ -40,17 +40,19 @@ def test_dimension_is_support_count():
     field = _field(gs, 1.0 + 1.0j)
     bs = assemble_bs(gs, field, z=-1.0)
     assert bs.dim == np.count_nonzero(field.values)
-    assert bs.potential is field
-    assert bs.z == -1.0
 
 
 @pytest.mark.parametrize(
     "gs,z",
-    [(GridSpec(d=1, L=8.0, N=64), -0.7 + 0.3j), (GridSpec(d=2, L=8.0, N=16), -1.0 + 0.5j)],
-    ids=["1d", "2d"],
+    [
+        (GridSpec(d=1, L=8.0, N=64), -0.7 + 0.3j),
+        (GridSpec(d=2, L=8.0, N=16), -1.0 + 0.5j),
+        (GridSpec(d=3, L=4.0, N=8), -1.2 + 0.4j),
+    ],
+    ids=["1d", "2d", "3d"],
 )
 def test_bs_columns_are_one_batched_multiplier(gs, z):
-    # bit for bit ifftn(symbol * fftn(.)) of the V^(1/2) e_k columns
+    # column k is ifftn(symbol * fftn(V^(1/2) e_k)) on the support, times |V|^(1/2)
     field = _field(gs, 1.5 + 0.5j)
     bs = assemble_bs(gs, field, z)
     vals = field.values.ravel()
@@ -63,7 +65,7 @@ def test_bs_columns_are_one_batched_multiplier(gs, z):
     sym = 1.0 / (gs.lap_symbol - z)
     out = np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes)
     want = (out.reshape(sup.size, gs.node_count)[:, sup] * root[None, :]).T
-    np.testing.assert_array_equal(bs.matrix, want)
+    np.testing.assert_allclose(bs.matrix, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_negative_potential_real_spectrum():
@@ -99,7 +101,10 @@ def test_well_ground_state_solves_bs():
     assert gelfand_spr(bs.matrix) >= 1.0 - 1e-4
 
 
-@pytest.mark.parametrize("d,L,N,amp", [(1, 16.0, 64, 2.0 + 1.0j), (2, 8.0, 16, 1.5 + 1.5j)])
+@pytest.mark.parametrize(
+    "d,L,N,amp",
+    [(1, 16.0, 64, 2.0 + 1.0j), (2, 8.0, 16, 1.5 + 1.5j), (3, 4.0, 8, 1.5 + 1.5j)],
+)
 def test_equivalence_both_directions(d, L, N, amp):
     """Eigenvalues solve BS; well-separated probes do not."""
     gs = GridSpec(d=d, L=L, N=N)

@@ -175,10 +175,19 @@ def test_hermitian_for_real_potential():
     assert np.max(np.abs(m - m.conj().T)) < 1e-12 * np.abs(m).max()
 
 
-@pytest.mark.parametrize("h", [1.0, 0.7])
-def test_randomized_sandwich_matches_node_level_route(h):
+@pytest.mark.parametrize(
+    "L,N,h",
+    [
+        pytest.param(8.0, 32, 1.0, id="1.0"),
+        pytest.param(8.0, 32, 0.7, id="0.7"),
+        # dx = 0.3 is no binary fraction: k * dx / h misses whole cell indices.
+        pytest.param(19.2, 64, 0.6, id="19.2-64-0.6"),
+        pytest.param(19.2, 64, 0.3, id="19.2-64-0.3"),
+    ],
+)
+def test_randomized_sandwich_matches_node_level_route(L, N, h):
     """Factored cell assembly agrees with randomize-then-sandwich."""
-    gs = GridSpec(d=2, L=8.0, N=32)
+    gs = GridSpec(d=2, L=L, N=N)
     net = build_net(lam=1.0, R=4.0, d=2)
     field = _field(gs, amplitude=1.5, R=2.0)
     omega = draw_omega(_omega_spec(h=h, seed=21), gs)

@@ -9,7 +9,6 @@ from evbounds import (
     resolvent_symbol,
 )
 from evbounds.errors import SingularSymbolError
-from evbounds.grid import apply_multiplier_stack
 
 import oracles
 
@@ -102,16 +101,6 @@ def test_apply_multiplier_linearity():
     lhs = apply_multiplier(g, sym, a * f + b * h)
     rhs = a * apply_multiplier(g, sym, f) + b * apply_multiplier(g, sym, h)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_apply_multiplier_stack_matches_loop():
-    g = GridSpec(d=2, L=4.0, N=8)
-    sym = resolvent_symbol(g, -1.0)
-    rng = np.random.default_rng(17)
-    stack = rng.standard_normal((5,) + g.shape)
-    batched = apply_multiplier_stack(g, sym, stack)
-    for k in range(5):
-        np.testing.assert_allclose(batched[k], apply_multiplier(g, sym, stack[k]), atol=1e-13)
 
 
 def test_apply_multiplier_shape_mismatch():

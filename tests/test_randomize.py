@@ -137,6 +137,29 @@ def test_cells_partition_nodes():
     assert counts.max() <= cap
 
 
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("dx", [0.1, 0.15, 0.3])
+def test_whole_step_cells_hold_nodes_k_div_r(dx, r):
+    """With h = r dx, node k sits in cell k // r on each axis, even on a decimal dx."""
+    N = 64
+    gs = GridSpec(d=2, L=N * dx, N=N)
+    spec = _spec(h=r * dx)
+    nc = draw_omega(spec, gs).cells.shape[0]
+    assert nc == N // r
+    labels = OmegaField(spec, gs, np.arange(nc**2, dtype=float).reshape(nc, nc))
+    k = np.arange(N) // r
+    np.testing.assert_array_equal(labels.at_nodes(), k[:, None] * nc + k[None, :])
+
+
+def test_boundary_nodes_open_the_next_cell_at_half_steps():
+    """h = 3.5 dx with dx = 0.3: nodes 7, 14, ... sit on cell boundaries."""
+    gs = GridSpec(d=1, L=19.2, N=64)
+    spec = _spec(h=3.5 * 0.3)
+    nc = draw_omega(spec, gs).cells.shape[0]
+    labels = OmegaField(spec, gs, np.arange(nc, dtype=float))
+    np.testing.assert_array_equal(labels.at_nodes(), 2 * np.arange(gs.N) // 7)
+
+
 def test_cell_count_covers_box():
     gs = GridSpec(d=1, L=8.0, N=32)
     assert draw_omega(_spec(h=1.0), gs).cells.shape == (8,)

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from evbounds import GridSpec, spectra
 from evbounds.birman_schwinger import assemble_bs
-from evbounds.potential import PotentialSpec, sample_potential
+from evbounds.potential import PotentialField, PotentialSpec, sample_potential
 from evbounds.randomize import OmegaSpec, anderson_randomize, draw_omega
 from evbounds.spectra import (
     SpectralPoint,
@@ -28,13 +28,17 @@ def _well(gs, amplitude=2.0):
     return sample_potential(PotentialSpec(kind="indicator_ball", amplitude=amplitude, R=1.0), gs)
 
 
+def _free(gs):
+    return PotentialField(gs, np.zeros(gs.shape), 0.0)
+
+
 def _pt(z, mult=1):
     return SpectralPoint(z=complex(z), multiplicity=mult, residual=0.0)
 
 
 def test_free_laplacian_levels():
     gs = GridSpec(d=1, L=8.0, N=32)
-    h = hamiltonian_matrix(gs, np.zeros(gs.shape))
+    h = hamiltonian_matrix(gs, _free(gs))
     got = np.sort(
         np.concatenate([[p.z.real] * p.multiplicity for p in eigenvalues_dense(h)])
     )
@@ -244,7 +248,7 @@ def test_one_ulp_off_hermitian_takes_the_general_path(monkeypatch):
 def test_budget_guard():
     gs = GridSpec(d=1, L=8.0, N=8192)
     with pytest.raises(ValueError):
-        hamiltonian_matrix(gs, np.zeros(gs.shape))
+        hamiltonian_matrix(gs, _free(gs))
 
 
 def test_dense_budget_admits_4096_nodes_and_no_more():
@@ -258,7 +262,7 @@ def test_dense_budget_admits_4096_nodes_and_no_more():
 def test_potential_shape_guard():
     gs = GridSpec(d=1, L=8.0, N=32)
     with pytest.raises(ValueError):
-        hamiltonian_matrix(gs, np.zeros(16))
+        hamiltonian_matrix(gs, PotentialField(gs, np.zeros(16), 0.0))
 
 
 def test_square_well_ground_state_matches_continuum_oracle():
