@@ -44,7 +44,6 @@ from .harness import (
     evsum_sweep,
     ext_norm_samples,
     fit_scaling,
-    identity_ext_norm,
     schatten_campaign,
     schatten_exponent,
 )
@@ -106,16 +105,21 @@ def _omega(cfg: RunConfig):
 def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     """experiment.R_list, or [experiment.R] (default potential.R) for key "R".
 
-    Each radius is checked before any work: its sphere net at experiment.lam
-    and, for a campaign, its L = 4R grid at the config's dx and the omega's
-    cells on that box.  Outside a campaign R_list defaults to [potential.R].
+    Each radius is checked before any work: its 6 significant digits {R:g},
+    which name its norms file, against every other radius's, its sphere net
+    at experiment.lam and, for a campaign, its L = 4R grid at the config's
+    dx and the omega's cells on that box.  Outside a campaign R_list
+    defaults to [potential.R].
     """
     if key == "R_list":
         radii = _get(cfg, key, _numbers, _REQUIRED if campaign else [cfg.potential.R])
     else:
         radii = [_get(cfg, key, float, cfg.potential.R)]
     lam, d, dx = _lam(cfg), cfg.grid.d, cfg.grid.dx
-    for R in radii:
+    for i, R in enumerate(radii):
+        twin = next((r for r in radii[:i] if f"{r:g}" == f"{R:g}"), None)
+        if twin is not None:
+            raise ConfigError(f"experiment.{key}: R = {twin!r} and R = {R!r} are both R = {R:g}")
         checked(f"experiment.{key}: R = {R:g}", build_net, lam, R, d)
         if campaign:
             grid = checked(f"experiment.{key}: R = {R:g} at dx = {dx:g}", campaign_grid, R, d, dx)
@@ -152,10 +156,10 @@ def _sampled(cfg: RunConfig, spec=None):
     """(V, omega) on the config grid, both under config.checked.
 
     V samples spec, by default the config's potential; omega is the
-    config's omega drawn, or None without one or under identity_omega.
+    config's omega drawn, or None without one.
     """
     field = checked("potential", sample_potential, spec or cfg.potential, cfg.grid)
-    if cfg.omega is None or cfg.identity_omega:
+    if cfg.omega is None:
         return field, None
     return field, checked("omega", draw_omega, cfg.omega, cfg.grid)
 
@@ -239,18 +243,15 @@ def _nu(cfg: RunConfig) -> float:
 def _verify_extnorm(cfg: RunConfig):
     # Every radius is checked; only the largest, the one reported, is computed.
     omega, R = _omega(cfg), max(_radii(cfg, "R_list"))
-    n = _n_samples(cfg, 200, 0 if cfg.identity_omega else MIN_SAMPLES)
+    n = _n_samples(cfg, 200, MIN_SAMPLES)
     d, dx = cfg.grid.d, cfg.grid.dx
-    if cfg.identity_omega:
-        norms = [identity_ext_norm(cfg.potential, omega, _lam(cfg), R, d=d, dx=dx)]
-    else:
-        norms = ext_norm_samples(cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx)
+    norms = ext_norm_samples(cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx)
     return check_extnorm(norms, R, omega.h, abs(cfg.potential.amplitude), d=d)
 
 
 def _verify_schatten(cfg: RunConfig):
     nu, (R,), h = _nu(cfg), _radii(cfg, "R", campaign=False), _cell_size(cfg)
-    omegas = None if cfg.omega is None or cfg.identity_omega else [cfg.omega]
+    omegas = None if cfg.omega is None else [cfg.omega]
     field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
     svals = singular_values(next(config_sandwiches(field, _lam(cfg), R, omegas)))
     params = {"lam": _lam(cfg), "R": R, "h": h, "v_inf": float(np.abs(field.values).max())}
@@ -443,8 +444,7 @@ def _campaign_evsum(cfg: RunConfig) -> int:
     filt = _spectrum_filter(cfg)
     checked("grid", check_dense_size, cfg.grid.node_count)
     checked("experiment", check_evsum, [], _sampled(cfg)[0], *args)
-    omega = None if cfg.identity_omega else cfg.omega
-    study = evsum_sweep(amplitudes, cfg.potential, cfg.grid, *args, filt, omega_spec=omega)
+    study = evsum_sweep(amplitudes, cfg.potential, cfg.grid, *args, filt, omega_spec=cfg.omega)
     out = _ensure_dir(cfg)
     name = _write_lines(
         out / f"evsum_{cfg.config_hash()}.csv",
@@ -503,7 +503,7 @@ def cmd_campaign(cfg: RunConfig) -> int:
 def cmd_svd(cfg: RunConfig) -> int:
     tag = cfg.config_hash()
     (R,) = _radii(cfg, "R", campaign=False)
-    if cfg.omega is None or cfg.identity_omega:
+    if cfg.omega is None:
         omegas, names = None, [f"svals_{tag}_det.csv"]
     else:
         n = _n_samples(cfg, 1)

@@ -32,6 +32,9 @@ EXPERIMENTS = (
     "SPECTRUM",
 )
 
+# The top-level keys of a config; any other is refused.
+_SECTIONS = ("grid", "potential", "omega", "experiment", "out_dir")
+
 
 def _require(cond: bool, field: str, message: str):
     if not cond:
@@ -73,7 +76,6 @@ class RunConfig:
     omega: OmegaSpec | None
     experiment: dict
     out_dir: str = "runs"
-    identity_omega: bool = False
 
     def to_dict(self) -> dict:
         pot = {
@@ -97,12 +99,13 @@ class RunConfig:
             "omega": om,
             "experiment": self.experiment,
             "out_dir": self.out_dir,
-            "identity_omega": self.identity_omega,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
         _require(isinstance(data, dict), "config", "top level must be a JSON object")
+        for key in data:
+            _require(key in _SECTIONS, key, f"unknown key; the config keys are {_SECTIONS}")
         for key in ("grid", "potential", "experiment"):
             _require(key in data, key, "missing required section")
 
@@ -163,15 +166,12 @@ class RunConfig:
 
         out_dir = data.get("out_dir", "runs")
         _require(isinstance(out_dir, str) and out_dir, "out_dir", "must be a nonempty string")
-        identity = data.get("identity_omega", False)
-        _require(isinstance(identity, bool), "identity_omega", "must be true or false")
         return cls(
             grid=grid,
             potential=potential,
             omega=omega,
             experiment=dict(exp),
             out_dir=out_dir,
-            identity_omega=identity,
         )
 
     def canonical(self) -> str:

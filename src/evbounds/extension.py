@@ -6,11 +6,11 @@ sum_xi a(xi) e^{2 pi i x.xi} w_xi; sandwiching a potential between an
 extension and a co-extension gives the dense matrix whose singular values
 drive every restriction-type bound in the package.
 
-SandwichEnsemble assembles every sandwich the package reports, randomized
-or not (omega = 1).  The node-level sandwich is the reference it agrees
-with, and its fallback on grids its cells do not tile.  angular_weight
-conjugates a d=2 sandwich by the angular multiplier of the Schatten-norm
-estimates.
+SandwichEnsemble assembles every sandwich the package reports: with_omega
+a randomized one, deterministic the stored M(1).  The node-level sandwich
+is the reference it agrees with, and its fallback on grids its cells do
+not tile.  angular_weight conjugates a d=2 sandwich by the angular
+multiplier of the Schatten-norm estimates.
 """
 
 from __future__ import annotations
@@ -292,17 +292,27 @@ class SandwichEnsemble:
         mixed_w = shift[self._mixed_cell_of_row] * self._mixed_vals
         m = self._assemble(uniform_w, mixed_w)
         m += self._m1
+        return self._operator(
+            m,
+            gram_rows=int(np.count_nonzero(uniform_w) + np.count_nonzero(mixed_w)),
+            realization_index=omega.spec.realization_index,
+        )
+
+    def deterministic(self) -> SandwichOperator:
+        """The deterministic sandwich M(1), the one stored at build: nothing is drawn.
+
+        Grids the cells do not tile assemble the node-level sandwich of V instead.
+        """
+        if not self._factored:
+            return sandwich(self.net_out, self.net_in, self.field)
+        return self._operator(self._m1.copy())
+
+    def _operator(self, m, **ref) -> SandwichOperator:
+        """m scaled by the cell volume and the net weights, with the cell counts in potential_ref."""
         m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
-        return SandwichOperator(
-            m,
-            {
-                "uniform_cells": int(self._uniform_cells.size),
-                "mixed_cells": int(self._n_mixed),
-                "gram_rows": int(np.count_nonzero(uniform_w) + np.count_nonzero(mixed_w)),
-                "realization_index": omega.spec.realization_index,
-            },
-        )
+        counts = {"uniform_cells": int(self._uniform_cells.size), "mixed_cells": int(self._n_mixed)}
+        return SandwichOperator(m, {**counts, **ref})
 
 
 def _axis_tables(axis, net):

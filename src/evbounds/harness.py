@@ -1,10 +1,11 @@
 """Bound checkers, extension-norm samplers, campaign drivers, and scaling fits.
 
 Every sandwich here comes from one SandwichEnsemble per radius:
-ext_norm_samples for randomized realizations, identity_ext_norm for the
-omega = 1 realization, deterministic_ext_norm for the |V| reference (also
-behind stein_tomas_spread), config_sandwiches for the svd command and the
-SCHATTEN_DECAY check, and schatten_campaign through angular_weight.
+ext_norm_samples and schatten_campaign (through angular_weight) draw
+randomized realizations, deterministic_ext_norm takes the M(1) of |V| (the
+reference behind stein_tomas_spread too), and config_sandwiches, for the
+svd command and the SCHATTEN_DECAY check, either.  Every M(1) is the
+ensemble's stored one, on the cells _deterministic fixes.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -31,7 +32,7 @@ from .extension import (
 )
 from .grid import GridSpec
 from .potential import PotentialField, PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from .randomize import OmegaField, OmegaSpec, TailEntry, anderson_randomize, draw_omega, tail_table
+from .randomize import OmegaSpec, TailEntry, anderson_randomize, draw_omega, tail_table
 from .spectra import (
     SpectrumFilter,
     eigenvalue_sum,
@@ -54,7 +55,6 @@ __all__ = [
     "check_extnorm",
     "check_tail",
     "ext_norm_samples",
-    "identity_ext_norm",
     "deterministic_ext_norm",
     "campaign_grid",
     "config_sandwiches",
@@ -263,54 +263,42 @@ def campaign_grid(R: float, d: int, dx: float) -> GridSpec:
     return GridSpec(d=d, L=L, N=N)
 
 
-def _campaign_ensemble(
-    potential_spec: PotentialSpec,
-    lam: float,
-    R: float,
-    d: int,
-    dx: float,
-    h: float,
-    magnitude: bool = False,
-) -> SandwichEnsemble:
-    """The campaign chain at one R: grid -> sample_potential -> build_net -> ensemble.
+def _campaign_field(potential_spec: PotentialSpec, R: float, d: int, dx: float) -> PotentialField:
+    """The campaign potential at one R: support radius R, sampled on the L = 4R grid."""
+    return sample_potential(dataclasses.replace(potential_spec, R=R), campaign_grid(R, d, dx))
 
-    The potential takes support radius R on the L = 4R grid; magnitude=True
-    sandwiches |V| instead of V.
-    """
-    gs = campaign_grid(R, d, dx)
-    field = sample_potential(dataclasses.replace(potential_spec, R=R), gs)
-    if magnitude:
-        field = PotentialField(gs, np.abs(field.values).astype(complex), field.support_radius)
+
+def _campaign_ensemble(
+    potential_spec: PotentialSpec, lam: float, R: float, d: int, dx: float, h: float
+) -> SandwichEnsemble:
+    """The campaign chain at one R: grid -> sample_potential -> build_net -> ensemble."""
+    field = _campaign_field(potential_spec, R, d, dx)
     net = build_net(lam, R, d)
     return SandwichEnsemble(net, net, field, h)
+
+
+def _deterministic(net, field: PotentialField):
+    """The deterministic sandwich M(1) of field over net, as a SandwichEnsemble stores it.
+
+    Its cells have side min(1, L): unit cells give the |V| ensemble the
+    fewest rows at R = 8/16/32 (h = 2 gives fewer from R = 64), and a box
+    of side below 1 is one cell.
+    """
+    return SandwichEnsemble(net, net, field, min(1.0, field.grid.L)).deterministic()
 
 
 def config_sandwiches(field: PotentialField, lam: float, R: float, omegas=None):
     """Sandwiches of a field sampled on a config's own grid, over the net at (lam, R).
 
-    An iterator over the deterministic sandwich, the ensemble's M(1) on
-    unit cells (one cell on a box of side below 1), when omegas is None,
+    An iterator over the deterministic sandwich M(1) when omegas is None,
     else over one realization per OmegaSpec (one h).
     """
     grid = field.grid
     net = build_net(lam, R, grid.d)
     if omegas is None:
-        cells = dataclasses.replace(_UNIT_CELLS, h=min(_UNIT_CELLS.h, grid.L))
-        ensemble = SandwichEnsemble(net, net, field, cells.h)
-        return iter([_identity_realization(ensemble, cells)])
+        return iter([_deterministic(net, field)])
     ensemble = SandwichEnsemble(net, net, field, omegas[0].h) if omegas else None
     return (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
-
-
-def _identity_realization(ensemble: SandwichEnsemble, omega_spec: OmegaSpec):
-    """The ensemble's omega = 1 realization, its deterministic M(1)."""
-    return ensemble.with_omega(OmegaField.constant(omega_spec, ensemble.field.grid))
-
-
-# Constant omega = 1 on unit cells, which give the |V| ensemble the fewest
-# rows at R = 8/16/32 (h = 2 gives fewer from R = 64).  A constant field
-# draws nothing, so the law and the seed are placeholders.
-_UNIT_CELLS = OmegaSpec(h=1.0, distribution="bernoulli", master_seed=0)
 
 
 def ext_norm_samples(
@@ -331,22 +319,6 @@ def ext_norm_samples(
     return norms
 
 
-def identity_ext_norm(
-    potential_spec: PotentialSpec,
-    omega_template: OmegaSpec,
-    lam: float,
-    R: float,
-    d: int = 2,
-    dx: float = 0.25,
-) -> float:
-    """Sandwich norm of V at one R under the constant realization omega = 1.
-
-    The ensemble is built on the template's cells (its h); no omega is drawn.
-    """
-    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-    return spectral_norm(_identity_realization(ensemble, omega_template).matrix)
-
-
 def deterministic_ext_norm(
     potential_spec: PotentialSpec,
     lam: float,
@@ -356,15 +328,15 @@ def deterministic_ext_norm(
 ) -> float:
     """Norm of the sandwich of |V| at one R, the non-randomized reference.
 
-    The sandwich is the cell-factored M(1) of a SandwichEnsemble over unit
-    cells (h = 1, so r = 1/dx nodes per cell axis): one row per uniform
-    cell corner plus one per nonzero node of the other cells, and no
-    per-node plane wave.  Grids that unit cells do not tile take the
-    ensemble's node-level sandwich instead.  Either way the value equals
-    the norm of the node-level sandwich of |V| to rounding.
+    The sandwich is the cell-factored M(1) of _deterministic: one row per
+    uniform cell corner plus one per nonzero node of the other cells, and
+    no per-node plane wave.  Grids its cells do not tile take the
+    node-level sandwich instead.  Either way the value equals the norm of
+    the node-level sandwich of |V| to rounding.
     """
-    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, _UNIT_CELLS.h, magnitude=True)
-    return spectral_norm(_identity_realization(ensemble, _UNIT_CELLS).matrix)
+    field = _campaign_field(potential_spec, R, d, dx)
+    field = PotentialField(field.grid, np.abs(field.values).astype(complex), field.support_radius)
+    return spectral_norm(_deterministic(build_net(lam, R, d), field).matrix)
 
 
 def check_extnorm(norms, R: float, h: float, v_inf: float, d: int = 2) -> BoundReport:

@@ -4,17 +4,23 @@ The benchmark's traced runs wrap library names listed in bench/*.py HOOKS;
 a hook whose module or dotted name no longer resolves breaks every
 `--trace 1` run.  Every `from evbounds... import name` in bench/*.py and
 demos/*.py must resolve too, so removing a public name has to keep them
-working.  The files are read with ast: nothing in bench/ or demos/ is
-imported or run.
+working, and so must every `--flag` the benchmark passes to `cli.main`.
+The files are read with ast: nothing in bench/ or demos/ is imported or
+run.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
+import re
 from pathlib import Path
 
 import pytest
+
+from evbounds import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -76,3 +82,41 @@ def test_bench_and_demo_imports_resolve(source, module, name):
         except ModuleNotFoundError:
             pass
     assert hasattr(owner, name), f"{source}: from {module} import {name} does not resolve"
+
+
+def _cli_argvs():
+    """(file, command, flags) of every literal argv list bench/*.py passes to a `main` call."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name != "main" or not node.args or not isinstance(node.args[0], ast.List):
+                continue
+            words = [e.value for e in node.args[0].elts if isinstance(e, ast.Constant)]
+            flags = [w for w in words if w.startswith("--")]
+            found.append((path.name, words[0], flags))
+    return found
+
+
+CLI_ARGVS = _cli_argvs()
+
+
+def _cli_options(command: str) -> set[str]:
+    """The --flags `cli.main` defines for one command, read from its --help."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return set(re.findall(r"--[\w-]+", text.getvalue()))
+
+
+def test_bench_passes_flags_to_the_cli():
+    assert any(source == "cli_campaign.py" and flags for source, _, flags in CLI_ARGVS)
+
+
+@pytest.mark.parametrize(
+    "source,command,flags", CLI_ARGVS, ids=[f"{s}:{c}" for s, c, _ in CLI_ARGVS]
+)
+def test_bench_cli_flags_are_defined(source, command, flags):
+    missing = set(flags) - _cli_options(command)
+    assert not missing, f"{source}: cli.main {command} defines no {sorted(missing)}"

@@ -44,7 +44,6 @@ def test_roundtrip_is_lossless():
     data = _base_dict(
         omega={"h": 1.0, "distribution": "bernoulli", "master_seed": 2026,
                "realization_index": 3},
-        identity_omega=True,
     )
     cfg = RunConfig.from_dict(data)
     again = RunConfig.from_dict(cfg.to_dict())
@@ -123,11 +122,14 @@ def _assert_config_error(tmp_path, capsys, code, out, field):
                                                "master_seed": "s"}), "omega.master_seed:"),
         ("spectrum", lambda d: d["potential"].update(oscillation={"wavenumber": "k"}),
          "potential.oscillation.wavenumber:"),
-        ("verify", lambda d: d.update(_campaign_dict(n_samples=1), identity_omega="false"),
+        ("verify", lambda d: d.update(_campaign_dict(n_samples=1), identity_omega=True),
          "identity_omega:"),
+        ("spectrum", lambda d: d.update(omgea={"h": 1.0, "distribution": "bernoulli",
+                                               "master_seed": 1}), "omgea:"),
     ],
     ids=["no_grid", "no_N", "kind", "amplitude_pair", "name", "distribution", "out_dir",
-         "N_100", "d", "amplitude", "R", "master_seed", "oscillation", "identity_omega"],
+         "N_100", "d", "amplitude", "R", "master_seed", "oscillation", "identity_omega",
+         "typo_omgea"],
 )
 def test_validation_failures_name_the_field(tmp_path, capsys, no_work, command, mutate, field):
     data = _base_dict()
@@ -218,10 +220,9 @@ def test_verify_failing_bound_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_thm1_identity_realization(tmp_path, capsys):
+def test_verify_thm1_rerun_is_byte_identical(tmp_path, capsys):
     data = _base_dict(
         omega={"h": 0.5, "distribution": "bernoulli", "master_seed": 2026},
-        identity_omega=True,
         experiment={"name": "THM1", "q": 1.0, "R": 2.0, "M": 5.0,
                     "essential_margin": 0.5},
     )
@@ -545,6 +546,37 @@ def test_bad_campaign_radius_is_a_config_error(tmp_path, capsys, command, experi
 
 
 @pytest.mark.parametrize(
+    "r_list,pair",
+    [([4.0, 4.0000001, 8.0], "R = 4.0 and R = 4.0000001"), ([8.0, 4.0, 8.0], "R = 8.0 and R = 8.0")],
+    ids=["same_name", "exact"],
+)
+def test_radii_sharing_a_norms_file_are_a_config_error(tmp_path, capsys, no_work, r_list, pair):
+    """Radii name their norms file R{R:g}: two that print alike would share one."""
+    code, out = _run(tmp_path, _campaign_dict(n_samples=2, r_list=r_list), command="campaign")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: experiment.R_list:" in err and pair in err
+    assert not list(tmp_path.rglob("campaign_*"))
+    assert not out.exists()
+
+
+def test_campaign_on_a_box_below_one_cell(tmp_path):
+    """At R = 0.2 the L = 4R = 0.8 box holds no unit cell; the |V| reference takes one of side 0.8."""
+    from evbounds.harness import deterministic_ext_norm
+    from evbounds.potential import PotentialSpec
+
+    data = _campaign_dict(n_samples=2, r_list=(0.2,))
+    data["grid"] = {"d": 2, "L": 3.2, "N": 64}  # dx = 0.05
+    data["omega"]["h"] = 0.1
+    data["experiment"]["lam"] = 8.0
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    row = next(out.glob("summary_*.csv")).read_text(encoding="utf-8").splitlines()[1].split(",")
+    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0)
+    assert row[5] == repr(deterministic_ext_norm(spec, 8.0, 0.2, d=2, dx=0.05))
+
+
+@pytest.mark.parametrize(
     "command,experiment",
     [
         ("verify", {"name": "PROP_EXTNORM", "R_list": [8.0], "n_samples": 5}),
@@ -557,7 +589,6 @@ def test_too_few_samples_is_a_config_error(tmp_path, capsys, monkeypatch, comman
         raise AssertionError("norms computed before the sample count was checked")
 
     monkeypatch.setattr(cli, "ext_norm_samples", no_work)
-    monkeypatch.setattr(cli, "identity_ext_norm", no_work)
     monkeypatch.setattr(cli, "deterministic_ext_norm", no_work)
     data = _campaign_dict()
     data["experiment"] = experiment
@@ -569,46 +600,30 @@ def test_too_few_samples_is_a_config_error(tmp_path, capsys, monkeypatch, comman
     assert not out.exists()
 
 
-def test_identity_extnorm_verify_needs_no_sample_minimum(tmp_path, capsys):
-    data = _campaign_dict(n_samples=5)
-    data["identity_omega"] = True
-    code, out = _run(tmp_path, data, command="verify")
-    assert code in (0, 1)
-    assert "config error" not in capsys.readouterr().err
-    assert list(out.glob("report_*.json"))
-
-
-@pytest.mark.parametrize("identity", [False, True], ids=["random", "identity"])
-def test_extnorm_verify_computes_only_the_reported_radius(tmp_path, monkeypatch, identity):
-    name = "identity_ext_norm" if identity else "ext_norm_samples"
+def test_extnorm_verify_computes_only_the_reported_radius(tmp_path, monkeypatch):
     seen = []
-    real = getattr(cli, name)
+    real = cli.ext_norm_samples
 
     def spy(potential_spec, omega_template, lam, R, *args, **kwargs):
         seen.append(R)
         return real(potential_spec, omega_template, lam, R, *args, **kwargs)
 
-    monkeypatch.setattr(cli, name, spy)
-    data = _campaign_dict(n_samples=5 if identity else 100, r_list=(4.0, 8.0))
-    data["identity_omega"] = identity
-    code, out = _run(tmp_path, data, command="verify")
+    monkeypatch.setattr(cli, "ext_norm_samples", spy)
+    code, out = _run(tmp_path, _campaign_dict(n_samples=100, r_list=(4.0, 8.0)), command="verify")
     assert code in (0, 1)
     assert seen == [8.0]
     report = json.loads(next(out.glob("report_*.json")).read_text(encoding="utf-8"))
     assert report["params"]["R"] == 8.0
-    assert report["params"]["n"] == (1 if identity else 100)
+    assert report["params"]["n"] == 100
 
 
-@pytest.mark.parametrize("identity", [False, True], ids=["random", "identity"])
-def test_extnorm_verify_builds_no_deterministic_reference(tmp_path, monkeypatch, identity):
+def test_extnorm_verify_builds_no_deterministic_reference(tmp_path, monkeypatch):
     def no_reference(*args, **kwargs):
         raise AssertionError("verify built the |V| reference it never reports")
 
     monkeypatch.setattr(cli, "deterministic_ext_norm", no_reference)
     monkeypatch.setattr("evbounds.harness.deterministic_ext_norm", no_reference)
-    data = _campaign_dict(n_samples=5 if identity else 100)
-    data["identity_omega"] = identity
-    code, out = _run(tmp_path, data, command="verify")
+    code, out = _run(tmp_path, _campaign_dict(n_samples=100), command="verify")
     assert code in (0, 1)
     assert list(out.glob("report_*.json"))
 
@@ -692,8 +707,7 @@ def test_demo_config_mutations_end_in_a_config_error_or_the_solver(tmp_path, cap
     def solver(*args, **kwargs):
         raise _Solver
 
-    for name in ("eigenvalues_dense", "ext_norm_samples", "identity_ext_norm",
-                 "deterministic_ext_norm", "evsum_sweep", "schatten_campaign",
+    for name in ("eigenvalues_dense", "ext_norm_samples", "deterministic_ext_norm", "evsum_sweep", "schatten_campaign",
                  "config_sandwiches", "singular_values"):
         monkeypatch.setattr(cli, name, solver)
     faults, runs = [], 0

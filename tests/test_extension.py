@@ -157,15 +157,23 @@ def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def test_identity_realization_matches_deterministic():
-    gs = GridSpec(d=2, L=8.0, N=32)
+@pytest.mark.parametrize("L,tiled", [(8.0, True), (7.0, False)], ids=["tiled", "untiled"])
+def test_identity_realization_matches_deterministic(L, tiled):
+    """M(1) three ways: node-level, omega = 1, and the stored deterministic(), bit for bit."""
+    gs = GridSpec(d=2, L=L, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
-    field = _field(gs, amplitude=1.0 + 0.5j, R=2.0)
+    field = _field(gs, amplitude=1.0 + 0.5j, R=L / 4)
     spec = _omega_spec(h=1.0)
     plain = sandwich(net, net, field)
-    ones = SandwichEnsemble(net, net, field, spec.h).with_omega(OmegaField.constant(spec, gs))
+    ens = SandwichEnsemble(net, net, field, spec.h)
+    assert ens._factored == tiled
+    ones = ens.with_omega(OmegaField.constant(spec, gs))
     scale = np.abs(plain.matrix).max()
     np.testing.assert_allclose(ones.matrix, plain.matrix, atol=1e-12 * scale)
+    det = ens.deterministic()
+    np.testing.assert_array_equal(det.matrix, ones.matrix)
+    assert spectral_norm(det.matrix) == spectral_norm(ones.matrix)
+    np.testing.assert_array_equal(singular_values(det), singular_values(ones))
 
 
 def test_hermitian_for_real_potential():

@@ -26,13 +26,12 @@ from evbounds.harness import (
     ext_norm_samples,
     deterministic_ext_norm,
     fit_scaling,
-    identity_ext_norm,
     schatten_campaign,
     schatten_exponent,
     stein_tomas_spread,
 )
 from evbounds.potential import PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from evbounds.randomize import OmegaField, OmegaSpec
+from evbounds.randomize import OmegaSpec
 from evbounds.spectra import (
     SpectralPoint,
     SpectrumFilter,
@@ -217,18 +216,8 @@ def test_thm3_rejects_endpoint_q():
         check_thm3([], field, _omega(h=0.5), q=2.0, M=5.0)
 
 
-@pytest.mark.parametrize("h", [1.0, 2.0])
-def test_identity_realization_reduces_to_deterministic(h):
-    # V = |V| here, and omega = 1 is the same operator on any cells
-    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0)
-    got = identity_ext_norm(spec, _omega(h=h), lam=1.0, R=8.0, dx=0.5)
-    det = deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5)
-    assert got == pytest.approx(det, rel=1e-10)
-
-
 def test_mc_zero_potential():
     spec = PotentialSpec(kind="indicator_ball", amplitude=0.0)
-    assert identity_ext_norm(spec, _omega(), lam=1.0, R=8.0, dx=0.5) == 0.0
     assert deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5) == 0.0
     draws = ext_norm_samples(spec, _omega(), lam=1.0, R=8.0, indices=range(2), dx=0.5)
     np.testing.assert_array_equal(draws, 0.0)
@@ -252,37 +241,38 @@ def test_randomization_shrinks_the_norm():
     assert np.all(draws < det)
 
 
-def _node_level_det(spec, R, dx, d=2):
+def _node_level_det(spec, lam, R, dx, d=2):
     """Norm of the node-level sandwich of |V| on the campaign grid L = 4R."""
     gs = GridSpec(d=d, L=4 * R, N=int(round(4 * R / dx)))
     field = sample_potential(dataclasses.replace(spec, R=R), gs)
     field.values = np.abs(field.values).astype(complex)
-    net = build_net(1.0, R, d)
-    ens = SandwichEnsemble(net, net, field, h=1.0)
+    net = build_net(lam, R, d)
+    ens = SandwichEnsemble(net, net, field, h=min(1.0, gs.L))
     return spectral_norm(sandwich(net, net, field).matrix), ens
 
 
 @pytest.mark.parametrize(
-    "spec,R,dx,path",
+    "spec,lam,R,dx,path",
     [
-        (PotentialSpec(kind="indicator_ball"), 8.0, 0.25, "uniform"),
-        (PotentialSpec(kind="indicator_ball"), 8.0, 0.5, "uniform"),
-        (PotentialSpec(kind="indicator_ball", amplitude=1.0 + 1.0j), 4.0, 0.25, "uniform"),
-        (PotentialSpec(kind="power_decay", amplitude=-0.5 + 2.0j, s=1.5), 4.0, 0.25, "mixed"),
-        (PotentialSpec(kind="indicator_ball"), 3.0, 0.375, "node"),
+        (PotentialSpec(kind="indicator_ball"), 1.0, 8.0, 0.25, "uniform"),
+        (PotentialSpec(kind="indicator_ball"), 1.0, 8.0, 0.5, "uniform"),
+        (PotentialSpec(kind="indicator_ball", amplitude=1.0 + 1.0j), 1.0, 4.0, 0.25, "uniform"),
+        (PotentialSpec(kind="power_decay", amplitude=-0.5 + 2.0j, s=1.5), 1.0, 4.0, 0.25, "mixed"),
+        (PotentialSpec(kind="indicator_ball"), 1.0, 3.0, 0.375, "node"),
+        # L = 4R = 0.8 is one cell of side 0.8, not a unit cell
+        (PotentialSpec(kind="indicator_ball"), 8.0, 0.2, 0.05, "mixed"),
     ],
-    ids=["ball_dx0.25", "ball_dx0.5", "complex_amplitude", "smooth", "untiled_dx0.375"],
+    ids=["ball_dx0.25", "ball_dx0.5", "complex_amplitude", "smooth", "untiled_dx0.375",
+         "box_below_one_cell"],
 )
-def test_deterministic_ext_norm_matches_node_level_sandwich(spec, R, dx, path):
-    want, ens = _node_level_det(spec, R, dx)
+def test_deterministic_ext_norm_matches_node_level_sandwich(spec, lam, R, dx, path):
+    want, ens = _node_level_det(spec, lam, R, dx)
     # the case exercises the assembly path it names
     if path == "node":
         assert not ens._factored
     else:
-        flip = -OmegaField.constant(_omega(), ens.field.grid).cells
-        ref = ens.with_omega(OmegaField(_omega(), ens.field.grid, flip)).potential_ref
-        assert (ref["uniform_cells"] > 0) == (path == "uniform")
-    got = deterministic_ext_norm(spec, lam=1.0, R=R, dx=dx)
+        assert (ens.deterministic().potential_ref["uniform_cells"] > 0) == (path == "uniform")
+    got = deterministic_ext_norm(spec, lam=lam, R=R, dx=dx)
     assert got == pytest.approx(want, rel=1e-12)
 
 
