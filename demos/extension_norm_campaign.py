@@ -18,12 +18,7 @@ import argparse
 import numpy as np
 
 from evbounds import PotentialSpec
-from evbounds.harness import (
-    concentration_tail,
-    deterministic_ext_norm,
-    ext_norm_samples,
-    fit_scaling,
-)
+from evbounds.harness import campaign_norms, concentration_tail, fit_scaling
 from evbounds.randomize import OmegaSpec
 
 
@@ -41,8 +36,8 @@ def main() -> None:
     print(f"{args.samples} realizations per radius, bernoulli signs, seed {args.seed}\n")
     print("    R      mean ||E*V_wE||   stderr     ||E*|V|E||")
     for R in args.radii:
-        norms = ext_norm_samples(spec, template, 1.0, R, range(args.samples))
-        det = deterministic_ext_norm(spec, 1.0, R)
+        # One ensemble per radius: the draws' one holds the M(1) of |V| = V.
+        norms, det = campaign_norms(spec, template, 1.0, R, range(args.samples), reference=True)
         means.append(norms.mean())
         dets.append(det)
         stderr = norms.std(ddof=1) / np.sqrt(len(norms))

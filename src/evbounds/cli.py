@@ -29,6 +29,7 @@ from .config import RunConfig, checked, integer, load_config
 from .errors import ConfigError
 from .harness import (
     campaign_grid,
+    campaign_norms,
     check_aad_1d,
     check_evsum,
     check_extnorm,
@@ -40,7 +41,7 @@ from .harness import (
     check_thm3,
     concentration_tail,
     config_sandwiches,
-    deterministic_ext_norm,
+    deterministic_ext_norm,  # not called here: bench/cli_campaign.py HOOKS wraps it by name
     evsum_sweep,
     ext_norm_samples,
     fit_scaling,
@@ -291,22 +292,27 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 _NORMS_HEADER = "realization_index,norm"
+_REFERENCE_HEADER = "row,deterministic"
 
 
-def _read_norms(path: Path) -> dict[int, float]:
-    """Stored norms by realization index; {} when the file does not exist.
+def _read_norms(
+    path: Path, header: str = _NORMS_HEADER, rows: int | None = None
+) -> dict[int, float]:
+    """Stored norms by index under header; {} when the file does not exist.
 
     A file _write_norms did not leave whole (wrong header, no final newline,
     a row that is not one index idx >= 0 spelled str(idx) and one finite
-    norm spelled _fmt(norm), or an index seen twice) raises ConfigError
+    value spelled _fmt(value), or an index seen twice) raises ConfigError
     naming it and the line, so a campaign never resumes from a cut or
-    corrupted row.
+    corrupted row.  With rows given, the file must hold exactly the
+    indices below rows.
     """
     if not path.exists():
         return {}
+    key, name = header.split(",")
     lines = path.read_text(encoding="utf-8").split("\n")
-    if lines[0] != _NORMS_HEADER:
-        raise ConfigError(f"{path}: header is not {_NORMS_HEADER!r}")
+    if lines[0] != header:
+        raise ConfigError(f"{path}: header is not {header!r}")
     if lines[-1] != "":
         raise ConfigError(f"{path}: no final newline, the last row was cut")
     have: dict[int, float] = {}
@@ -317,27 +323,32 @@ def _read_norms(path: Path) -> dict[int, float]:
                 raise ValueError(f"{len(fields)} fields")
             idx, val = int(fields[0]), float(fields[1])
             if idx < 0 or fields[0] != str(idx):
-                raise ValueError(f"index {fields[0]!r} is not a plain nonnegative integer")
+                raise ValueError(f"{key} {fields[0]!r} is not a plain nonnegative integer")
             if fields[1] != _fmt(val):
-                raise ValueError(f"norm {fields[1]!r} is not written as {_fmt(val)!r}")
+                raise ValueError(f"{name} {fields[1]!r} is not written as {_fmt(val)!r}")
         except ValueError as err:
             raise ConfigError(f"{path}, line {lineno}: malformed row {line!r} ({err})") from None
         if not np.isfinite(val):
-            raise ConfigError(f"{path}, line {lineno}: norm {val} is not finite")
+            raise ConfigError(f"{path}, line {lineno}: {name} {val} is not finite")
         if idx in have:
-            raise ConfigError(f"{path}, line {lineno}: realization {idx} appears twice")
+            raise ConfigError(f"{path}, line {lineno}: {key} {idx} appears twice")
+        if rows is not None and idx >= rows:
+            raise ConfigError(f"{path}, line {lineno}: {key} {idx} is not below {rows}")
         have[idx] = val
+    if rows is not None and len(have) < rows:
+        absent = min(set(range(rows)) - have.keys())
+        raise ConfigError(f"{path}, line {len(lines)}: no row for {key} {absent}")
     return have
 
 
-def _write_norms(path: Path, norms: dict[int, float]):
+def _write_norms(path: Path, norms: dict[int, float], header: str = _NORMS_HEADER):
     # Write beside the target and rename over it: a run killed mid-write
     # leaves the previous file whole, never a truncated row that
     # _read_norms would take for a valid float.
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_NORMS_HEADER + "\n")
+            fh.write(header + "\n")
             for idx in sorted(norms):
                 fh.write(f"{idx},{_fmt(norms[idx])}\n")
         os.replace(tmp, path)
@@ -345,22 +356,36 @@ def _write_norms(path: Path, norms: dict[int, float]):
         tmp.unlink(missing_ok=True)
 
 
-def _collect_norms(cfg: RunConfig, R: float, n: int) -> np.ndarray:
-    """Norms of realizations 0..n-1 at one R, computing in one pass only those not on disk.
+def _collect_norms(cfg: RunConfig, R: float, n: int, reference: bool = False):
+    """Norms of realizations 0..n-1 at one R and, with reference=True, the |V| reference there.
 
-    They are kept in campaign_<hash>/norms_R<R>.csv under the output directory.
+    Both are kept in campaign_<hash>/ under the output directory: the
+    norms in norms_R<R>.csv, the reference deterministic_ext_norm in
+    reference_R<R>.csv as its one row 0.  Both files are read before any
+    work, and only what they lack is computed, in one campaign_norms call,
+    so a resume that finds everything builds no ensemble.  Returns the
+    norms array and the reference, None without reference=True.
     """
-    path = _ensure_dir(cfg) / f"campaign_{cfg.config_hash()}" / f"norms_R{R:g}.csv"
-    path.parent.mkdir(exist_ok=True)
-    have = _read_norms(path)
+    directory = _ensure_dir(cfg) / f"campaign_{cfg.config_hash()}"
+    directory.mkdir(exist_ok=True)
+    norms_path = directory / f"norms_R{R:g}.csv"
+    reference_path = directory / f"reference_R{R:g}.csv"
+    have = _read_norms(norms_path)
+    stored = _read_norms(reference_path, _REFERENCE_HEADER, rows=1) if reference else {}
     missing = [i for i in range(n) if i not in have]
-    if missing:
-        vals = ext_norm_samples(
-            cfg.potential, cfg.omega, _lam(cfg), R, missing, d=cfg.grid.d, dx=cfg.grid.dx
+    wanted = reference and not stored
+    if missing or wanted:
+        vals, det = campaign_norms(
+            cfg.potential, cfg.omega, _lam(cfg), R, missing,
+            d=cfg.grid.d, dx=cfg.grid.dx, reference=wanted,
         )
-        have.update(zip(missing, map(float, vals)))
-        _write_norms(path, have)
-    return np.array([have[i] for i in range(n)])
+        if missing:
+            have.update(zip(missing, map(float, vals)))
+            _write_norms(norms_path, have)
+        if wanted:
+            stored = {0: det}
+            _write_norms(reference_path, stored, _REFERENCE_HEADER)
+    return np.array([have[i] for i in range(n)]), stored.get(0)
 
 
 # Campaign drivers: each writes its CSVs and manifest and returns the exit code.
@@ -371,7 +396,7 @@ def _campaign_tail(cfg: RunConfig) -> int:
     (R,) = _radii(cfg, "R")
     n = _n_samples(cfg, 2000, MIN_SAMPLES)
     thresholds = _get(cfg, "thresholds", _numbers, _TAIL_THRESHOLDS)
-    study = concentration_tail(_collect_norms(cfg, R, n), thresholds=thresholds)
+    study = concentration_tail(_collect_norms(cfg, R, n)[0], thresholds=thresholds)
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(
         out / f"tail_{tag}.csv",
@@ -392,8 +417,7 @@ def _campaign_extnorm(cfg: RunConfig) -> int:
     n = _n_samples(cfg, 200)
     rows = []
     for R in r_list:
-        arr = _collect_norms(cfg, R, n)
-        det = deterministic_ext_norm(cfg.potential, _lam(cfg), R, d=cfg.grid.d, dx=cfg.grid.dx)
+        arr, det = _collect_norms(cfg, R, n, reference=True)
         stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         rows.append((R, float(arr.mean()), stderr, det))
     summary = [f"R,{_fmt(R)},{n},{_fmt(m)},{_fmt(se)},{_fmt(det)},," for R, m, se, det in rows]

@@ -32,13 +32,25 @@ EXPERIMENTS = (
     "SPECTRUM",
 )
 
-# The top-level keys of a config; any other is refused.
+# The keys of a config, at the top level and in each fixed section; any
+# other is refused.  experiment keys depend on the experiment.
 _SECTIONS = ("grid", "potential", "omega", "experiment", "out_dir")
+_GRID_KEYS = ("d", "L", "N")
+_POTENTIAL_KEYS = ("kind", "amplitude", "R", "s", "oscillation")
+_OMEGA_KEYS = ("h", "distribution", "master_seed", "realization_index")
 
 
 def _require(cond: bool, field: str, message: str):
     if not cond:
         raise ConfigError(f"{field}: {message}")
+
+
+def _known_keys(data: dict, keys: tuple, section: str = ""):
+    """Refuse the first key of data outside keys, named <section>.<key> (<key> at the top)."""
+    prefix = f"{section}." if section else ""
+    message = f"unknown key; the {section or 'config'} keys are {keys}"
+    for key in data:
+        _require(key in keys, prefix + key, message)
 
 
 def checked(field: str, fn, *args):
@@ -104,14 +116,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
         _require(isinstance(data, dict), "config", "top level must be a JSON object")
-        for key in data:
-            _require(key in _SECTIONS, key, f"unknown key; the config keys are {_SECTIONS}")
+        _known_keys(data, _SECTIONS)
         for key in ("grid", "potential", "experiment"):
             _require(key in data, key, "missing required section")
 
         gd = data["grid"]
         _require(isinstance(gd, dict), "grid", "must be an object")
-        for key in ("d", "L", "N"):
+        _known_keys(gd, _GRID_KEYS, "grid")
+        for key in _GRID_KEYS:
             _require(key in gd, f"grid.{key}", "missing")
         kinds = (integer, float, integer)
         d, L, N = (checked(f"grid.{k}", t, gd[k]) for k, t in zip("dLN", kinds))
@@ -119,6 +131,7 @@ class RunConfig:
 
         pd = data["potential"]
         _require(isinstance(pd, dict), "potential", "must be an object")
+        _known_keys(pd, _POTENTIAL_KEYS, "potential")
         _require("kind" in pd, "potential.kind", "missing")
         amp = pd.get("amplitude", [1.0, 0.0])
         _require(
@@ -144,6 +157,7 @@ class RunConfig:
         omega = None
         if om is not None:
             _require(isinstance(om, dict), "omega", "must be an object or null")
+            _known_keys(om, _OMEGA_KEYS, "omega")
             for key in ("h", "distribution", "master_seed"):
                 _require(key in om, f"omega.{key}", "missing")
             omega = checked(

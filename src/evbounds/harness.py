@@ -5,7 +5,9 @@ ext_norm_samples and schatten_campaign (through angular_weight) draw
 randomized realizations, deterministic_ext_norm takes the M(1) of |V| (the
 reference behind stein_tomas_spread too), and config_sandwiches, for the
 svd command and the SCHATTEN_DECAY check, either.  Every M(1) is the
-ensemble's stored one, on the cells _deterministic fixes.
+ensemble's stored one, on the cells _deterministic fixes.  campaign_norms
+gives a campaign radius its draws and its |V| reference from one build
+whenever the draws' ensemble is the one deterministic_ext_norm would build.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -55,6 +57,7 @@ __all__ = [
     "check_extnorm",
     "check_tail",
     "ext_norm_samples",
+    "campaign_norms",
     "deterministic_ext_norm",
     "campaign_grid",
     "config_sandwiches",
@@ -311,12 +314,46 @@ def ext_norm_samples(
     dx: float = 0.25,
 ) -> np.ndarray:
     """Randomized sandwich norms at one R for the given realization indices."""
-    ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-    norms = np.empty(len(indices))
-    for k, idx in enumerate(indices):
-        omega = draw_omega(omega_template.with_realization(int(idx)), ensemble.field.grid)
-        norms[k] = spectral_norm(ensemble.with_omega(omega).matrix)
-    return norms
+    return campaign_norms(potential_spec, omega_template, lam, R, indices, d, dx)[0]
+
+
+def campaign_norms(
+    potential_spec: PotentialSpec,
+    omega_template: OmegaSpec,
+    lam: float,
+    R: float,
+    indices,
+    d: int = 2,
+    dx: float = 0.25,
+    reference: bool = False,
+) -> tuple[np.ndarray, float | None]:
+    """ext_norm_samples at one R and, with reference=True, deterministic_ext_norm there.
+
+    Both values are the bits those functions return, from as few ensemble
+    builds as they allow: empty indices build no draws' ensemble, and the
+    draws' ensemble gives the reference from its stored M(1) when it is the
+    one _deterministic builds, V equal to |V| bit for bit on cells of side
+    min(1, L).  Any other V or h builds the reference's own ensemble.  The
+    reference is None without reference=True.
+    """
+    norms, ensemble = np.empty(len(indices)), None
+    if len(indices):
+        ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
+        for k, idx in enumerate(indices):
+            omega = draw_omega(omega_template.with_realization(int(idx)), ensemble.field.grid)
+            norms[k] = spectral_norm(ensemble.with_omega(omega).matrix)
+    if not reference:
+        return norms, None
+    if ensemble is not None and _holds_reference(ensemble):
+        return norms, spectral_norm(ensemble.deterministic().matrix)
+    return norms, deterministic_ext_norm(potential_spec, lam, R, d, dx)
+
+
+def _holds_reference(ensemble: SandwichEnsemble) -> bool:
+    """Whether ensemble is the one deterministic_ext_norm builds: |V| bits on min(1, L) cells."""
+    values = ensemble.field.values
+    same_v = np.abs(values).astype(complex).tobytes() == values.tobytes()
+    return same_v and ensemble.h == min(1.0, ensemble.field.grid.L)
 
 
 def deterministic_ext_norm(

@@ -126,10 +126,15 @@ def _assert_config_error(tmp_path, capsys, code, out, field):
          "identity_omega:"),
         ("spectrum", lambda d: d.update(omgea={"h": 1.0, "distribution": "bernoulli",
                                                "master_seed": 1}), "omgea:"),
+        ("spectrum", lambda d: d["potential"].update(amplitde=[3.0, 0.0]), "potential.amplitde:"),
+        ("spectrum", lambda d: d.update(omega={"h": 1.0, "distribution": "bernoulli",
+                                               "master_seed": 1, "realisation_index": 3}),
+         "omega.realisation_index:"),
+        ("spectrum", lambda d: d["grid"].update(dx=0.0625), "grid.dx:"),
     ],
     ids=["no_grid", "no_N", "kind", "amplitude_pair", "name", "distribution", "out_dir",
          "N_100", "d", "amplitude", "R", "master_seed", "oscillation", "identity_omega",
-         "typo_omgea"],
+         "typo_omgea", "typo_amplitde", "typo_realisation_index", "typo_grid_dx"],
 )
 def test_validation_failures_name_the_field(tmp_path, capsys, no_work, command, mutate, field):
     data = _base_dict()
@@ -329,7 +334,7 @@ def test_campaign_write_failure_keeps_previous_norms(tmp_path, monkeypatch):
     partial = "\n".join(full.splitlines()[:2]) + "\n"
     norms_path.write_text(partial, encoding="utf-8")
 
-    # the resumed run rewrites rows 0..2 and dies while formatting row 2
+    # the resumed run dies on its third _fmt call, inside the rewrite of the norms file
     calls = []
     real_fmt = cli._fmt
 
@@ -343,7 +348,7 @@ def test_campaign_write_failure_keeps_previous_norms(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         _run(tmp_path, data, command="campaign")
     assert norms_path.read_text(encoding="utf-8") == partial
-    assert sorted(p.name for p in norms_path.parent.iterdir()) == ["norms_R8.csv"]
+    assert sorted(p.name for p in norms_path.parent.iterdir()) == ["norms_R8.csv", "reference_R8.csv"]
 
     monkeypatch.setattr(cli, "_fmt", real_fmt)
     _run(tmp_path, data, command="campaign")
@@ -418,6 +423,27 @@ def test_read_norms_accepts_whole_file(tmp_path):
     assert cli._read_norms(path) == {}
     cli._write_norms(path, {2: 1.25, 0: 3.5})
     assert cli._read_norms(path) == {0: 3.5, 2: 1.25}
+    ref = tmp_path / "reference_R8.csv"
+    cli._write_norms(ref, {0: 27.5}, "row,deterministic")
+    assert ref.read_text(encoding="utf-8") == "row,deterministic\n0,27.5\n"
+    assert cli._read_norms(ref, "row,deterministic", rows=1) == {0: 27.5}
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("row,deterministic\n", "line 2"),
+        ("row,deterministic\n1,2.5\n", "line 2"),
+        ("row,deterministic\n0,2.5\n1,2.5\n", "line 3"),
+        ("realization_index,norm\n0,2.5\n", "header"),
+    ],
+    ids=["no_row", "row_1", "second_row", "norms_header"],
+)
+def test_read_reference_wants_exactly_row_0(tmp_path, text, line):
+    path = tmp_path / "reference_R8.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"reference_R8.csv.*{line}"):
+        cli._read_norms(path, "row,deterministic", rows=1)
 
 
 def test_campaign_workers_agree(tmp_path):
@@ -646,6 +672,146 @@ def test_campaign_takes_dx_from_grid(tmp_path):
     assert cli._read_norms(next(out.glob("campaign_*/norms_R8.csv"))) == dict(enumerate(norms))
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a resume with every file on disk computed something")
+
+
+def test_campaign_resume_builds_and_computes_nothing(tmp_path, monkeypatch):
+    import evbounds.harness as harness
+
+    data = _campaign_dict(n_samples=3, r_list=(4.0, 8.0, 16.0))
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    fresh = _files(out)
+    assert sorted(p.name for p in next(out.glob("campaign_*")).iterdir()) == [
+        "norms_R16.csv", "norms_R4.csv", "norms_R8.csv",
+        "reference_R16.csv", "reference_R4.csv", "reference_R8.csv",
+    ]
+    monkeypatch.setattr(harness, "SandwichEnsemble", _refuse)
+    monkeypatch.setattr(harness, "spectral_norm", _refuse)
+    code, _ = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    assert _files(out) == fresh
+
+
+@pytest.mark.parametrize(
+    "amplitude,h,builds",
+    [([1.0, 0.0], 1.0, 1), ([0.6, 0.8], 1.0, 2), ([1.0, 0.0], 2.0, 2), ([-1.0, 0.0], 1.0, 2)],
+    ids=["unit", "complex", "h_2", "negative"],
+)
+def test_fresh_campaign_builds_the_reference_once_where_it_can(
+    tmp_path, monkeypatch, amplitude, h, builds
+):
+    """One ensemble per radius when the draws' ensemble is the |V| one, else two; same bits."""
+    import evbounds.harness as harness
+    from evbounds.harness import deterministic_ext_norm
+    from evbounds.potential import PotentialSpec
+
+    data = _campaign_dict(n_samples=2, r_list=(8.0, 16.0))
+    data["potential"]["amplitude"] = amplitude
+    data["omega"]["h"] = h
+    built = []
+    real = harness.SandwichEnsemble
+
+    def spy(net_out, net_in, field, cell):
+        built.append(field.grid.L)
+        return real(net_out, net_in, field, cell)
+
+    monkeypatch.setattr(harness, "SandwichEnsemble", spy)
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    assert built == [32.0] * builds + [64.0] * builds
+    monkeypatch.setattr(harness, "SandwichEnsemble", real)
+    rows = next(out.glob("summary_*.csv")).read_text(encoding="utf-8").splitlines()[1:]
+    spec = PotentialSpec(kind="indicator_ball", amplitude=complex(*amplitude))
+    for R, row in zip((8.0, 16.0), rows):
+        assert row.split(",")[5] == repr(deterministic_ext_norm(spec, 1.0, R, d=2, dx=0.25))
+
+
+def test_campaign_without_reference_files_resumes_by_writing_them(tmp_path, monkeypatch):
+    """A campaign directory holding only norms files, as older runs left them, resumes."""
+    import evbounds.harness as harness
+
+    data = _campaign_dict(n_samples=3, r_list=(4.0, 8.0))
+    _, out = _run(tmp_path, data, command="campaign")
+    fresh = _files(out)
+    references = list(out.glob("campaign_*/reference_R*.csv"))
+    assert len(references) == 2
+    for path in references:
+        path.unlink()
+    monkeypatch.setattr(harness, "draw_omega", _refuse)
+    code, _ = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    assert _files(out) == fresh
+
+
+@pytest.mark.parametrize(
+    "damage,line",
+    [
+        (lambda text: text[: text.rindex(".") + 3], "no final newline"),
+        (lambda text: text.replace("\n0,", "\n00,"), "line 2"),
+        (lambda text: text[:-1] + " \n", "line 2"),
+        (lambda text: text + text.splitlines()[1] + "\n", "line 3"),
+    ],
+    ids=["cut", "padded_index", "padded_value", "duplicated"],
+)
+def test_campaign_rejects_a_damaged_reference_file(tmp_path, capsys, monkeypatch, damage, line):
+    import evbounds.harness as harness
+
+    data = _campaign_dict(n_samples=2)
+    _, out = _run(tmp_path, data, command="campaign")
+    path = next(out.glob("campaign_*/reference_R8.csv"))
+    text = damage(path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(harness, "SandwichEnsemble", _refuse)
+    capsys.readouterr()
+    code, _ = _run(tmp_path, data, command="campaign")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}" in err and line in err
+    assert path.read_text(encoding="utf-8") == text
+
+
+# argv: src directory, then the command line as JSON.  The ensemble class
+# raises, so the command exits 0 only if it builds none.
+_RESUME_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from evbounds import cli, harness
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a resume built an ensemble")
+
+harness.SandwichEnsemble = refuse
+sys.exit(cli.main(json.loads(sys.argv[2])))
+"""
+
+
+def test_resume_in_a_fresh_interpreter_builds_no_ensemble(tmp_path):
+    """What a resume skips is on disk, not in this process."""
+    import subprocess
+    import sys
+
+    import evbounds
+
+    data = _campaign_dict(n_samples=2, r_list=(4.0, 8.0))
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    fresh = _files(out)
+    argv = ["campaign", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+    src = Path(evbounds.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _RESUME_CHILD, str(src), json.dumps(argv)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert _files(out) == fresh
+
+
 def test_dispatch_table_covers_exactly_the_experiments():
     from evbounds.config import EXPERIMENTS
     from evbounds.harness import BoundReport
@@ -707,8 +873,8 @@ def test_demo_config_mutations_end_in_a_config_error_or_the_solver(tmp_path, cap
     def solver(*args, **kwargs):
         raise _Solver
 
-    for name in ("eigenvalues_dense", "ext_norm_samples", "deterministic_ext_norm", "evsum_sweep", "schatten_campaign",
-                 "config_sandwiches", "singular_values"):
+    for name in ("eigenvalues_dense", "ext_norm_samples", "campaign_norms", "deterministic_ext_norm", "evsum_sweep",
+                 "schatten_campaign", "config_sandwiches", "singular_values"):
         monkeypatch.setattr(cli, name, solver)
     faults, runs = [], 0
     for command, path in _readme_runs():

@@ -11,6 +11,7 @@ from evbounds.extension import SandwichEnsemble, build_net, sandwich
 from evbounds.harness import (
     FITTED_CONSTANTS,
     BoundReport,
+    campaign_norms,
     check_aad_1d,
     check_evsum,
     check_extnorm,
@@ -274,6 +275,37 @@ def test_deterministic_ext_norm_matches_node_level_sandwich(spec, lam, R, dx, pa
         assert (ens.deterministic().potential_ref["uniform_cells"] > 0) == (path == "uniform")
     got = deterministic_ext_norm(spec, lam=lam, R=R, dx=dx)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,lam,R,dx,h,builds",
+    [
+        (PotentialSpec(kind="indicator_ball"), 1.0, 8.0, 0.5, 1.0, 1),
+        (PotentialSpec(kind="indicator_ball"), 1.0, 8.0, 0.5, 2.0, 2),
+        (PotentialSpec(kind="indicator_ball", amplitude=1.0 + 1.0j), 1.0, 4.0, 0.25, 1.0, 2),
+        (PotentialSpec(kind="power_decay", amplitude=-0.5, s=1.5), 1.0, 4.0, 0.25, 1.0, 2),
+        (PotentialSpec(kind="indicator_ball"), 1.0, 3.0, 0.375, 1.0, 1),
+        (PotentialSpec(kind="indicator_ball"), 8.0, 0.2, 0.05, 0.8, 1),
+    ],
+    ids=["ball", "h2", "complex_amplitude", "negative", "untiled_dx0.375", "box_below_one_cell"],
+)
+def test_campaign_norms_are_the_two_samplers_bits(monkeypatch, spec, lam, R, dx, h, builds):
+    """The draws' ensemble gives the |V| reference only where it is that ensemble."""
+    import evbounds.harness as harness
+
+    omega = _omega(h=h)
+    want_norms = ext_norm_samples(spec, omega, lam, R, range(3), dx=dx)
+    want_det = deterministic_ext_norm(spec, lam, R, dx=dx)
+    built = []
+    real = harness.SandwichEnsemble
+    monkeypatch.setattr(harness, "SandwichEnsemble", lambda *args: built.append(1) or real(*args))
+    norms, det = campaign_norms(spec, omega, lam, R, range(3), dx=dx, reference=True)
+    assert len(built) == builds
+    assert norms.tobytes() == want_norms.tobytes() and det == want_det
+    assert campaign_norms(spec, omega, lam, R, range(3), dx=dx)[1] is None
+    built.clear()
+    norms, det = campaign_norms(spec, omega, lam, R, [], dx=dx, reference=True)
+    assert len(built) == 1 and norms.size == 0 and det == want_det
 
 
 def test_check_extnorm_formula():
