@@ -2,9 +2,11 @@
 
 Every command loads one JSON config, stamps all outputs with its content
 hash, and writes UTF-8 CSV/JSON only.  Reruns of an unchanged config
-produce byte-identical files; campaigns resume from whatever realization
-indices are already on disk.  DRIVERS maps every experiment name to its
-verify and campaign drivers; an experiment without one has no such command.
+produce byte-identical files, each written whole or not at all (_write).
+PROP_EXTNORM and TAIL campaigns resume from whatever realization indices
+are already on disk; SCHATTEN_DECAY and EVSUM campaigns recompute on every
+run.  DRIVERS maps every experiment name to its verify and campaign
+drivers; an experiment without one has no such command.
 
 A bad config exits 2 with "config error: <field>: <message>" and does no
 work.  Every config value is converted, and every constructor, precondition
@@ -25,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, checked, integer, load_config
+from .config import RunConfig, checked, integer, load_config, number
 from .errors import ConfigError
 from .harness import (
+    TAIL_THRESHOLDS,
     campaign_grid,
     campaign_norms,
     check_aad_1d,
@@ -61,8 +64,6 @@ from .spectra import (
 
 __all__ = ["main"]
 
-_TAIL_THRESHOLDS = (1.25, 1.5, 2.0)
-
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal form, for byte-stable CSV."""
@@ -72,7 +73,7 @@ def _fmt(x) -> str:
 _REQUIRED = object()
 
 
-def _get(cfg: RunConfig, key: str, kind=float, default=_REQUIRED):
+def _get(cfg: RunConfig, key: str, kind=number, default=_REQUIRED):
     """kind(experiment.<key>) under config.checked; default when the key is absent or null."""
     value = cfg.experiment.get(key)
     if value is not None:
@@ -86,7 +87,15 @@ def _numbers(values) -> list[float]:
     """A non-empty JSON list of numbers, as floats."""
     if not isinstance(values, list) or not values:
         raise ValueError(f"expected a non-empty list of numbers, got {values!r}")
-    return [float(v) for v in values]
+    return [number(v) for v in values]
+
+
+def _tail_thresholds(values) -> list[float]:
+    """At least two increasing positive finite numbers: check_tail compares the first and last."""
+    ms = _numbers(values)
+    if len(ms) < 2 or not all(0 < a < b < np.inf for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"expected 2 or more strictly increasing positive numbers, got {values!r}")
+    return ms
 
 
 def _floats(cfg: RunConfig, *keys) -> list[float]:
@@ -94,7 +103,7 @@ def _floats(cfg: RunConfig, *keys) -> list[float]:
 
 
 def _lam(cfg: RunConfig) -> float:
-    return _get(cfg, "lam", float, 1.0)
+    return _get(cfg, "lam", number, 1.0)
 
 
 def _omega(cfg: RunConfig):
@@ -115,7 +124,7 @@ def _radii(cfg: RunConfig, key: str, campaign: bool = True) -> list[float]:
     if key == "R_list":
         radii = _get(cfg, key, _numbers, _REQUIRED if campaign else [cfg.potential.R])
     else:
-        radii = [_get(cfg, key, float, cfg.potential.R)]
+        radii = [_get(cfg, key, number, cfg.potential.R)]
     lam, d, dx = _lam(cfg), cfg.grid.d, cfg.grid.dx
     for i, R in enumerate(radii):
         twin = next((r for r in radii[:i] if f"{r:g}" == f"{R:g}"), None)
@@ -139,13 +148,13 @@ def _n_samples(cfg: RunConfig, default: int, minimum: int = 1) -> int:
 
 def _cell_size(cfg: RunConfig) -> float:
     """experiment.h, by default the omega's cell size; required without an omega section."""
-    return _get(cfg, "h", float, _REQUIRED if cfg.omega is None else cfg.omega.h)
+    return _get(cfg, "h", number, _REQUIRED if cfg.omega is None else cfg.omega.h)
 
 
 def _spectrum_filter(cfg: RunConfig) -> SpectrumFilter:
     """Window from experiment.band, else from R0 and h, else all of [0, inf)."""
-    margin = _get(cfg, "essential_margin", float, SpectrumFilter.default_margin(cfg.grid))
-    kappa = _get(cfg, "kappa_filter", float, None)
+    margin = _get(cfg, "essential_margin", number, SpectrumFilter.default_margin(cfg.grid))
+    kappa = _get(cfg, "kappa_filter", number, None)
     band = _get(cfg, "band", _numbers, None)
     if band is None and cfg.experiment.get("R0") is not None:
         scales = _get(cfg, "R0"), _cell_size(cfg)
@@ -171,12 +180,20 @@ def _ensure_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write(path: Path, text: str):
+    """Write text to path as UTF-8, whole or not at all: into <name>.tmp, renamed over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_lines(path: Path, header: str, lines) -> str:
     """Write a UTF-8 CSV of a header and rows already formatted; returns the file name."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write(path, "".join(line + "\n" for line in (header, *lines)))
     return path.name
 
 
@@ -189,9 +206,7 @@ def _write_manifest(out: Path, cfg: RunConfig, outputs: list[str], extra: dict |
     if extra:
         manifest.update(extra)
     path = out / f"manifest_{cfg.config_hash()}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -262,7 +277,7 @@ def _verify_schatten(cfg: RunConfig):
 def _verify_tail(cfg: RunConfig):
     omega, (R,) = _omega(cfg), _radii(cfg, "R")
     n = _n_samples(cfg, 200, MIN_SAMPLES)
-    thresholds = _get(cfg, "thresholds", _numbers, _TAIL_THRESHOLDS)
+    thresholds = _get(cfg, "thresholds", _tail_thresholds, TAIL_THRESHOLDS)
     norms = ext_norm_samples(
         cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
     )
@@ -277,9 +292,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload["passed"] = report.passed
     payload["config_hash"] = tag
     path = out / f"report_{tag}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
     status = "PASS" if report.passed else "FAIL"
     if report.vacuous:
         status += " (vacuous)"
@@ -342,18 +355,7 @@ def _read_norms(
 
 
 def _write_norms(path: Path, norms: dict[int, float], header: str = _NORMS_HEADER):
-    # Write beside the target and rename over it: a run killed mid-write
-    # leaves the previous file whole, never a truncated row that
-    # _read_norms would take for a valid float.
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for idx in sorted(norms):
-                fh.write(f"{idx},{_fmt(norms[idx])}\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_lines(path, header, [f"{idx},{_fmt(norms[idx])}" for idx in sorted(norms)])
 
 
 def _collect_norms(cfg: RunConfig, R: float, n: int, reference: bool = False):
@@ -395,7 +397,7 @@ def _campaign_tail(cfg: RunConfig) -> int:
     _omega(cfg)
     (R,) = _radii(cfg, "R")
     n = _n_samples(cfg, 2000, MIN_SAMPLES)
-    thresholds = _get(cfg, "thresholds", _numbers, _TAIL_THRESHOLDS)
+    thresholds = _get(cfg, "thresholds", _tail_thresholds, TAIL_THRESHOLDS)
     study = concentration_tail(_collect_norms(cfg, R, n)[0], thresholds=thresholds)
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(

@@ -17,7 +17,7 @@ from .grid import GridSpec
 from .potential import PotentialSpec
 from .randomize import OmegaSpec
 
-__all__ = ["RunConfig", "checked", "integer", "load_config"]
+__all__ = ["RunConfig", "checked", "integer", "load_config", "number"]
 
 EXPERIMENTS = (
     "AAD1D",
@@ -32,12 +32,9 @@ EXPERIMENTS = (
     "SPECTRUM",
 )
 
-# The keys of a config, at the top level and in each fixed section; any
-# other is refused.  experiment keys depend on the experiment.
+# The keys of a config at the top level; any other is refused.  experiment
+# keys depend on the experiment.
 _SECTIONS = ("grid", "potential", "omega", "experiment", "out_dir")
-_GRID_KEYS = ("d", "L", "N")
-_POTENTIAL_KEYS = ("kind", "amplitude", "R", "s", "oscillation")
-_OMEGA_KEYS = ("h", "distribution", "master_seed", "realization_index")
 
 
 def _require(cond: bool, field: str, message: str):
@@ -54,16 +51,26 @@ def _known_keys(data: dict, keys: tuple, section: str = ""):
 
 
 def checked(field: str, fn, *args):
-    """fn(*args), with a ValueError or TypeError raised as ConfigError("<field>: <message>").
+    """fn(*args), its ValueError, TypeError or OverflowError raised as ConfigError("<field>: ...").
 
     The one rule of a config value: it is converted, and every constructor
     or precondition it reaches before work is called, through this helper.
-    Work itself (solves, ensembles, samplers) never runs under it.
+    Work itself (solves, ensembles, samplers) never runs under it.  A
+    ConfigError fn raises already names its field and passes through as is.
     """
     try:
         return fn(*args)
-    except (ValueError, TypeError) as err:
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as err:
         raise ConfigError(f"{field}: {err}") from err
+
+
+def number(value) -> float:
+    """A JSON number as a float, non-finite ones included; bools, strings and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def integer(value) -> int:
@@ -72,11 +79,50 @@ def integer(value) -> int:
     Bools, strings and fractional or non-finite floats raise instead of
     being truncated, so "N": 128.9 never runs as N = 128.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if not number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _amplitude(value) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("must be a [re, im] pair")
+    return complex(*map(number, value))
+
+
+def _oscillation(value):
+    """The oscillation object as given, each of its values checked as a number."""
+    if value is not None and not isinstance(value, dict):
+        raise TypeError("must be an object")
+    for key, entry in (value or {}).items():
+        checked(f"potential.oscillation.{key}", number, entry)
+    return value
+
+
+# Each fixed section as rows (key, conversion, default) in the order of its
+# spec's arguments; the keys are the only ones it takes, and a key whose
+# default is _REQUIRED must be given.
+_REQUIRED = object()
+_FIELDS = {
+    "grid": (("d", integer, _REQUIRED), ("L", number, _REQUIRED), ("N", integer, _REQUIRED)),
+    "potential": (("kind", str, _REQUIRED), ("amplitude", _amplitude, [1.0, 0.0]),
+                  ("R", number, 1.0), ("s", number, 1.0), ("oscillation", _oscillation, None)),
+    "omega": (("h", number, _REQUIRED), ("distribution", str, _REQUIRED),
+              ("master_seed", integer, _REQUIRED), ("realization_index", integer, 0)),
+}
+
+
+def _read_section(data: dict, name: str, spec):
+    """spec(*values) of section name, each value converted by its row of _FIELDS."""
+    section = data[name]
+    _require(isinstance(section, dict), name, "must be an object")
+    rows = _FIELDS[name]
+    _known_keys(section, tuple(key for key, _, _ in rows), name)
+    values = []
+    for key, convert, default in rows:
+        _require(key in section or default is not _REQUIRED, f"{name}.{key}", "missing")
+        values.append(checked(f"{name}.{key}", convert, section.get(key, default)))
+    return checked(name, spec, *values)
 
 
 @dataclass(frozen=True)
@@ -90,28 +136,14 @@ class RunConfig:
     out_dir: str = "runs"
 
     def to_dict(self) -> dict:
-        pot = {
-            "kind": self.potential.kind,
-            "amplitude": [self.potential.amplitude.real, self.potential.amplitude.imag],
-            "R": self.potential.R,
-            "s": self.potential.s,
-            "oscillation": self.potential.oscillation,
+        specs = (("grid", self.grid), ("potential", self.potential), ("omega", self.omega))
+        out = {
+            name: None if spec is None else {key: getattr(spec, key) for key, _, _ in _FIELDS[name]}
+            for name, spec in specs
         }
-        om = None
-        if self.omega is not None:
-            om = {
-                "h": self.omega.h,
-                "distribution": self.omega.distribution,
-                "master_seed": self.omega.master_seed,
-                "realization_index": self.omega.realization_index,
-            }
-        return {
-            "grid": {"d": self.grid.d, "L": self.grid.L, "N": self.grid.N},
-            "potential": pot,
-            "omega": om,
-            "experiment": self.experiment,
-            "out_dir": self.out_dir,
-        }
+        amplitude = self.potential.amplitude
+        out["potential"]["amplitude"] = [amplitude.real, amplitude.imag]
+        return {**out, "experiment": self.experiment, "out_dir": self.out_dir}
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
@@ -119,74 +151,17 @@ class RunConfig:
         _known_keys(data, _SECTIONS)
         for key in ("grid", "potential", "experiment"):
             _require(key in data, key, "missing required section")
-
-        gd = data["grid"]
-        _require(isinstance(gd, dict), "grid", "must be an object")
-        _known_keys(gd, _GRID_KEYS, "grid")
-        for key in _GRID_KEYS:
-            _require(key in gd, f"grid.{key}", "missing")
-        kinds = (integer, float, integer)
-        d, L, N = (checked(f"grid.{k}", t, gd[k]) for k, t in zip("dLN", kinds))
-        grid = checked("grid", GridSpec, d, L, N)
-
-        pd = data["potential"]
-        _require(isinstance(pd, dict), "potential", "must be an object")
-        _known_keys(pd, _POTENTIAL_KEYS, "potential")
-        _require("kind" in pd, "potential.kind", "missing")
-        amp = pd.get("amplitude", [1.0, 0.0])
-        _require(
-            isinstance(amp, (list, tuple)) and len(amp) == 2,
-            "potential.amplitude",
-            "must be a [re, im] pair",
-        )
-        osc = pd.get("oscillation")
-        _require(osc is None or isinstance(osc, dict), "potential.oscillation", "must be an object")
-        for key, value in (osc or {}).items():
-            checked(f"potential.oscillation.{key}", float, value)
-        potential = checked(
-            "potential",
-            PotentialSpec,
-            pd["kind"],
-            complex(*(checked("potential.amplitude", float, a) for a in amp)),
-            checked("potential.R", float, pd.get("R", 1.0)),
-            checked("potential.s", float, pd.get("s", 1.0)),
-            osc,
-        )
-
-        om = data.get("omega")
-        omega = None
-        if om is not None:
-            _require(isinstance(om, dict), "omega", "must be an object or null")
-            _known_keys(om, _OMEGA_KEYS, "omega")
-            for key in ("h", "distribution", "master_seed"):
-                _require(key in om, f"omega.{key}", "missing")
-            omega = checked(
-                "omega",
-                OmegaSpec,
-                checked("omega.h", float, om["h"]),
-                om["distribution"],
-                checked("omega.master_seed", integer, om["master_seed"]),
-                checked("omega.realization_index", integer, om.get("realization_index", 0)),
-            )
+        grid = _read_section(data, "grid", GridSpec)
+        potential = _read_section(data, "potential", PotentialSpec)
+        omega = None if data.get("omega") is None else _read_section(data, "omega", OmegaSpec)
 
         exp = data["experiment"]
         _require(isinstance(exp, dict), "experiment", "must be an object")
         _require("name" in exp, "experiment.name", "missing")
-        _require(
-            exp["name"] in EXPERIMENTS,
-            "experiment.name",
-            f"must be one of {EXPERIMENTS}",
-        )
-
+        _require(exp["name"] in EXPERIMENTS, "experiment.name", f"must be one of {EXPERIMENTS}")
         out_dir = data.get("out_dir", "runs")
         _require(isinstance(out_dir, str) and out_dir, "out_dir", "must be a nonempty string")
-        return cls(
-            grid=grid,
-            potential=potential,
-            omega=omega,
-            experiment=dict(exp),
-            out_dir=out_dir,
-        )
+        return cls(grid, potential, omega, dict(exp), out_dir)
 
     def canonical(self) -> str:
         """Canonical JSON: sorted keys, minimal separators."""

@@ -65,6 +65,7 @@ __all__ = [
     "check_schatten_decay",
     "check_evsum",
     "concentration_tail",
+    "TAIL_THRESHOLDS",
     "schatten_exponent",
     "schatten_campaign",
     "evsum_sweep",
@@ -501,7 +502,11 @@ def check_evsum(
     )
 
 
-def concentration_tail(norms, thresholds=(1.25, 1.5, 2.0)) -> TailStudy:
+# Multiples of the sample mean at which concentration_tail counts exceedances.
+TAIL_THRESHOLDS = (1.25, 1.5, 2.0)
+
+
+def concentration_tail(norms, thresholds=TAIL_THRESHOLDS) -> TailStudy:
     """Exceedance fractions at M times the sample mean and the slope of log-fraction vs M^2.
 
     The reported c is the negated fitted slope, so Gaussian-type

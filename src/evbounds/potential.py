@@ -151,19 +151,6 @@ def weighted_sup_norm(field: PotentialField, exponent: float) -> float:
     return float((bracket(field.grid.radii()) ** exponent * np.abs(field.values)).max())
 
 
-def _threshold(sorted_desc: np.ndarray, cellvol: float, target: float) -> float:
-    """inf over t > 0 of {measure of |V| > t <= target} for sampled values."""
-    # measure(t) = count(|V| > t) * cellvol is right-continuous and piecewise
-    # constant; scan the distinct sample values as candidate infima.
-    count_above = np.arange(1, sorted_desc.size + 1)
-    measures = count_above * cellvol
-    ok = measures <= target
-    if ok.all():
-        return 0.0
-    first_bad = int(np.argmin(ok))  # smallest count whose measure exceeds target
-    return float(sorted_desc[first_bad])
-
-
 def dyadic_decompose(field: PotentialField) -> list[DyadicLayer]:
     """Split V into level sets between half-measure thresholds.
 
@@ -171,54 +158,28 @@ def dyadic_decompose(field: PotentialField) -> list[DyadicLayer]:
     are nonincreasing in i and each node joins the deepest layer whose upper
     threshold still dominates it, so the layers tile the support and sum back
     to V exactly.  The top threshold is clamped to max|V| so that a support
-    of measure below 1/2 still lands in layer zero.
+    of measure below 1/2 still lands in layer zero.  Thresholds stop at the
+    first 0 or after i = 64, where 64 doublings exhaust the float range.
     """
-    absvals = np.abs(field.values).ravel()
-    nonzero = absvals[absvals > 0]
-    if nonzero.size == 0:
+    absvals = np.abs(field.values)
+    support = absvals > 0
+    sorted_desc = np.sort(absvals[support])[::-1]
+    n = sorted_desc.size
+    if n == 0:
         return []
-    cellvol = field.grid.cellvol
-    sorted_desc = np.sort(nonzero)[::-1]
-    vmax = float(sorted_desc[0])
+    # measure{|V| > t} is piecewise constant: the k largest values have measure
+    # k * cellvol, so H_i is the value after the most that fit in 2^(i-1), or 0
+    # once the whole support fits.
+    budgets = 2.0 ** np.arange(-1, 64)
+    pos = np.searchsorted(np.arange(1, n + 1) * field.grid.cellvol, budgets, side="right")
+    pos[0] = 0  # the clamp: H_0 = max|V|
+    levels = np.append(sorted_desc[pos[pos < n]], 0.0)  # H_0 >= H_1 >= ... >= H_last = 0
 
-    thresholds = []
-    i = 0
-    while True:
-        h = _threshold(sorted_desc, cellvol, 2.0 ** (i - 1))
-        if i == 0:
-            h = max(h, vmax)
-        thresholds.append(h)
-        if h == 0.0:
-            break
-        i += 1
-        if i > 64:  # measure halves each step; 64 doublings exhausts float range
-            thresholds.append(0.0)
-            break
-
-    levels = np.asarray(thresholds)  # H_0 >= H_1 >= ... >= H_last = 0
-    absfield = np.abs(field.values)
-    # Deepest index with H_i >= |V|; H_last = 0 < |V| on the support keeps
-    # searchsorted inside the valid range.
-    flat = absfield.ravel()
-    assigned = np.zeros(flat.shape, dtype=int)
-    support = flat > 0
-    # levels is nonincreasing; reverse for searchsorted's ascending contract.
-    rev = levels[::-1]
-    pos = np.searchsorted(rev, flat[support], side="left")
-    assigned_support = len(levels) - 1 - pos
-    assigned[support] = assigned_support
-
+    # Deepest index with H_i >= |V|, by searchsorted on the ascending reversal;
+    # H_last = 0 < |V| on the support keeps it inside the valid range.
+    assigned = len(levels) - 1 - np.searchsorted(levels[::-1], absvals, side="left")
     layers = []
     for idx in range(len(levels) - 1):
         mask = support & (assigned == idx)
-        mask = mask.reshape(absfield.shape)
-        layers.append(
-            DyadicLayer(
-                index=idx,
-                threshold=float(levels[idx]),
-                mask=mask,
-                values=np.where(mask, field.values, 0.0),
-            )
-        )
+        layers.append(DyadicLayer(idx, float(levels[idx]), mask, np.where(mask, field.values, 0.0)))
     return layers
-

@@ -334,7 +334,7 @@ def test_campaign_write_failure_keeps_previous_norms(tmp_path, monkeypatch):
     partial = "\n".join(full.splitlines()[:2]) + "\n"
     norms_path.write_text(partial, encoding="utf-8")
 
-    # the resumed run dies on its third _fmt call, inside the rewrite of the norms file
+    # the resumed run dies on its third _fmt call, while it formats the rewrite of the norms file
     calls = []
     real_fmt = cli._fmt
 
@@ -1006,6 +1006,18 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
          "omega.realization_index:"),
         ("campaign", _experiment(name="PROP_EXTNORM", R_list=[8.0], n_samples=20.7),
          "experiment.n_samples:"),
+        # float fields: no bool or string is read as a number
+        ("campaign", lambda d: d["grid"].update(L="32"), "grid.L:"),
+        ("campaign", lambda d: d["omega"].update(h=True), "omega.h:"),
+        ("campaign", _experiment(name="PROP_EXTNORM", R_list=["4", True, 16]),
+         "experiment.R_list: expected a number, got '4'"),
+        ("verify", _experiment(name="PROP_EXTNORM", R_list=[8.0], lam=True), "experiment.lam:"),
+        ("campaign", lambda d: d["potential"].update(amplitude=[True, 0.0]),
+         "potential.amplitude:"),
+        ("spectrum", lambda d: d["potential"].update(kind="wigner_von_neumann",
+                                                     oscillation={"wavenumber": "2"}),
+         "potential.oscillation.wavenumber:"),
+        ("campaign", lambda d: d["grid"].update(L=10**400), "grid.L:"),
     ],
     ids=["q", "R_list", "n_samples", "lam", "h", "thresholds", "tabulated",
          "support", "knapp_eps", "dense_spectrum", "dense_verify", "band", "svd_net",
@@ -1014,7 +1026,9 @@ _EVSUM = {"name": "EVSUM", "eps": 0.9, "R0": 4.0, "h": 0.125, "amplitudes": [1.0
          "omega_cells_over_box", "empty_R_list_verify",
          "empty_thresholds", "empty_R_list_campaign", "no_draws_extnorm_campaign",
          "no_draws_schatten_campaign", "no_draws_svd", "bool_d", "fractional_N", "string_N",
-         "fractional_master_seed", "fractional_realization_index", "fractional_n_samples"],
+         "fractional_master_seed", "fractional_realization_index", "fractional_n_samples",
+         "string_L", "bool_h", "string_R_list_entry", "bool_lam", "bool_amplitude",
+         "string_wavenumber", "huge_int_L"],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, no_work, command, mutate, field):
     data = _campaign_dict()
@@ -1038,3 +1052,70 @@ def test_evsum_campaign_filters_as_verify_does(tmp_path):
     row = next(out.glob("evsum_*.csv")).read_text(encoding="utf-8").splitlines()[1].split(",")
     assert float(row[0]) == 1.0
     assert float(row[1]) == report["lhs"]
+
+
+@pytest.mark.parametrize("command", ["verify", "campaign"])
+@pytest.mark.parametrize(
+    "thresholds",
+    [[1.2, 1.1, 1.05], [1.1], [0.0, 1.5], [-1.0, 2.0], [1.5, 1.5], [1.0, float("inf")]],
+    ids=["descending", "single", "zero", "negative", "repeated", "infinite"],
+)
+def test_tail_thresholds_must_increase_from_zero(tmp_path, capsys, no_work, command, thresholds):
+    # check_tail compares the first and the last threshold's fraction, so any
+    # other list would fix the verdict before a single draw
+    data = _campaign_dict()
+    data["experiment"] = {"name": "TAIL", "R": 8.0, "n_samples": 100, "lam": 1.0,
+                          "thresholds": thresholds}
+    code, out = _run(tmp_path, data, command=command)
+    _assert_config_error(tmp_path, capsys, code, out, "experiment.thresholds:")
+
+
+@pytest.mark.parametrize("prefix", ["summary_", "manifest_"])
+def test_campaign_killed_mid_write_keeps_the_previous_file(tmp_path, monkeypatch, prefix):
+    data = _campaign_dict(n_samples=3)
+    _, out = _run(tmp_path, data, command="campaign")
+    path = next(out.glob(f"{prefix}*"))
+    before = path.read_bytes()
+    real_open = open
+
+    class Dying:
+        """A file that takes half of its first write and then dies."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise RuntimeError("killed mid-write")
+
+    def dying_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return Dying(fh) if Path(file).name.startswith(prefix) else fh
+
+    monkeypatch.setattr(cli, "open", dying_open, raising=False)
+    with pytest.raises(RuntimeError, match="killed mid-write"):
+        _run(tmp_path, data, command="campaign")
+    assert path.read_bytes() == before
+    assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("evsum_sweep", "3e57a5c3a1d7"),
+        ("scaling_campaign", "36fc7759c462"),
+        ("verify_well_bound", "51ce850b4269"),
+        ("well_spectrum", "41360539742f"),
+    ],
+)
+def test_demo_configs_keep_their_hashes(name, digest):
+    # every output file is named by this hash, so a campaign directory written
+    # before a change to the config reader must still be found after it
+    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / f"{name}.json"
+    assert load_config(path).config_hash() == digest

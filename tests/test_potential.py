@@ -130,6 +130,24 @@ def test_dyadic_thresholds_match_scan_oracle():
     np.testing.assert_array_equal(nontrivial[1], np.arange(4, 16))
 
 
+def test_dyadic_thresholds_stop_after_64_doublings():
+    """No budget 2^(i-1), i <= 64, covers one cell of side 2.5e6: H_0..H_64, then 0."""
+    gs = GridSpec(d=3, L=1e7, N=4)
+    assert gs.cellvol > 2.0**63
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(gs.shape) + 1j * rng.standard_normal(gs.shape)
+    vals[rng.random(gs.shape) < 0.25] = 0.0
+    from evbounds.potential import PotentialField
+
+    field = PotentialField(grid=gs, values=vals, support_radius=1e7)
+    layers = dyadic_decompose(field)
+    assert len(layers) == 65
+    assert [layer.threshold for layer in layers[1:]] == oracles.dyadic_thresholds(
+        vals, gs.cellvol, 64
+    )
+    np.testing.assert_array_equal(sum(layer.values for layer in layers), vals)
+
+
 def test_dyadic_indicator_single_family():
     gs = GridSpec(d=1, L=8.0, N=64)
     field = sample_potential(PotentialSpec(kind="indicator_ball", R=1.0), gs)
