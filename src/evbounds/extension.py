@@ -44,6 +44,10 @@ _MIN_NODES = 8
 # Phase-row entries per chunk of the node-level sandwich: bounds its memory.
 _CHUNK = 262144
 
+# Rows per block of a Gram sum or a phase-row gather: bounds the rows copied
+# at once (2048 x 403 complex rows are 13 MB at R = 64).
+_GRAM_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class SphereNet:
@@ -135,27 +139,45 @@ def _gram(rows, d, rows_in=None):
     x = sqrt|d| rows viewed as interleaved (Re, Im) columns: numpy sends
     x.T @ x to its symmetric rank-k update, half the flops of the complex
     product.  Complex weights, or two row sets, take one complex product.
+    Either way the rows are copied _GRAM_ROWS at a time and their products
+    summed, so the working set beyond the rows is one block of rows and
+    the Gram being summed (2n x 2n real in the syrk branch), whatever the
+    number of rows.
     """
     d = np.asarray(d)
     if np.iscomplexobj(d) and not d.imag.any():
         d = d.real
     if rows_in is not None or np.iscomplexobj(d):
-        nz = np.flatnonzero(d)
-        left = rows[nz]
-        right = left if rows_in is None else rows_in[nz]
-        return (left.conj().T * d[nz]) @ right
+        right_rows = rows if rows_in is None else rows_in
+        m = np.zeros((rows.shape[1], right_rows.shape[1]), dtype=complex)
+        for blk in _blocks(np.flatnonzero(d)):
+            left = rows[blk]
+            right = left if rows_in is None else rows_in[blk]
+            m += (left.conj().T * d[blk]) @ right
+        return m
     n = rows.shape[1]
     m = np.zeros((n, n), dtype=complex)
     for sign in (1.0, -1.0):
         sel = np.flatnonzero(sign * d > 0)
         if sel.size == 0:
             continue
-        x = rows[sel]
-        x *= np.sqrt(sign * d[sel])[:, None]
-        x = x.view(float)
-        g = x.T @ x
-        m += sign * ((g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[0::2, 1::2] - g[1::2, 0::2]))
+        g = None
+        for blk in _blocks(sel):
+            x = rows[blk]
+            x *= np.sqrt(sign * d[blk])[:, None]
+            x = x.view(float)
+            if g is None:
+                g = x.T @ x
+            else:
+                g += x.T @ x
+        m.real += sign * (g[0::2, 0::2] + g[1::2, 1::2])
+        m.imag += sign * (g[0::2, 1::2] - g[1::2, 0::2])
     return m
+
+
+def _blocks(index):
+    """Consecutive slices of at most _GRAM_ROWS entries of index."""
+    return (index[lo : lo + _GRAM_ROWS] for lo in range(0, index.size, _GRAM_ROWS))
 
 
 def _apply_net_weights(m, net_out, net_in):
@@ -190,14 +212,6 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
     return SandwichOperator(m, {"support_nodes": int(support.size)})
 
 
-def _cell_rows(a: np.ndarray, r: int) -> np.ndarray:
-    """Regroup an (N,)^d node array into (nc^d, r^d): row-major cells of row-major nodes."""
-    d, nc = a.ndim, a.shape[0] // r
-    # (nc, r, nc, r, ...) -> (nc, ..., nc, r, ..., r)
-    order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-    return a.reshape(sum(((nc, r),) * d, ())).transpose(order).reshape(nc**d, r**d)
-
-
 class SandwichEnsemble:
     """Randomized sandwiches over many realizations of one (V, net) pair.
 
@@ -215,6 +229,11 @@ class SandwichEnsemble:
     conj(e_j)^T e_j, so sign weights touch only the cells they flip.  The
     result equals the node-level sandwich of the randomized potential to
     rounding error.
+
+    The ensemble keeps its rows, sigma and M(1).  The build classifies
+    cells on a view of V and drops the per-axis tables once the rows are
+    gathered; the build and each realization then work on one block of
+    _GRAM_ROWS rows and one 2n x 2n real Gram beyond what is kept.
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -229,43 +248,37 @@ class SandwichEnsemble:
         if not self._factored:
             return
         d, nc = gs.d, gs.N // r
-        flat = _cell_rows(field.values, r)
+        # An (nc, r, nc, r, ...) view of V: cell axes even, in-cell axes odd.
+        cells = field.values.reshape(sum(((nc, r),) * d, ()))
+        inner = tuple(range(1, 2 * d, 2))
+        corner = cells[(slice(None), slice(0, 1)) * d]
+        cell_vals = corner.reshape(-1)
 
         # A uniform cell also keeps one torus offset.  N and r are powers of
         # two, so L/2 falls on a cell boundary unless one cell spans the box.
-        cell_vals = flat[:, 0]
-        active = np.all(flat == flat[:, :1], axis=1) & (cell_vals != 0) & (nc > 1)
+        active = np.all(cells == corner, axis=inner).reshape(-1) & (cell_vals != 0) & (nc > 1)
         self._uniform_cells = np.flatnonzero(active)
         self._uniform_vals = cell_vals[active]
         corners = tuple(c * r for c in np.unravel_index(self._uniform_cells, (nc,) * d))
 
-        mixed = np.flatnonzero(~active & np.any(flat != 0, axis=1))
+        mixed = np.flatnonzero(~active & np.any(cells != 0, axis=inner).reshape(-1))
         self._n_mixed = mixed.size
-        node_vals = flat[mixed]
+        # Nodes of the mixed cells, row-major cells of row-major nodes.
+        offsets = np.unravel_index(np.arange(r**d), (r,) * d)
+        cell_nodes = tuple(
+            c[:, None] * r + o for c, o in zip(np.unravel_index(mixed, (nc,) * d), offsets)
+        )
+        node_vals = field.values[cell_nodes]
         keep = node_vals != 0
-        node_ids = _cell_rows(np.arange(gs.node_count).reshape(gs.shape), r)[mixed][keep]
-        nodes = np.unravel_index(node_ids, gs.shape)
+        nodes = tuple(ax[keep] for ax in cell_nodes)
         self._mixed_cell_of_row = mixed[keep.nonzero()[0]]
         self._mixed_vals = node_vals[keep]
 
-        tables = _axis_tables(gs.axis_centered, net_out)
-        self._u_out = _phase_rows(tables, corners)
-        self._p_out = _phase_rows(tables, nodes)
+        self._u_out, self._p_out = _lattice_rows(gs.axis_centered, net_out, corners, nodes)
         self._u_in = self._p_in = None
         if net_in is not net_out:
-            tables = _axis_tables(gs.axis_centered, net_in)
-            self._u_in = _phase_rows(tables, corners)
-            self._p_in = _phase_rows(tables, nodes)
-        # In-cell phase sum: product over axes of geometric sums of length r.
-        kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
-        sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
-        for ax in range(d):
-            half = np.pi * gs.dx * kappa[..., ax]
-            s = np.sin(half)
-            tiny = np.abs(s) < 1e-12
-            ratio = np.where(tiny, float(r), np.sin(half * r) / np.where(tiny, 1.0, s))
-            sigma *= np.exp(1j * half * (r - 1)) * ratio
-        self._sigma = sigma
+            self._u_in, self._p_in = _lattice_rows(gs.axis_centered, net_in, corners, nodes)
+        self._sigma = _cell_sum(net_out, net_in, gs.dx, r)
         self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)
 
     def _assemble(self, uniform_w, mixed_w):
@@ -320,15 +333,46 @@ def _axis_tables(axis, net):
     return [np.exp(2j * np.pi * np.outer(axis, net.nodes[:, ax])) for ax in range(net.d)]
 
 
+def _lattice_rows(axis, net, *points):
+    """Phase rows over net of each lattice point set, gathered from one set of per-axis tables."""
+    tables = _axis_tables(axis, net)
+    return [_phase_rows(tables, multi) for multi in points]
+
+
+def _cell_sum(net_out, net_in, dx, r):
+    """In-cell phase sum sigma: over axes, the product of the geometric sums of length r.
+
+    On axis a the sum of e^{2 i half j}, j < r, is e^{i half (r - 1)}
+    sin(r half) / sin(half) with half = pi dx kappa_a, kappa = nu - mu.
+    Where sin(half) vanishes, half = k pi, the ratio takes its limit
+    r cos(r half) / cos(half) = r (-1)^{k (r - 1)}, so the sum is r; at
+    kappa_a = 0 the ratio is exactly r.
+    """
+    kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
+    sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
+    for ax in range(net_out.d):
+        half = np.pi * dx * kappa[..., ax]
+        s = np.sin(half)
+        tiny = np.abs(s) < 1e-12
+        ratio = np.where(tiny, r * np.cos(half * r), np.sin(half * r)) / np.where(tiny, np.cos(half), s)
+        sigma *= np.exp(1j * half * (r - 1)) * ratio
+    return sigma
+
+
 def _phase_rows(tables, multi):
     """Rows e^{2 pi i x.xi} for the lattice points with per-axis indices multi.
 
     A product of gathered per-axis table rows: one multiply per (point,
-    node) and axis instead of one exp.
+    node) and axis instead of one exp.  The output is filled _GRAM_ROWS
+    rows at a time, so the working set beyond it is one block of rows.
     """
-    rows = tables[0][multi[0]]
-    for table, idx in zip(tables[1:], multi[1:]):
-        rows *= table[idx]
+    rows = np.empty((len(multi[0]), tables[0].shape[1]), dtype=complex)
+    for lo in range(0, rows.shape[0], _GRAM_ROWS):
+        hi = lo + _GRAM_ROWS
+        block = rows[lo:hi]
+        np.take(tables[0], multi[0][lo:hi], axis=0, out=block)
+        for table, idx in zip(tables[1:], multi[1:]):
+            block *= table[idx[lo:hi]]
     return rows
 
 

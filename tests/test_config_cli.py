@@ -732,6 +732,24 @@ def test_fresh_campaign_builds_the_reference_once_where_it_can(
         assert row.split(",")[5] == repr(deterministic_ext_norm(spec, 1.0, R, d=2, dx=0.25))
 
 
+def test_campaign_reference_where_net_nodes_are_whole_turns_apart(tmp_path):
+    """At lam = 2, R = 16 two net nodes lie 4 = 1 / dx apart: the reference is still the node-level norm."""
+    from evbounds.extension import build_net, sandwich
+    from evbounds.harness import campaign_grid
+    from evbounds.potential import PotentialSpec, sample_potential
+    from evbounds.util import spectral_norm
+
+    data = _campaign_dict(n_samples=1, r_list=(16.0,))
+    data["experiment"]["lam"] = 2.0
+    code, out = _run(tmp_path, data, command="campaign")
+    assert code == 0
+    det = float(next(out.glob("summary_*.csv")).read_text(encoding="utf-8").splitlines()[1].split(",")[5])
+    field = sample_potential(PotentialSpec(kind="indicator_ball", R=16.0), campaign_grid(16.0, 2, 0.25))
+    net = build_net(2.0, 16.0, 2)
+    want = spectral_norm(sandwich(net, net, field).matrix)
+    assert abs(det - want) <= 1e-12 * want
+
+
 def test_campaign_without_reference_files_resumes_by_writing_them(tmp_path, monkeypatch):
     """A campaign directory holding only norms files, as older runs left them, resumes."""
     import evbounds.harness as harness

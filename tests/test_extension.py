@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from evbounds import GridSpec
+from evbounds import GridSpec, extension
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
@@ -249,6 +251,85 @@ def test_ensemble_with_two_nets_matches_node_level_route():
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
 
+@pytest.mark.parametrize(
+    "amplitude,lam_in", [(1.5, None), (1.0 + 0.5j, None), (-2.0, 1.5)], ids=["real", "complex", "two_nets"]
+)
+def test_ensemble_in_blocks_of_five_rows_matches_node_level_route(monkeypatch, amplitude, lam_in):
+    """Every row set, the phase-row gathers included, runs over many blocks of 5 rows."""
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net_out = build_net(lam=1.0, R=4.0, d=2)
+    net_in = net_out if lam_in is None else build_net(lam=lam_in, R=4.0, d=2)
+    field = _field(gs, amplitude=amplitude, R=2.0)
+    omega = draw_omega(OmegaSpec(h=1.0, distribution="gaussian", master_seed=17), gs)
+    slow = [sandwich(net_out, net_in, f).matrix for f in (field, anderson_randomize(field, omega))]
+    monkeypatch.setattr(extension, "_GRAM_ROWS", 5)
+    ens = SandwichEnsemble(net_out, net_in, field, h=1.0)
+    assert ens._u_out.shape[0] > 5 and ens._p_out.shape[0] > 5
+    for fast, want in zip((ens.deterministic().matrix, ens.with_omega(omega).matrix), slow):
+        np.testing.assert_allclose(fast, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "lam,R,dx,L",
+    [(2.0, 16.0, 0.25, 64.0), (1.0, 32.0, 0.5, 128.0), (2.0, 4.1, 0.25, 16.0)],
+    ids=["lam2-R16", "lam1-R32-dx0.5", "lam2-R4.1-L16"],
+)
+def test_cell_sum_at_whole_turns_matches_node_level_route(lam, R, dx, L):
+    """Nets with nodes kappa = k / dx apart put pi dx kappa on k pi, where sin vanishes.
+
+    With r = 4 or 2 nodes per cell and k odd, the in-cell sum there is r,
+    not -r: the sandwich must still match the node-level one.
+    """
+    gs = GridSpec(d=2, L=L, N=int(round(L / dx)))
+    net = build_net(lam=lam, R=R, d=2)
+    kappa = net.nodes[:, None, 0] - net.nodes[None, :, 0]
+    assert np.isclose(np.abs(kappa), 1.0 / dx).any()
+    field = _field(gs, R=L / 4)
+    omega = draw_omega(_omega_spec(h=1.0, seed=6), gs)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    pairs = [(ens.deterministic(), field), (ens.with_omega(omega), anderson_randomize(field, omega))]
+    for fast, f in pairs:
+        slow = sandwich(net, net, f).matrix
+        assert np.abs(fast.matrix - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+def _transient_peak(fn):
+    """Peak bytes traced during fn() beyond what its result keeps, and the result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current, current - start, out
+
+
+def test_ensemble_works_in_one_block_of_rows(monkeypatch):
+    """Beyond what it keeps, a build or a realization holds one block of rows and a few Grams.
+
+    omega = -1 everywhere selects every row; a full copy of the selected
+    rows, or of the rows formed at build, would exceed the bound.
+    """
+    block = 64
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    R = 16.0
+    gs = GridSpec(d=2, L=4 * R, N=int(4 * R / 0.25))
+    field = _field(gs, R=R)
+    net = build_net(lam=1.0, R=R, d=2)
+    n = net.n_nodes
+    bound = block * n * 16 + 4 * (2 * n) ** 2 * 8
+    build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=1.0))
+    rows = ens._u_out.nbytes + ens._p_out.nbytes
+    assert rows > bound and kept >= rows
+    assert build_peak < bound
+    spec = _omega_spec(h=1.0)
+    flipped = OmegaField(spec, gs, -np.ones((64, 64)))
+    draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
+    assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
+    assert draw_peak + op.matrix.nbytes < bound
+
+
 def test_single_cell_straddling_the_seam_matches_node_level_route():
     """At h = L the one cell holds both torus offsets, so V constant on it is no uniform cell."""
     gs = GridSpec(d=2, L=4.0, N=16)
@@ -301,6 +382,26 @@ def _rows(k, n=7, seed=0):
     ids=["mixed_sign", "complex", "all_zero"],
 )
 def test_gram_matches_dense_product(weights):
+    _check_gram(weights)
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.array([1.5, -0.5, 0.0, 2.0, -3.0, 0.25]),
+        np.array([1.0 + 2.0j, -0.5j, 0.0, 3.0, -1.0 + 0.1j, 0.5]),
+        np.zeros(6),
+    ],
+    ids=["mixed_sign", "complex", "all_zero"],
+)
+def test_gram_in_blocks_matches_dense_product(monkeypatch, weights, block):
+    """Blocks of 1, 2, 4 and 5 rows over 6: smaller than the set, dividing it and not."""
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    _check_gram(weights)
+
+
+def _check_gram(weights):
     rows, other = _rows(weights.size), _rows(weights.size, n=5, seed=1)
     for right, got in ((rows, _gram(rows, weights)), (other, _gram(rows, weights, other))):
         want = (rows.conj().T * weights) @ right

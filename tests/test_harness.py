@@ -308,6 +308,29 @@ def test_campaign_norms_are_the_two_samplers_bits(monkeypatch, spec, lam, R, dx,
     assert len(built) == 1 and norms.size == 0 and det == want_det
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [None, complex(-0.0, 0.0), complex(1.0, -0.0), -1.0, 1.0 + 1.0j],
+    ids=["abs", "negative_zero_real", "negative_zero_imag", "negative", "complex"],
+)
+def test_holds_reference_reads_the_bits_of_abs_v(entry):
+    """The sign-bit test agrees with comparing the bytes of |V| cast to complex with V."""
+    from types import SimpleNamespace
+
+    from evbounds.harness import _holds_reference
+    from evbounds.potential import PotentialField
+
+    gs = GridSpec(d=2, L=8.0, N=32)
+    values = np.abs(sample_potential(PotentialSpec(kind="indicator_ball", R=2.0), gs).values).astype(complex)
+    if entry is not None:
+        values[1, 2] = entry
+    ensemble = SimpleNamespace(field=PotentialField(gs, values, 2.0), h=1.0)
+    want = np.abs(values).astype(complex).tobytes() == values.tobytes()
+    assert want == (entry is None)
+    assert _holds_reference(ensemble) == want
+    assert not _holds_reference(SimpleNamespace(field=ensemble.field, h=2.0))
+
+
 def test_check_extnorm_formula():
     norms = np.array([2.0, 3.0, 4.0] * 40)
     report = check_extnorm(norms, 8.0, h=1.0, v_inf=1.0)
