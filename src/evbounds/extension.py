@@ -7,10 +7,13 @@ extension and a co-extension gives the dense matrix whose singular values
 drive every restriction-type bound in the package.
 
 SandwichEnsemble assembles every sandwich the package reports: with_omega
-a randomized one, deterministic the stored M(1).  The node-level sandwich
-is the reference it agrees with, and its fallback on grids its cells do
-not tile.  angular_weight conjugates a d=2 sandwich by the angular
-multiplier of the Schatten-norm estimates.
+a randomized one, deterministic the stored M(1).  On an antipodal net with
+real V it works in a real pair basis, where each sandwich is a real
+symmetric matrix of the same norm, and lifts M back to the node basis.
+The node-level sandwich is the reference it agrees with, and its fallback
+on grids its cells do not tile.  Every operator's potential_ref records
+its assembly: "pair", "complex" or "node".  angular_weight conjugates a
+d=2 sandwich by the angular multiplier of the Schatten-norm estimates.
 """
 
 from __future__ import annotations
@@ -81,14 +84,18 @@ class SandwichOperator:
 
     matrix: np.ndarray
     potential_ref: dict = dc_field(default_factory=dict)  # provenance of the sandwiched field
+    # A real symmetric matrix unitarily similar to matrix (the pair form), or None.
+    real_form: np.ndarray | None = None
 
 
 def build_net(lam: float, R: float, d: int) -> SphereNet:
     """Discretize the radius-lam frequency sphere at spacing 1/R.
 
     d=2 uses equispaced angles with uniform weights summing to the exact
-    circumference; d=3 uses an offset Fibonacci lattice with equal-area
-    weights summing to the exact sphere area.
+    circumference; for even n the second half of the nodes are the exact
+    negations of the first, so the net is antipodal bit for bit.  d=3 uses
+    an offset Fibonacci lattice with equal-area weights summing to the
+    exact sphere area.
     """
     if d == 2:
         n = int(np.ceil(2.0 * np.pi * lam * R))
@@ -98,6 +105,9 @@ def build_net(lam: float, R: float, d: int) -> SphereNet:
             )
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = lam * np.column_stack([np.cos(theta), np.sin(theta)])
+        if n % 2 == 0:
+            # Exact antipodes xi_{k + n/2} = -xi_k: SandwichEnsemble's pair form needs them.
+            nodes[n // 2 :] = -nodes[: n // 2]
         weights = np.full(n, 2.0 * np.pi * lam / n)
         return SphereNet(d, lam, R, nodes, weights)
     if d == 3:
@@ -135,14 +145,12 @@ def _gram(rows, d, rows_in=None):
     """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
 
     Rows of zero weight are skipped.  Real weights on one row set give a
-    Hermitian matrix, formed per weight sign as the real Gram x^T x of
-    x = sqrt|d| rows viewed as interleaved (Re, Im) columns: numpy sends
-    x.T @ x to its symmetric rank-k update, half the flops of the complex
-    product.  Complex weights, or two row sets, take one complex product.
-    Either way the rows are copied _GRAM_ROWS at a time and their products
-    summed, so the working set beyond the rows is one block of rows and
-    the Gram being summed (2n x 2n real in the syrk branch), whatever the
-    number of rows.
+    Hermitian matrix, assembled from the real Grams of _sign_grams, half
+    the flops of the complex product.  Complex weights, or two row sets,
+    take one complex product.  Either way the rows are copied _GRAM_ROWS at
+    a time and their products summed, so the working set beyond the rows
+    is one block of rows and the Gram being summed (2n x 2n real in the
+    syrk branch), whatever the number of rows.
     """
     d = np.asarray(d)
     if np.iscomplexobj(d) and not d.imag.any():
@@ -157,22 +165,51 @@ def _gram(rows, d, rows_in=None):
         return m
     n = rows.shape[1]
     m = np.zeros((n, n), dtype=complex)
-    for sign in (1.0, -1.0):
-        sel = np.flatnonzero(sign * d > 0)
-        if sel.size == 0:
-            continue
-        g = None
-        for blk in _blocks(sel):
-            x = rows[blk]
-            x *= np.sqrt(sign * d[blk])[:, None]
-            x = x.view(float)
-            if g is None:
-                g = x.T @ x
-            else:
-                g += x.T @ x
+    for sign, g in _sign_grams(rows, d):
         m.real += sign * (g[0::2, 0::2] + g[1::2, 1::2])
         m.imag += sign * (g[0::2, 1::2] - g[1::2, 0::2])
     return m
+
+
+def _real_gram(rows, d):
+    """The real Gram sum_k d_k x_k^T x_k of rows viewed as interleaved (Re, Im) columns.
+
+    d is real.  Symmetric bit for bit: a difference of the per-sign Grams
+    of _sign_grams.
+    """
+    n = 2 * rows.shape[1]
+    total = np.zeros((n, n))
+    for sign, g in _sign_grams(rows, d):
+        total += sign * g
+    return total
+
+
+def _sign_grams(rows, d):
+    """Per sign of the real weights d, the real Gram x^T x of x = sqrt|d| rows.
+
+    x is viewed as interleaved (Re, Im) columns, and numpy sends x.T @ x to
+    its symmetric rank-k update, which mirrors one triangle: each Gram is
+    symmetric bit for bit.  Each block's product goes into one reused
+    buffer, one Gram array serves both signs (a caller uses each yielded
+    Gram before asking for the next), and a block of rows is released
+    before the next is gathered.
+    """
+    g = buf = None
+    for sign in (1.0, -1.0):
+        sel = np.flatnonzero(sign * d > 0)
+        for i, blk in enumerate(_blocks(sel)):
+            x = rows[blk]
+            x *= np.sqrt(sign * d[blk])[:, None]
+            if g is None:
+                g = np.empty((2 * rows.shape[1],) * 2)
+            elif i and buf is None:
+                buf = np.empty_like(g)
+            np.matmul(x.view(float).T, x.view(float), out=buf if i else g)
+            del x
+            if i:
+                g += buf
+        if sel.size:
+            yield sign, g
 
 
 def _blocks(index):
@@ -200,8 +237,8 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
     support = np.flatnonzero(vals)
     weights = vals[support] * gs.cellvol
     multi = np.unravel_index(support, gs.shape)
-    t_out = _axis_tables(gs.axis_centered, net_out)
-    t_in = None if net_in is net_out else _axis_tables(gs.axis_centered, net_in)
+    t_out = _axis_tables(gs.axis_centered, net_out.nodes)
+    t_in = None if net_in is net_out else _axis_tables(gs.axis_centered, net_in.nodes)
     m = np.zeros((net_out.n_nodes, net_in.n_nodes), dtype=complex)
     step = max(1, _CHUNK // max(net_out.n_nodes, net_in.n_nodes))
     for lo in range(0, support.size, step):
@@ -209,19 +246,19 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
         rows_in = None if t_in is None else _phase_rows(t_in, idx)
         m += _gram(_phase_rows(t_out, idx), weights[lo : lo + step], rows_in)
     _apply_net_weights(m, net_out, net_in)
-    return SandwichOperator(m, {"support_nodes": int(support.size)})
+    return SandwichOperator(m, {"assembly": "node", "support_nodes": int(support.size)})
 
 
 class SandwichEnsemble:
     """Randomized sandwiches over many realizations of one (V, net) pair.
 
-    Rows are the points that carry V: the corner of each cell on which V is
-    constant and that shares one torus offset (a uniform cell), and each
-    nonzero node of every other cell (a mixed cell, cut by the support
-    boundary or by the seam at L/2).  A uniform cell's nodes enter through
-    its corner phase times a separable in-cell geometric sum sigma, which
-    factors out of the cell sum as a Hadamard product.  Phase rows are
-    products of per-axis plane-wave tables gathered by lattice index.
+    Rows are the points that carry V: one per cell on which V is constant
+    and that shares one torus offset (a uniform cell), and each nonzero
+    node of every other cell (a mixed cell, cut by the support boundary or
+    by the seam at L/2).  A uniform cell's nodes enter through one phase
+    row times a separable in-cell geometric sum sigma, which factors out of
+    the cell sum as a Hadamard product.  Phase rows are products of
+    per-axis plane-wave tables gathered by lattice index.
 
     The deterministic sandwich M(1), omega = 1 on every cell, is assembled
     once.  A realization adds the weighted Gram of the rows whose weight
@@ -230,10 +267,26 @@ class SandwichEnsemble:
     result equals the node-level sandwich of the randomized potential to
     rounding error.
 
-    The ensemble keeps its rows, sigma and M(1).  The build classifies
-    cells on a view of V and drops the per-axis tables once the rows are
-    gathered; the build and each realization then work on one block of
-    _GRAM_ROWS rows and one 2n x 2n real Gram beyond what is kept.
+    Two assemblies, fixed at build by exact structure with no tolerance:
+
+    * pair: one net, antipodal (xi_{k + n/2} = -xi_k bit for bit) with
+      equal weights, and V with imaginary part exactly zero.  In the pair
+      basis (e_k + e_{k+n/2}) / sqrt 2, -i (e_k - e_{k+n/2}) / sqrt 2 every
+      real-weighted M is a real symmetric n x n matrix T with the same
+      norm.  Rows are e^{2 pi i x.xi} over the first half-net, at the cell
+      centre for a uniform cell, where sigma is real and even in kappa;
+      viewed as float they are the interleaved (cos, sin) rows, and T
+      mixes their real Gram per 2 x 2 pair block with sigma(xi_nu - xi_mu)
+      and sigma(xi_nu + xi_mu) (_mix).  The operator carries T, scaled, as
+      real_form, and M lifted from it in O(n^2) (_node_matrix).
+    * complex: anything else.  Rows over the whole net(s), at the cell
+      corner for a uniform cell, and a complex sigma.
+
+    The ensemble keeps its rows, sigma and M(1) (T(1) in the pair form).
+    The build classifies cells on a view of V and drops the per-axis tables
+    once the rows are gathered; the build and each realization then work on
+    one block of _GRAM_ROWS rows and a few Grams beyond what is kept (2n x
+    2n real in the complex form, n x n in the pair form).
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -247,9 +300,11 @@ class SandwichEnsemble:
         self._factored = steps == r and gs.N % r == 0
         if not self._factored:
             return
+        self._pair = net_in is net_out and _antipodal(net_out) and not field.values.imag.any()
+        values = field.values.real if self._pair else field.values
         d, nc = gs.d, gs.N // r
         # An (nc, r, nc, r, ...) view of V: cell axes even, in-cell axes odd.
-        cells = field.values.reshape(sum(((nc, r),) * d, ()))
+        cells = values.reshape(sum(((nc, r),) * d, ()))
         inner = tuple(range(1, 2 * d, 2))
         corner = cells[(slice(None), slice(0, 1)) * d]
         cell_vals = corner.reshape(-1)
@@ -259,7 +314,7 @@ class SandwichEnsemble:
         active = np.all(cells == corner, axis=inner).reshape(-1) & (cell_vals != 0) & (nc > 1)
         self._uniform_cells = np.flatnonzero(active)
         self._uniform_vals = cell_vals[active]
-        corners = tuple(c * r for c in np.unravel_index(self._uniform_cells, (nc,) * d))
+        uniform = np.unravel_index(self._uniform_cells, (nc,) * d)
 
         mixed = np.flatnonzero(~active & np.any(cells != 0, axis=inner).reshape(-1))
         self._n_mixed = mixed.size
@@ -268,21 +323,33 @@ class SandwichEnsemble:
         cell_nodes = tuple(
             c[:, None] * r + o for c, o in zip(np.unravel_index(mixed, (nc,) * d), offsets)
         )
-        node_vals = field.values[cell_nodes]
+        node_vals = values[cell_nodes]
         keep = node_vals != 0
         nodes = tuple(ax[keep] for ax in cell_nodes)
         self._mixed_cell_of_row = mixed[keep.nonzero()[0]]
         self._mixed_vals = node_vals[keep]
 
-        self._u_out, self._p_out = _lattice_rows(gs.axis_centered, net_out, corners, nodes)
+        axis = gs.axis_centered
         self._u_in = self._p_in = None
-        if net_in is not net_out:
-            self._u_in, self._p_in = _lattice_rows(gs.axis_centered, net_in, corners, nodes)
-        self._sigma = _cell_sum(net_out, net_in, gs.dx, r)
+        if self._pair:
+            half = net_out.nodes[: net_out.n_nodes // 2]
+            [self._u_out] = _lattice_rows(axis[::r] + gs.dx * (r - 1) / 2, half, uniform)
+            [self._p_out] = _lattice_rows(axis, half, nodes)
+            self._sigma = _pair_mix(half, gs.dx, r)
+        else:
+            corners = tuple(c * r for c in uniform)
+            self._u_out, self._p_out = _lattice_rows(axis, net_out.nodes, corners, nodes)
+            if net_in is not net_out:
+                self._u_in, self._p_in = _lattice_rows(axis, net_in.nodes, corners, nodes)
+            self._sigma = _cell_sum(net_out, net_in, gs.dx, r)
         self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)
 
     def _assemble(self, uniform_w, mixed_w):
-        """Uniform-corner Gram times sigma plus the mixed-node Gram."""
+        """Uniform-row Gram times sigma plus the mixed-node Gram: M, or T in the pair form."""
+        if self._pair:
+            t = _mix(_real_gram(self._u_out, uniform_w), *self._sigma)
+            t += _real_gram(self._p_out, mixed_w)
+            return t
         m = _gram(self._u_out, uniform_w, self._u_in)
         m *= self._sigma
         m += _gram(self._p_out, mixed_w, self._p_in)
@@ -291,8 +358,9 @@ class SandwichEnsemble:
     def with_omega(self, omega: OmegaField) -> SandwichOperator:
         """Sandwich of the potential randomized by omega.
 
-        potential_ref records the uniform and mixed cell counts and
-        gram_rows, the number of rows whose weight changed from omega = 1.
+        potential_ref records the assembly, the uniform and mixed cell
+        counts and gram_rows, the number of rows whose weight changed from
+        omega = 1.
         """
         if omega.grid != self.field.grid:
             raise ValueError("omega drawn for a different grid than the potential")
@@ -321,26 +389,47 @@ class SandwichEnsemble:
         return self._operator(self._m1.copy())
 
     def _operator(self, m, **ref) -> SandwichOperator:
-        """m scaled by the cell volume and the net weights, with the cell counts in potential_ref."""
+        """m scaled by the cell volume and the net weights, with the cell counts in potential_ref.
+
+        In the pair form m is T; the real form is 2 T scaled (the pair rows
+        are the half-net rows times sqrt 2), and matrix is M lifted from it.
+        """
+        counts = {"uniform_cells": int(self._uniform_cells.size), "mixed_cells": int(self._n_mixed)}
+        if self._pair:
+            m *= 2.0 * self.field.grid.cellvol * self.net_out.weights[0]
+            return SandwichOperator(_node_matrix(m), {"assembly": "pair", **counts, **ref}, m)
         m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
-        counts = {"uniform_cells": int(self._uniform_cells.size), "mixed_cells": int(self._n_mixed)}
-        return SandwichOperator(m, {**counts, **ref})
+        return SandwichOperator(m, {"assembly": "complex", **counts, **ref})
 
 
-def _axis_tables(axis, net):
-    """Per-axis plane waves e^{2 pi i x_a xi_a}: one (len(axis), n_nodes) table per axis."""
-    return [np.exp(2j * np.pi * np.outer(axis, net.nodes[:, ax])) for ax in range(net.d)]
+def _antipodal(net):
+    """Whether xi_{k + n/2} = -xi_k and all weights are equal, bit for bit."""
+    n, w = net.n_nodes, net.weights
+    paired = n % 2 == 0 and np.array_equal(net.nodes[n // 2 :], -net.nodes[: n // 2])
+    return paired and bool(np.all(w == w[0]))
 
 
-def _lattice_rows(axis, net, *points):
-    """Phase rows over net of each lattice point set, gathered from one set of per-axis tables."""
-    tables = _axis_tables(axis, net)
+def _axis_tables(axis, nodes):
+    """Per-axis plane waves e^{2 pi i x_a xi_a}: one (len(axis), len(nodes)) table per axis."""
+    return [np.exp(2j * np.pi * np.outer(axis, nodes[:, ax])) for ax in range(nodes.shape[1])]
+
+
+def _lattice_rows(axis, nodes, *points):
+    """Phase rows over nodes of each lattice point set, gathered from one set of per-axis tables."""
+    tables = _axis_tables(axis, nodes)
     return [_phase_rows(tables, multi) for multi in points]
 
 
+def _cell_ratio(half, r):
+    """sin(r half) / sin(half), the limit r cos(r half) / cos(half) where sin(half) vanishes."""
+    s = np.sin(half)
+    tiny = np.abs(s) < 1e-12
+    return np.where(tiny, r * np.cos(half * r), np.sin(half * r)) / np.where(tiny, np.cos(half), s)
+
+
 def _cell_sum(net_out, net_in, dx, r):
-    """In-cell phase sum sigma: over axes, the product of the geometric sums of length r.
+    """In-cell phase sum sigma from the cell corner: over axes, the product of geometric sums.
 
     On axis a the sum of e^{2 i half j}, j < r, is e^{i half (r - 1)}
     sin(r half) / sin(half) with half = pi dx kappa_a, kappa = nu - mu.
@@ -352,11 +441,64 @@ def _cell_sum(net_out, net_in, dx, r):
     sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
     for ax in range(net_out.d):
         half = np.pi * dx * kappa[..., ax]
-        s = np.sin(half)
-        tiny = np.abs(s) < 1e-12
-        ratio = np.where(tiny, r * np.cos(half * r), np.sin(half * r)) / np.where(tiny, np.cos(half), s)
-        sigma *= np.exp(1j * half * (r - 1)) * ratio
+        sigma *= np.exp(1j * half * (r - 1)) * _cell_ratio(half, r)
     return sigma
+
+
+def _pair_mix(half, dx, r):
+    """Pair-block mixing a = (s_minus + s_plus) / 2, b = (s_minus - s_plus) / 2 on the half-net.
+
+    s_minus and s_plus are the in-cell sum from the cell centre, the real
+    even product over axes of sin(r pi dx kappa_a) / sin(pi dx kappa_a),
+    at kappa = xi_nu - xi_mu and xi_nu + xi_mu.  It is taken at |kappa_a|,
+    and a sum commutes, so a and b are symmetric bit for bit.
+    """
+    out = []
+    for kappa in (half[None, :, :] - half[:, None, :], half[None, :, :] + half[:, None, :]):
+        s = np.ones(kappa.shape[:2])
+        for ax in range(kappa.shape[2]):
+            s *= _cell_ratio(np.pi * dx * np.abs(kappa[..., ax]), r)
+        out.append(s)
+    minus, plus = out
+    return (minus + plus) / 2, (minus - plus) / 2
+
+
+def _mix(g, a, b):
+    """T from the real Gram g of interleaved (cos, sin) half-net rows, per 2 x 2 pair block.
+
+    T_cc = a cc + b ss, T_ss = a ss + b cc, T_cs = a cs - b sc and
+    T_sc = a sc - b cs.  g, a and b are symmetric and sc is cs transposed,
+    so T is symmetric bit for bit.
+    """
+    cc, cs, sc, ss = g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2]
+    t = np.empty_like(g)
+    t[0::2, 0::2] = a * cc + b * ss
+    t[1::2, 1::2] = a * ss + b * cc
+    t[0::2, 1::2] = a * cs - b * sc
+    t[1::2, 0::2] = a * sc - b * cs
+    return t
+
+
+def _node_matrix(s):
+    """M = U s U^H in the node basis, from the real form s over interleaved pair coordinates.
+
+    U maps the pair basis (e_k + e_{k+m}) / sqrt 2, -i (e_k - e_{k+m}) / sqrt 2
+    to the node basis.  With m = n / 2 and the blocks cc, cs, sc, ss of s, M[k, l] = P + i Q
+    and M[k + m, l + m] = P - i Q for P = (cc + ss) / 2, Q = (cs - sc) / 2;
+    M[k, l + m] = F - i G and M[k + m, l] = F + i G for F = (cc - ss) / 2,
+    G = (cs + sc) / 2.  s symmetric makes M Hermitian bit for bit.
+    """
+    m = s.shape[0] // 2
+    cc, cs, sc, ss = s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]
+    out = np.empty(s.shape, dtype=complex)
+    re, im = out.real, out.imag
+    re[:m, :m] = re[m:, m:] = (cc + ss) / 2
+    im[:m, :m] = (cs - sc) / 2
+    im[m:, m:] = -im[:m, :m]
+    re[:m, m:] = re[m:, :m] = (cc - ss) / 2
+    im[m:, :m] = (cs + sc) / 2
+    im[:m, m:] = -im[m:, :m]
+    return out
 
 
 def _phase_rows(tables, multi):
@@ -370,7 +512,8 @@ def _phase_rows(tables, multi):
     for lo in range(0, rows.shape[0], _GRAM_ROWS):
         hi = lo + _GRAM_ROWS
         block = rows[lo:hi]
-        np.take(tables[0], multi[0][lo:hi], axis=0, out=block)
+        # mode="clip" (the indices are in range) writes straight into out; "raise" buffers a copy.
+        np.take(tables[0], multi[0][lo:hi], axis=0, out=block, mode="clip")
         for table, idx in zip(tables[1:], multi[1:]):
             block *= table[idx[lo:hi]]
     return rows

@@ -7,7 +7,9 @@ reference behind stein_tomas_spread too), and config_sandwiches, for the
 svd command and the SCHATTEN_DECAY check, either.  Every M(1) is the
 ensemble's stored one, on the cells _deterministic fixes.  campaign_norms
 gives a campaign radius its draws and its |V| reference from one build
-whenever the draws' ensemble is the one deterministic_ext_norm would build.
+whenever the draws' ensemble is the one deterministic_ext_norm would build;
+both take each norm from the operator's real pair form when it carries
+one (an antipodal net and real V), a real eigvalsh of the same size.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -342,12 +344,17 @@ def campaign_norms(
         ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
         for k, idx in enumerate(indices):
             omega = draw_omega(omega_template.with_realization(int(idx)), ensemble.field.grid)
-            norms[k] = spectral_norm(ensemble.with_omega(omega).matrix)
+            norms[k] = _norm(ensemble.with_omega(omega))
     if not reference:
         return norms, None
     if ensemble is not None and _holds_reference(ensemble):
-        return norms, spectral_norm(ensemble.deterministic().matrix)
+        return norms, _norm(ensemble.deterministic())
     return norms, deterministic_ext_norm(potential_spec, lam, R, d, dx)
+
+
+def _norm(op) -> float:
+    """spectral_norm of a sandwich, taken on its real form when it carries one (a real eigvalsh)."""
+    return spectral_norm(op.matrix if op.real_form is None else op.real_form)
 
 
 def _holds_reference(ensemble: SandwichEnsemble) -> bool:
@@ -376,14 +383,15 @@ def deterministic_ext_norm(
     """Norm of the sandwich of |V| at one R, the non-randomized reference.
 
     The sandwich is the cell-factored M(1) of _deterministic: one row per
-    uniform cell corner plus one per nonzero node of the other cells, and
-    no per-node plane wave.  Grids its cells do not tile take the
-    node-level sandwich instead.  Either way the value equals the norm of
-    the node-level sandwich of |V| to rounding.
+    uniform cell plus one per nonzero node of the other cells, and no
+    per-node plane wave; on an antipodal net its norm is that of the real
+    pair form.  Grids its cells do not tile take the node-level sandwich
+    instead.  Either way the value equals the norm of the node-level
+    sandwich of |V| to rounding.
     """
     field = _campaign_field(potential_spec, R, d, dx)
     field = PotentialField(field.grid, np.abs(field.values).astype(complex), field.support_radius)
-    return spectral_norm(_deterministic(build_net(lam, R, d), field).matrix)
+    return _norm(_deterministic(build_net(lam, R, d), field))
 
 
 def check_extnorm(norms, R: float, h: float, v_inf: float, d: int = 2) -> BoundReport:

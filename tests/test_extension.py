@@ -159,23 +159,128 @@ def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("L,tiled", [(8.0, True), (7.0, False)], ids=["tiled", "untiled"])
-def test_identity_realization_matches_deterministic(L, tiled):
+@pytest.mark.parametrize(
+    "L,tiled,amplitude,assembly",
+    [
+        (8.0, True, 1.0 + 0.5j, "complex"),
+        (7.0, False, 1.0 + 0.5j, "node"),
+        (8.0, True, 1.5, "pair"),
+    ],
+    ids=["tiled", "untiled", "tiled-real"],
+)
+def test_identity_realization_matches_deterministic(L, tiled, amplitude, assembly):
     """M(1) three ways: node-level, omega = 1, and the stored deterministic(), bit for bit."""
     gs = GridSpec(d=2, L=L, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)
-    field = _field(gs, amplitude=1.0 + 0.5j, R=L / 4)
+    field = _field(gs, amplitude=amplitude, R=L / 4)
     spec = _omega_spec(h=1.0)
     plain = sandwich(net, net, field)
     ens = SandwichEnsemble(net, net, field, spec.h)
     assert ens._factored == tiled
     ones = ens.with_omega(OmegaField.constant(spec, gs))
+    assert ones.potential_ref["assembly"] == assembly
     scale = np.abs(plain.matrix).max()
     np.testing.assert_allclose(ones.matrix, plain.matrix, atol=1e-12 * scale)
     det = ens.deterministic()
+    assert det.potential_ref["assembly"] == assembly
     np.testing.assert_array_equal(det.matrix, ones.matrix)
     assert spectral_norm(det.matrix) == spectral_norm(ones.matrix)
     np.testing.assert_array_equal(singular_values(det), singular_values(ones))
+    assert (det.real_form is None) == (assembly != "pair")
+    if assembly == "pair":
+        np.testing.assert_array_equal(det.real_form, ones.real_form)
+
+
+def _pair_case():
+    """The R = 4 net (26 nodes, even) over a radius-4 indicator on L = 16, dx = 0.25."""
+    gs = GridSpec(d=2, L=16.0, N=64)
+    return gs, build_net(lam=1.0, R=4.0, d=2), _field(gs, R=4.0)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+@pytest.mark.parametrize("distribution", ["bernoulli", "gaussian"])
+def test_pair_form_matches_node_level_route(distribution, h):
+    """Even net, real V: M against the node-level sandwich, the real form's norm against M's SVD."""
+    gs, net, field = _pair_case()
+    assert net.n_nodes == 26
+    ens = SandwichEnsemble(net, net, field, h)
+    for idx in range(3):
+        omega = draw_omega(OmegaSpec(h, distribution, 29, idx), gs)
+        op = ens.with_omega(omega)
+        assert op.potential_ref["assembly"] == "pair"
+        slow = sandwich(net, net, anderson_randomize(field, omega)).matrix
+        np.testing.assert_allclose(op.matrix, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+        np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+        assert op.real_form.dtype == np.float64 and op.real_form.shape == (26, 26)
+        np.testing.assert_array_equal(op.real_form, op.real_form.T)
+        top = np.linalg.svd(op.matrix, compute_uv=False)[0]
+        assert spectral_norm(op.real_form) == pytest.approx(top, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("case", ["complex_v", "two_nets", "odd_n", "d3"])
+def test_pair_form_needs_one_real_antipodal_net(case):
+    """Complex V, two nets, an odd net and a d = 3 net take the complex assembly."""
+    d, R, amplitude = 2, 4.0, 1.0
+    if case == "complex_v":
+        amplitude = 1.0 + 0.5j
+    if case == "odd_n":
+        R = 8.0
+    if case == "d3":
+        d, R = 3, 4.0
+    gs = GridSpec(d=d, L=8.0, N=16 if d == 3 else 32)
+    net = build_net(lam=1.0, R=R, d=d)
+    net_in = build_net(lam=1.0, R=R, d=d) if case == "two_nets" else net
+    field = _field(gs, amplitude=amplitude, R=2.0)
+    ens = SandwichEnsemble(net, net_in, field, h=1.0)
+    omega = draw_omega(_omega_spec(h=1.0), gs)
+    op = ens.with_omega(omega)
+    assert op.potential_ref["assembly"] == "complex" and op.real_form is None
+    assert ens.deterministic().potential_ref["assembly"] == "complex"
+    slow = sandwich(net, net_in, anderson_randomize(field, omega)).matrix
+    np.testing.assert_allclose(op.matrix, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+
+
+def test_node_level_sandwich_records_its_assembly():
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    assert sandwich(net, net, _field(gs, R=2.0)).potential_ref["assembly"] == "node"
+
+
+def _circle_nodes(lam, R):
+    n = int(np.ceil(2.0 * np.pi * lam * R))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return lam * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+@pytest.mark.parametrize("lam,R", [(1.0, 4.0), (1.0, 32.0), (1.5, 4.0)])
+def test_even_circle_net_is_exactly_antipodal(lam, R):
+    """The second half of an even net negates the first; the first half is the equispaced circle."""
+    nodes = build_net(lam, R, d=2).nodes
+    n = nodes.shape[0]
+    assert n % 2 == 0
+    np.testing.assert_array_equal(nodes[n // 2 :], -nodes[: n // 2])
+    np.testing.assert_array_equal(nodes[: n // 2], _circle_nodes(lam, R)[: n // 2])
+    np.testing.assert_allclose(nodes, _circle_nodes(lam, R), rtol=0, atol=1e-14 * lam)
+
+
+@pytest.mark.parametrize("lam,R", [(1.0, 8.0), (1.0, 16.0), (1.0, 64.0)])
+def test_odd_circle_net_is_the_equispaced_circle(lam, R):
+    nodes = build_net(lam, R, d=2).nodes
+    assert nodes.shape[0] % 2 == 1
+    np.testing.assert_array_equal(nodes, _circle_nodes(lam, R))
+
+
+def test_fibonacci_net_is_not_paired():
+    """d = 3 keeps the offset Fibonacci lattice bit for bit, even n included."""
+    net = build_net(lam=1.0, R=4.0, d=3)
+    n = net.n_nodes
+    assert n == 154
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    want = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    np.testing.assert_array_equal(net.nodes, want)
 
 
 def test_hermitian_for_real_potential():
@@ -328,6 +433,33 @@ def test_ensemble_works_in_one_block_of_rows(monkeypatch):
     draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
     assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
     assert draw_peak + op.matrix.nbytes < bound
+
+
+def test_pair_form_works_in_one_block_of_half_rows(monkeypatch):
+    """On an even net the rows span the half-net and a realization holds n x n real Grams.
+
+    n = 104 at R = 16.5.  The complex form's rows, tables and 2n x 2n Grams
+    would exceed the bounds, so losing the pair form fails here.
+    """
+    block = 64
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    gs = GridSpec(d=2, L=64.0, N=256)
+    field = _field(gs, R=16.0)
+    net = build_net(lam=1.0, R=16.5, d=2)
+    n = net.n_nodes
+    assert n == 104
+    bound = block * (n // 2) * 16 + 4 * n**2 * 8
+    tables = gs.d * gs.N * (n // 2) * 16
+    build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=1.0))
+    assert ens._u_out.shape[1] == ens._p_out.shape[1] == n // 2
+    rows = ens._u_out.nbytes + ens._p_out.nbytes
+    assert rows > bound + tables and kept >= rows
+    assert build_peak < bound + tables
+    flipped = OmegaField(_omega_spec(h=1.0), gs, -np.ones((64, 64)))
+    draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
+    assert op.potential_ref["assembly"] == "pair"
+    assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
+    assert draw_peak < bound
 
 
 def test_single_cell_straddling_the_seam_matches_node_level_route():

@@ -309,6 +309,23 @@ def test_campaign_norms_are_the_two_samplers_bits(monkeypatch, spec, lam, R, dx,
 
 
 @pytest.mark.parametrize(
+    "R,h,dtype",
+    [(4.0, 1.0, np.float64), (4.0, 0.5, np.float64), (8.0, 1.0, np.complex128)],
+    ids=["even", "even_own_reference", "odd"],
+)
+def test_campaign_norms_take_the_real_form_on_even_nets(monkeypatch, R, h, dtype):
+    """R = 4 (26 nodes) takes each draw and the reference from a real eigvalsh; R = 8 (51) does not."""
+    import evbounds.harness as harness
+
+    seen = []
+    real = harness.spectral_norm
+    monkeypatch.setattr(harness, "spectral_norm", lambda a: seen.append(a.dtype) or real(a))
+    spec = PotentialSpec(kind="indicator_ball")
+    campaign_norms(spec, _omega(h=h), 1.0, R, range(3), reference=True)
+    assert seen == [dtype] * 4
+
+
+@pytest.mark.parametrize(
     "entry",
     [None, complex(-0.0, 0.0), complex(1.0, -0.0), -1.0, 1.0 + 1.0j],
     ids=["abs", "negative_zero_real", "negative_zero_imag", "negative", "complex"],
