@@ -7,13 +7,14 @@ extension and a co-extension gives the dense matrix whose singular values
 drive every restriction-type bound in the package.
 
 SandwichEnsemble assembles every sandwich the package reports: with_omega
-a randomized one, deterministic the stored M(1).  On an antipodal net with
-real V it works in a real pair basis, where each sandwich is a real
-symmetric matrix of the same norm, and lifts M back to the node basis.
-The node-level sandwich is the reference it agrees with, and its fallback
-on grids its cells do not tile.  Every operator's potential_ref records
-its assembly: "pair", "complex" or "node".  angular_weight conjugates a
-d=2 sandwich by the angular multiplier of the Schatten-norm estimates.
+a randomized one, deterministic the stored M(1), on cells of any side,
+grouped by node count.  On an antipodal net with real V it works in a real
+pair basis, where each sandwich is a real symmetric matrix of the same
+norm, and lifts M back to the node basis.  The node-level sandwich is the
+reference it agrees with.  potential_ref records the assembly: "pair" or
+"complex" from the ensemble, "node" from sandwich.  angular_weight
+conjugates a d=2 sandwich by the angular multiplier of the Schatten-norm
+estimates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .potential import PotentialField
-from .randomize import OmegaField, anderson_randomize, cell_steps
+from .randomize import OmegaField, axis_cells
 
 __all__ = [
     "SphereNet",
@@ -252,13 +253,14 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
 class SandwichEnsemble:
     """Randomized sandwiches over many realizations of one (V, net) pair.
 
-    Rows are the points that carry V: one per cell on which V is constant
-    and that shares one torus offset (a uniform cell), and each nonzero
-    node of every other cell (a mixed cell, cut by the support boundary or
-    by the seam at L/2).  A uniform cell's nodes enter through one phase
-    row times a separable in-cell geometric sum sigma, which factors out of
-    the cell sum as a Hadamard product.  Phase rows are products of
-    per-axis plane-wave tables gathered by lattice index.
+    Rows are the points that carry V: one per cell (of axis_cells) on
+    which V is one nonzero constant and that the seam at L/2 does not cut
+    (a uniform cell), and each nonzero node of every other cell (a mixed
+    cell).  A uniform cell's nodes enter through one phase row times a
+    separable in-cell geometric sum sigma, a Hadamard factor of the cell
+    sum set by the cell's node counts per axis; uniform cells form one
+    group per count tuple.  Phase rows are products of per-axis plane-wave
+    tables gathered by lattice index.
 
     The deterministic sandwich M(1), omega = 1 on every cell, is assembled
     once.  A realization adds the weighted Gram of the rows whose weight
@@ -282,11 +284,12 @@ class SandwichEnsemble:
     * complex: anything else.  Rows over the whole net(s), at the cell
       corner for a uniform cell, and a complex sigma.
 
-    The ensemble keeps its rows, sigma and M(1) (T(1) in the pair form).
-    The build classifies cells on a view of V and drops the per-axis tables
-    once the rows are gathered; the build and each realization then work on
-    one block of _GRAM_ROWS rows and a few Grams beyond what is kept (2n x
-    2n real in the complex form, n x n in the pair form).
+    The ensemble keeps its rows, a sigma per group and M(1) (T(1) in the
+    pair form).  The build classifies cells a slab at a time and drops the
+    per-axis tables once the rows are gathered; the build and each
+    realization then work on one block of _GRAM_ROWS rows and a few Grams
+    beyond what is kept (2n x 2n real in the complex form, n x n in the
+    pair form).
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -295,80 +298,69 @@ class SandwichEnsemble:
         self.field = field
         self.h = float(h)
         gs = field.grid
-        steps = cell_steps(self.h, gs)
-        r = int(steps)
-        self._factored = steps == r and gs.N % r == 0
-        if not self._factored:
-            return
         self._pair = net_in is net_out and _antipodal(net_out) and not field.values.imag.any()
         values = field.values.real if self._pair else field.values
-        d, nc = gs.d, gs.N // r
-        # An (nc, r, nc, r, ...) view of V: cell axes even, in-cell axes odd.
-        cells = values.reshape(sum(((nc, r),) * d, ()))
-        inner = tuple(range(1, 2 * d, 2))
-        corner = cells[(slice(None), slice(0, 1)) * d]
-        cell_vals = corner.reshape(-1)
+        cell = axis_cells(self.h, gs)
+        # The cells that hold nodes along an axis: first node and node count.
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        counts = np.diff(starts, append=gs.N)
+        uniform, self._n_mixed, nodes = _classify(values, starts, counts)
 
-        # A uniform cell also keeps one torus offset.  N and r are powers of
-        # two, so L/2 falls on a cell boundary unless one cell spans the box.
-        active = np.all(cells == corner, axis=inner).reshape(-1) & (cell_vals != 0) & (nc > 1)
-        self._uniform_cells = np.flatnonzero(active)
-        self._uniform_vals = cell_vals[active]
-        uniform = np.unravel_index(self._uniform_cells, (nc,) * d)
-
-        mixed = np.flatnonzero(~active & np.any(cells != 0, axis=inner).reshape(-1))
-        self._n_mixed = mixed.size
-        # Nodes of the mixed cells, row-major cells of row-major nodes.
-        offsets = np.unravel_index(np.arange(r**d), (r,) * d)
-        cell_nodes = tuple(
-            c[:, None] * r + o for c, o in zip(np.unravel_index(mixed, (nc,) * d), offsets)
-        )
-        node_vals = values[cell_nodes]
-        keep = node_vals != 0
-        nodes = tuple(ax[keep] for ax in cell_nodes)
-        self._mixed_cell_of_row = mixed[keep.nonzero()[0]]
-        self._mixed_vals = node_vals[keep]
+        upos = np.nonzero(uniform)
+        tuples, group = np.unique(counts[np.stack(upos, -1)], axis=0, return_inverse=True)
+        corners = tuple(starts[p] for p in upos)
+        self._uniform_cells = tuple(cell[c] for c in corners)
+        self._uniform_vals = values[corners]
+        self._mixed_cell_of_row = tuple(cell[a] for a in nodes)
+        self._mixed_vals = values[nodes]
 
         axis = gs.axis_centered
         self._u_in = self._p_in = None
         if self._pair:
             half = net_out.nodes[: net_out.n_nodes // 2]
-            [self._u_out] = _lattice_rows(axis[::r] + gs.dx * (r - 1) / 2, half, uniform)
+            [self._u_out] = _lattice_rows(axis[starts] + gs.dx * (counts - 1) / 2, half, upos)
             [self._p_out] = _lattice_rows(axis, half, nodes)
-            self._sigma = _pair_mix(half, gs.dx, r)
+            sigmas = [_pair_mix(half, gs.dx, t) for t in tuples]
         else:
-            corners = tuple(c * r for c in uniform)
             self._u_out, self._p_out = _lattice_rows(axis, net_out.nodes, corners, nodes)
             if net_in is not net_out:
                 self._u_in, self._p_in = _lattice_rows(axis, net_in.nodes, corners, nodes)
-            self._sigma = _cell_sum(net_out, net_in, gs.dx, r)
+            sigmas = [_cell_sum(net_out, net_in, gs.dx, t) for t in tuples]
+        # Per count tuple, a mask of its rows (a Gram skips rows of zero weight) and sigma.
+        self._groups = [(group.ravel() == g, sigma) for g, sigma in enumerate(sigmas)]
         self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)
 
-    def _assemble(self, uniform_w, mixed_w):
-        """Uniform-row Gram times sigma plus the mixed-node Gram: M, or T in the pair form."""
-        if self._pair:
-            t = _mix(_real_gram(self._u_out, uniform_w), *self._sigma)
-            t += _real_gram(self._p_out, mixed_w)
-            return t
-        m = _gram(self._u_out, uniform_w, self._u_in)
-        m *= self._sigma
-        m += _gram(self._p_out, mixed_w, self._p_in)
-        return m
+    def _assemble(self, u_w, p_w):
+        """Each group's Gram times its sigma, then the mixed-node Gram: M, or T in the pair form.
+
+        Summed in that order, so no sum is alive beside the larger group Grams' blocks.
+        """
+        m = None
+        for rows, sigma in self._groups:
+            w = np.where(rows, u_w, 0)
+            if self._pair:
+                g = _mix(_real_gram(self._u_out, w), *sigma)
+            else:
+                g = _gram(self._u_out, w, self._u_in)
+                g *= sigma
+            m = g if m is None else np.add(m, g, out=m)
+            del g
+        g = _real_gram(self._p_out, p_w) if self._pair else _gram(self._p_out, p_w, self._p_in)
+        return g if m is None else np.add(m, g, out=m)
 
     def with_omega(self, omega: OmegaField) -> SandwichOperator:
         """Sandwich of the potential randomized by omega.
 
         potential_ref records the assembly, the uniform and mixed cell
-        counts and gram_rows, the number of rows whose weight changed from
+        counts, cell_groups (the number of count tuples of uniform cells)
+        and gram_rows, the number of rows whose weight changed from
         omega = 1.
         """
         if omega.grid != self.field.grid:
             raise ValueError("omega drawn for a different grid than the potential")
         if abs(omega.spec.h - self.h) > 1e-12:
             raise ValueError("omega cell size differs from the ensemble's")
-        if not self._factored:
-            return sandwich(self.net_out, self.net_in, anderson_randomize(self.field, omega))
-        shift = omega.cells.reshape(-1) - 1.0
+        shift = omega.cells - 1.0
         uniform_w = shift[self._uniform_cells] * self._uniform_vals
         mixed_w = shift[self._mixed_cell_of_row] * self._mixed_vals
         m = self._assemble(uniform_w, mixed_w)
@@ -380,12 +372,7 @@ class SandwichEnsemble:
         )
 
     def deterministic(self) -> SandwichOperator:
-        """The deterministic sandwich M(1), the one stored at build: nothing is drawn.
-
-        Grids the cells do not tile assemble the node-level sandwich of V instead.
-        """
-        if not self._factored:
-            return sandwich(self.net_out, self.net_in, self.field)
+        """The deterministic sandwich M(1), the one stored at build: nothing is drawn."""
         return self._operator(self._m1.copy())
 
     def _operator(self, m, **ref) -> SandwichOperator:
@@ -394,13 +381,47 @@ class SandwichEnsemble:
         In the pair form m is T; the real form is 2 T scaled (the pair rows
         are the half-net rows times sqrt 2), and matrix is M lifted from it.
         """
-        counts = {"uniform_cells": int(self._uniform_cells.size), "mixed_cells": int(self._n_mixed)}
+        counts = {"uniform_cells": int(self._uniform_vals.size), "mixed_cells": int(self._n_mixed)}
+        counts["cell_groups"] = len(self._groups)
         if self._pair:
             m *= 2.0 * self.field.grid.cellvol * self.net_out.weights[0]
             return SandwichOperator(_node_matrix(m), {"assembly": "pair", **counts, **ref}, m)
         m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
         return SandwichOperator(m, {"assembly": "complex", **counts, **ref})
+
+
+def _classify(values, starts, counts):
+    """Uniform cells (a mask), the mixed-cell count and the mixed cells' nonzero nodes.
+
+    Cells split each axis at starts.  A uniform one holds one nonzero V, bit
+    for bit, on one side of the seam at L/2.  Each slab of cells along axis
+    0 is reduced by reduceat, so no N^d array is formed.  Mixed nodes come
+    in row-major cell order, row-major within a cell.
+    """
+    k, d, half = starts.size, values.ndim, values.shape[0] // 2
+    whole = (starts >= half) | (starts + counts <= half)
+    whole_rest = np.all(np.meshgrid(*[whole] * (d - 1), indexing="ij"), axis=0)
+    node_cell = np.repeat(np.arange(k), counts)
+    corners, spread = np.ix_(*[starts] * (d - 1)), np.ix_(*[node_cell] * (d - 1))
+    uniform = np.zeros((k,) * d, dtype=bool)
+    n_mixed, nodes = 0, [(np.zeros(0, dtype=int),) * d]
+    for p, (lo, c) in enumerate(zip(starts, counts)):
+        slab = values[lo : lo + c]
+        at = np.nonzero(slab)
+        if not at[0].size:  # a slab off the support holds no uniform or mixed cell
+            continue
+        corner = slab[0][corners]
+        same = (slab == corner[spread]).all(axis=0)
+        for ax in range(d - 1):
+            same = np.logical_and.reduceat(same, starts, axis=ax)
+        uniform[p] = same & (corner != 0) & whole[p] & whole_rest
+        at_cell = np.ravel_multi_index(tuple(node_cell[a] for a in at[1:]), (k,) * (d - 1))
+        keep = np.flatnonzero(~uniform[p].ravel()[at_cell])
+        keep = keep[np.argsort(at_cell[keep], kind="stable")]
+        n_mixed += np.count_nonzero(np.bincount(at_cell[keep]))
+        nodes.append((at[0][keep] + lo, *(a[keep] for a in at[1:])))
+    return uniform, n_mixed, tuple(np.concatenate(a) for a in zip(*nodes))
 
 
 def _antipodal(net):
@@ -428,10 +449,10 @@ def _cell_ratio(half, r):
     return np.where(tiny, r * np.cos(half * r), np.sin(half * r)) / np.where(tiny, np.cos(half), s)
 
 
-def _cell_sum(net_out, net_in, dx, r):
+def _cell_sum(net_out, net_in, dx, counts):
     """In-cell phase sum sigma from the cell corner: over axes, the product of geometric sums.
 
-    On axis a the sum of e^{2 i half j}, j < r, is e^{i half (r - 1)}
+    On axis a, with r = counts[a] nodes, the sum of e^{2 i half j}, j < r, is e^{i half (r - 1)}
     sin(r half) / sin(half) with half = pi dx kappa_a, kappa = nu - mu.
     Where sin(half) vanishes, half = k pi, the ratio takes its limit
     r cos(r half) / cos(half) = r (-1)^{k (r - 1)}, so the sum is r; at
@@ -439,24 +460,24 @@ def _cell_sum(net_out, net_in, dx, r):
     """
     kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
     sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
-    for ax in range(net_out.d):
+    for ax, r in enumerate(counts):
         half = np.pi * dx * kappa[..., ax]
         sigma *= np.exp(1j * half * (r - 1)) * _cell_ratio(half, r)
     return sigma
 
 
-def _pair_mix(half, dx, r):
+def _pair_mix(half, dx, counts):
     """Pair-block mixing a = (s_minus + s_plus) / 2, b = (s_minus - s_plus) / 2 on the half-net.
 
     s_minus and s_plus are the in-cell sum from the cell centre, the real
-    even product over axes of sin(r pi dx kappa_a) / sin(pi dx kappa_a),
+    even product over axes of sin(r_a pi dx kappa_a) / sin(pi dx kappa_a), r_a = counts[a],
     at kappa = xi_nu - xi_mu and xi_nu + xi_mu.  It is taken at |kappa_a|,
     and a sum commutes, so a and b are symmetric bit for bit.
     """
     out = []
     for kappa in (half[None, :, :] - half[:, None, :], half[None, :, :] + half[:, None, :]):
         s = np.ones(kappa.shape[:2])
-        for ax in range(kappa.shape[2]):
+        for ax, r in enumerate(counts):
             s *= _cell_ratio(np.pi * dx * np.abs(kappa[..., ax]), r)
         out.append(s)
     minus, plus = out

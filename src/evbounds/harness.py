@@ -385,9 +385,8 @@ def deterministic_ext_norm(
     The sandwich is the cell-factored M(1) of _deterministic: one row per
     uniform cell plus one per nonzero node of the other cells, and no
     per-node plane wave; on an antipodal net its norm is that of the real
-    pair form.  Grids its cells do not tile take the node-level sandwich
-    instead.  Either way the value equals the norm of the node-level
-    sandwich of |V| to rounding.
+    pair form.  The value equals the norm of the node-level sandwich of
+    |V| to rounding.
     """
     field = _campaign_field(potential_spec, R, d, dx)
     field = PotentialField(field.grid, np.abs(field.values).astype(complex), field.support_radius)

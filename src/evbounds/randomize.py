@@ -26,7 +26,7 @@ __all__ = [
     "OmegaSpec",
     "OmegaField",
     "TailEntry",
-    "cell_steps",
+    "axis_cells",
     "draw_omega",
     "anderson_randomize",
     "tail_table",
@@ -69,12 +69,12 @@ class OmegaField:
     @classmethod
     def constant(cls, spec: OmegaSpec, grid: GridSpec) -> OmegaField:
         """Weight 1 on every cell: the deterministic potential, nothing drawn."""
-        nc = _cells_per_axis(spec, grid)
+        nc = _cells_per_axis(spec.h, grid)
         return cls(spec, grid, np.ones((nc,) * grid.d))
 
     def at_nodes(self) -> np.ndarray:
         """Expand cell weights to the grid nodes (node x sits in cell floor(x/h))."""
-        return self.cells[_node_cell_index(self.spec, self.grid)]
+        return self.cells[np.ix_(*[axis_cells(self.spec.h, self.grid)] * self.grid.d)]
 
 
 @dataclass(frozen=True)
@@ -85,30 +85,27 @@ class TailEntry:
     upper: float
 
 
-def _cells_per_axis(spec: OmegaSpec, gs: GridSpec) -> int:
-    if spec.h > gs.L:
-        raise SupportError(f"cell size {spec.h} exceeds box side {gs.L}")
-    ratio = gs.L / spec.h
+def _cells_per_axis(h: float, gs: GridSpec) -> int:
+    if h > gs.L:
+        raise SupportError(f"cell size {h} exceeds box side {gs.L}")
+    ratio = gs.L / h
     # Tolerate float noise when L/h is meant to be integral.
     return int(np.ceil(ratio - 1e-9 * max(1.0, ratio)))
 
 
-def cell_steps(h: float, gs: GridSpec) -> float:
-    """Cell side h in grid steps, snapped to the whole r within 1e-9 of it.
+def axis_cells(h: float, gs: GridSpec) -> np.ndarray:
+    """Cell of each node along one axis, the one node-to-cell rule; SupportError if h > L.
 
-    Node k sits in cell floor(k / steps + 1e-9) on each axis, so in cell
-    k // r when h is r steps, as SandwichEnsemble groups nodes.
+    Node k sits in cell floor(k / steps + 1e-9), clipped to the last cell,
+    with steps = h / dx snapped to the whole r within 1e-9 of it: cell
+    k // r when h is r steps.  A cell holds floor(h/dx) or ceil(h/dx)
+    nodes, or fewer at the end of the box.
     """
+    nc = _cells_per_axis(h, gs)
     ratio = h / gs.dx
     r = round(ratio)
-    return float(r) if r >= 1 and abs(ratio - r) <= 1e-9 else ratio
-
-
-def _node_cell_index(spec: OmegaSpec, gs: GridSpec):
-    nc = _cells_per_axis(spec, gs)
-    axis_idx = np.floor(np.arange(gs.N) / cell_steps(spec.h, gs) + 1e-9).astype(int)
-    axis_idx = np.minimum(axis_idx, nc - 1)
-    return np.ix_(*([axis_idx] * gs.d)) if gs.d > 1 else axis_idx
+    steps = float(r) if r >= 1 and abs(ratio - r) <= 1e-9 else ratio
+    return np.minimum(np.floor(np.arange(gs.N) / steps + 1e-9).astype(int), nc - 1)
 
 
 def _raw_stream(spec: OmegaSpec, count: int) -> np.ndarray:
@@ -134,7 +131,7 @@ def cell_values(spec: OmegaSpec, count: int) -> np.ndarray:
 
 def draw_omega(spec: OmegaSpec, grid: GridSpec) -> OmegaField:
     """Draw the weight field for every cell meeting the box."""
-    nc = _cells_per_axis(spec, grid)
+    nc = _cells_per_axis(spec.h, grid)
     vals = cell_values(spec, nc**grid.d)
     return OmegaField(spec, grid, vals.reshape((nc,) * grid.d))
 

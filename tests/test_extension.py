@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evbounds import GridSpec, extension
+from evbounds.errors import SupportError
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
@@ -163,7 +164,7 @@ def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     "L,tiled,amplitude,assembly",
     [
         (8.0, True, 1.0 + 0.5j, "complex"),
-        (7.0, False, 1.0 + 0.5j, "node"),
+        (7.0, False, 1.0 + 0.5j, "complex"),
         (8.0, True, 1.5, "pair"),
     ],
     ids=["tiled", "untiled", "tiled-real"],
@@ -176,9 +177,10 @@ def test_identity_realization_matches_deterministic(L, tiled, amplitude, assembl
     spec = _omega_spec(h=1.0)
     plain = sandwich(net, net, field)
     ens = SandwichEnsemble(net, net, field, spec.h)
-    assert ens._factored == tiled
     ones = ens.with_omega(OmegaField.constant(spec, gs))
     assert ones.potential_ref["assembly"] == assembly
+    # untiled cells of 4 or 5 nodes per axis: the factored assembly, in four count groups
+    assert ones.potential_ref["cell_groups"] == (1 if tiled else 4)
     scale = np.abs(plain.matrix).max()
     np.testing.assert_allclose(ones.matrix, plain.matrix, atol=1e-12 * scale)
     det = ens.deterministic()
@@ -410,7 +412,8 @@ def _transient_peak(fn):
     return peak - current, current - start, out
 
 
-def test_ensemble_works_in_one_block_of_rows(monkeypatch):
+@pytest.mark.parametrize("h", [1.0, 0.75], ids=["tiled", "untiled"])
+def test_ensemble_works_in_one_block_of_rows(monkeypatch, h):
     """Beyond what it keeps, a build or a realization holds one block of rows and a few Grams.
 
     omega = -1 everywhere selects every row; a full copy of the selected
@@ -424,12 +427,12 @@ def test_ensemble_works_in_one_block_of_rows(monkeypatch):
     net = build_net(lam=1.0, R=R, d=2)
     n = net.n_nodes
     bound = block * n * 16 + 4 * (2 * n) ** 2 * 8
-    build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=1.0))
+    build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=h))
     rows = ens._u_out.nbytes + ens._p_out.nbytes
     assert rows > bound and kept >= rows
     assert build_peak < bound
-    spec = _omega_spec(h=1.0)
-    flipped = OmegaField(spec, gs, -np.ones((64, 64)))
+    spec = _omega_spec(h=h)
+    flipped = OmegaField(spec, gs, -OmegaField.constant(spec, gs).cells)
     draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
     assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
     assert draw_peak + op.matrix.nbytes < bound
@@ -471,6 +474,82 @@ def test_single_cell_straddling_the_seam_matches_node_level_route():
     fast = SandwichEnsemble(net, net, field, h=gs.L).with_omega(omega).matrix
     slow = sandwich(net, net, anderson_randomize(field, omega)).matrix
     assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("amplitude", [1.5, 1.0 + 0.5j], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "d,L,N,h,groups",
+    [
+        pytest.param(2, 19.2, 64, 0.9, 4, id="dx0.3-h0.9"),
+        pytest.param(2, 19.2, 64, 1.0, 4, id="dx0.3-h1.0"),
+        pytest.param(2, 19.2, 64, 1.2, 1, id="dx0.3-h1.2"),
+        pytest.param(2, 16.0, 64, 0.75, 4, id="dx0.25-h0.75"),
+        # 2 or 3 nodes per axis, and the last cell holds 1
+        pytest.param(2, 19.2, 64, 0.7, 9, id="partial-last-cell"),
+        pytest.param(3, 4.8, 16, 0.9, 8, id="d3-dx0.3-h0.9"),
+        # the one cell spans the seam, so no cell is uniform
+        pytest.param(2, 4.0, 16, 4.0, 0, id="one-cell"),
+    ],
+)
+def test_any_cell_size_matches_node_level_sandwich(d, L, N, h, groups, amplitude):
+    """Cells that need not tile the box: M(1) and sign and Gaussian draws against the node level."""
+    gs = GridSpec(d=d, L=L, N=N)
+    net = build_net(lam=1.0, R=4.0 if d == 2 else 2.0, d=d)
+    field = _field(gs, amplitude=amplitude, R=L / 4)
+    ens = SandwichEnsemble(net, net, field, h)
+    pairs = [(ens.deterministic(), field)]
+    for distribution in ("bernoulli", "gaussian"):
+        for idx in range(2):
+            omega = draw_omega(OmegaSpec(h, distribution, 31, idx), gs)
+            pairs.append((ens.with_omega(omega), anderson_randomize(field, omega)))
+    assembly = "pair" if d == 2 and amplitude == 1.5 else "complex"
+    for fast, f in pairs:
+        assert fast.potential_ref["assembly"] == assembly
+        assert fast.potential_ref["cell_groups"] == groups
+        slow = sandwich(net, net, f).matrix
+        assert np.abs(fast.matrix - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("L,groups", [(76.8, 9), (64.0, 1)], ids=["dx0.3", "dx0.25"])
+def test_uniform_cells_group_by_node_counts(L, groups):
+    """Unit cells hold 3 or 4 nodes per axis at dx = 0.3 and the last cell 2: 3^2 count tuples.
+
+    At dx = 0.25 they tile the box in one group.
+    """
+    gs = GridSpec(d=2, L=L, N=256)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    field = _field(gs, R=L / 4)
+    det = SandwichEnsemble(net, net, field, h=1.0).deterministic()
+    assert det.potential_ref["cell_groups"] == groups
+    assert {type(v) for v in det.potential_ref.values()} == {str, int}
+    slow = sandwich(net, net, field).matrix
+    assert np.abs(det.matrix - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("amplitude", [1.5, 1.0 + 0.5j], ids=["real", "complex"])
+def test_ensemble_never_calls_the_node_level_sandwich(monkeypatch, amplitude):
+    """On cells that do not tile the box the ensemble still builds, draws and gives M(1) itself."""
+
+    def node_level(*args, **kwargs):
+        raise AssertionError("the ensemble called the node-level sandwich")
+
+    gs = GridSpec(d=2, L=19.2, N=64)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    field = _field(gs, amplitude=amplitude, R=4.8)
+    monkeypatch.setattr(extension, "sandwich", node_level)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    draw = ens.with_omega(draw_omega(_omega_spec(h=1.0), gs))
+    det = ens.deterministic()
+    for op in (draw, det):
+        assert op.potential_ref["assembly"] in ("pair", "complex")
+        assert op.potential_ref["cell_groups"] == 4
+
+
+def test_ensemble_rejects_cells_wider_than_the_box():
+    gs = GridSpec(d=2, L=4.0, N=16)
+    net = build_net(lam=1.0, R=4.0, d=2)
+    with pytest.raises(SupportError):
+        SandwichEnsemble(net, net, _field(gs), h=4.5)
 
 
 def test_ensemble_is_hermitian_for_real_potential_and_signs():

@@ -259,7 +259,8 @@ def _node_level_det(spec, lam, R, dx, d=2):
         (PotentialSpec(kind="indicator_ball"), 1.0, 8.0, 0.5, "uniform"),
         (PotentialSpec(kind="indicator_ball", amplitude=1.0 + 1.0j), 1.0, 4.0, 0.25, "uniform"),
         (PotentialSpec(kind="power_decay", amplitude=-0.5 + 2.0j, s=1.5), 1.0, 4.0, 0.25, "mixed"),
-        (PotentialSpec(kind="indicator_ball"), 1.0, 3.0, 0.375, "node"),
+        # unit cells hold 2 or 3 nodes per axis: the factored assembly in count groups
+        (PotentialSpec(kind="indicator_ball"), 1.0, 3.0, 0.375, "uniform"),
         # L = 4R = 0.8 is one cell of side 0.8, not a unit cell
         (PotentialSpec(kind="indicator_ball"), 8.0, 0.2, 0.05, "mixed"),
     ],
@@ -269,10 +270,9 @@ def _node_level_det(spec, lam, R, dx, d=2):
 def test_deterministic_ext_norm_matches_node_level_sandwich(spec, lam, R, dx, path):
     want, ens = _node_level_det(spec, lam, R, dx)
     # the case exercises the assembly path it names
-    if path == "node":
-        assert not ens._factored
-    else:
-        assert (ens.deterministic().potential_ref["uniform_cells"] > 0) == (path == "uniform")
+    ref = ens.deterministic().potential_ref
+    assert ref["assembly"] in ("pair", "complex")
+    assert (ref["uniform_cells"] > 0) == (path == "uniform")
     got = deterministic_ext_norm(spec, lam=lam, R=R, dx=dx)
     assert got == pytest.approx(want, rel=1e-12)
 
