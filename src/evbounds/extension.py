@@ -10,16 +10,18 @@ SandwichEnsemble assembles every sandwich the package reports: with_omega
 a randomized one, deterministic the stored M(1), on cells of any side,
 grouped by node count.  On an antipodal net with real V it works in a real
 pair basis, where each sandwich is a real symmetric matrix of the same
-norm, and lifts M back to the node basis.  The node-level sandwich is the
-reference it agrees with.  potential_ref records the assembly: "pair" or
-"complex" from the ensemble, "node" from sandwich.  angular_weight
-conjugates a d=2 sandwich by the angular multiplier of the Schatten-norm
-estimates.
+norm, and lifts M back to the node basis when asked.  It and the
+node-level sandwich, the reference it agrees with, gather phase rows a
+block at a time from per-axis tables.  potential_ref records the assembly:
+"pair" or "complex" from the ensemble, "node" from sandwich.
+angular_weight conjugates a d=2 sandwich by the angular multiplier of the
+Schatten-norm estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,12 +47,12 @@ _FIB_FACTOR = 9.6
 
 _MIN_NODES = 8
 
-# Phase-row entries per chunk of the node-level sandwich: bounds its memory.
-_CHUNK = 262144
-
-# Rows per block of a Gram sum or a phase-row gather: bounds the rows copied
-# at once (2048 x 403 complex rows are 13 MB at R = 64).
+# Rows per block of a Gram sum: bounds the rows gathered at once (2048 x 403
+# complex rows are 13 MB at R = 64).
 _GRAM_ROWS = 2048
+
+# Rows per sub-block of a gather: its product over the axes stays in cache.
+_SUB_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,18 @@ class SphereNet:
 
 @dataclass
 class SandwichOperator:
-    """Dense co-extension / potential / extension product."""
+    """Dense co-extension / potential / extension product; a pair-form matrix is lifted when read."""
 
-    matrix: np.ndarray
+    _matrix: np.ndarray | None
     potential_ref: dict = dc_field(default_factory=dict)  # provenance of the sandwiched field
     # A real symmetric matrix unitarily similar to matrix (the pair form), or None.
     real_form: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _node_matrix(self.real_form)
+        return self._matrix
 
 
 def build_net(lam: float, R: float, d: int) -> SphereNet:
@@ -142,71 +150,74 @@ def extension_matrix(net: SphereNet, points: np.ndarray) -> np.ndarray:
     return phase * net.weights[None, :]
 
 
-def _gram(rows, d, rows_in=None):
+class _Rows(NamedTuple):
+    """Phase rows e^{2 pi i x.xi}, never stored: row k is prod over axes a of tables[a][index[a][k]]."""
+    tables: list  # per axis, a (values in use, nodes) complex table
+    index: tuple  # per axis, each row's entry in its table
+
+
+def _gram(d, rows, rows_in=None):
     """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
 
     Rows of zero weight are skipped.  Real weights on one row set give a
     Hermitian matrix, assembled from the real Grams of _sign_grams, half
     the flops of the complex product.  Complex weights, or two row sets,
-    take one complex product.  Either way the rows are copied _GRAM_ROWS at
-    a time and their products summed, so the working set beyond the rows
-    is one block of rows and the Gram being summed (2n x 2n real in the
-    syrk branch), whatever the number of rows.
+    take one complex product.  Either way the rows are gathered _GRAM_ROWS
+    at a time and their products summed, so the working set beyond the
+    tables is one block of rows and the Gram being summed (2n x 2n real in
+    the syrk branch), whatever the number of rows.
     """
     d = np.asarray(d)
     if np.iscomplexobj(d) and not d.imag.any():
         d = d.real
     if rows_in is not None or np.iscomplexobj(d):
         right_rows = rows if rows_in is None else rows_in
-        m = np.zeros((rows.shape[1], right_rows.shape[1]), dtype=complex)
+        m = np.zeros((rows.tables[0].shape[1], right_rows.tables[0].shape[1]), dtype=complex)
         for blk in _blocks(np.flatnonzero(d)):
-            left = rows[blk]
-            right = left if rows_in is None else rows_in[blk]
+            left = _gather(rows, blk)
+            right = left if rows_in is None else _gather(rows_in, blk)
             m += (left.conj().T * d[blk]) @ right
         return m
-    n = rows.shape[1]
+    n = rows.tables[0].shape[1]
     m = np.zeros((n, n), dtype=complex)
-    for sign, g in _sign_grams(rows, d):
+    for sign, g in _sign_grams(d, rows):
         m.real += sign * (g[0::2, 0::2] + g[1::2, 1::2])
         m.imag += sign * (g[0::2, 1::2] - g[1::2, 0::2])
     return m
 
 
-def _real_gram(rows, d):
+def _real_gram(d, rows):
     """The real Gram sum_k d_k x_k^T x_k of rows viewed as interleaved (Re, Im) columns.
 
     d is real.  Symmetric bit for bit: a difference of the per-sign Grams
     of _sign_grams.
     """
-    n = 2 * rows.shape[1]
+    n = 2 * rows.tables[0].shape[1]
     total = np.zeros((n, n))
-    for sign, g in _sign_grams(rows, d):
+    for sign, g in _sign_grams(d, rows):
         total += sign * g
     return total
 
 
-def _sign_grams(rows, d):
+def _sign_grams(d, rows):
     """Per sign of the real weights d, the real Gram x^T x of x = sqrt|d| rows.
 
     x is viewed as interleaved (Re, Im) columns, and numpy sends x.T @ x to
     its symmetric rank-k update, which mirrors one triangle: each Gram is
-    symmetric bit for bit.  Each block's product goes into one reused
-    buffer, one Gram array serves both signs (a caller uses each yielded
-    Gram before asking for the next), and a block of rows is released
-    before the next is gathered.
+    symmetric bit for bit.  Each block of x is gathered, scaled, into one
+    reused array, each block's product goes into one reused buffer, and
+    one Gram array serves both signs (a caller uses each yielded Gram
+    before asking for the next).
     """
-    g = buf = None
+    x = np.empty((min(_GRAM_ROWS, np.count_nonzero(d)), rows.tables[0].shape[1]), dtype=complex)
+    g, buf = np.empty((2 * x.shape[1],) * 2), None
     for sign in (1.0, -1.0):
         sel = np.flatnonzero(sign * d > 0)
         for i, blk in enumerate(_blocks(sel)):
-            x = rows[blk]
-            x *= np.sqrt(sign * d[blk])[:, None]
-            if g is None:
-                g = np.empty((2 * rows.shape[1],) * 2)
-            elif i and buf is None:
+            if i and buf is None:
                 buf = np.empty_like(g)
-            np.matmul(x.view(float).T, x.view(float), out=buf if i else g)
-            del x
+            block = _gather(rows, blk, x[: blk.size], np.sqrt(sign * d[blk]))
+            np.matmul(block.view(float).T, block.view(float), out=buf if i else g)
             if i:
                 g += buf
         if sel.size:
@@ -216,6 +227,42 @@ def _sign_grams(rows, d):
 def _blocks(index):
     """Consecutive slices of at most _GRAM_ROWS entries of index."""
     return (index[lo : lo + _GRAM_ROWS] for lo in range(0, index.size, _GRAM_ROWS))
+
+
+def _gather(rows, blk, out=None, scale=None):
+    """Rows blk of a row set, each times scale if given, into out (a new array by default).
+
+    Filled _SUB_ROWS rows at a time through one reused buffer, so a sub-block's product
+    over the axes and its scaling stay in cache.  Each entry is its axis factors multiplied
+    in axis order, then scaled: the same bits for any block or sub-block size.
+    """
+    tables, idx = rows.tables, [ix[blk] for ix in rows.index]
+    if out is None:
+        out = np.empty((blk.size, tables[0].shape[1]), dtype=complex)
+    buf = np.empty((min(_SUB_ROWS, blk.size), out.shape[1]), dtype=complex)
+    for lo in range(0, blk.size, _SUB_ROWS):
+        hi = lo + _SUB_ROWS
+        sub = out[lo:hi]
+        # mode="clip" (the indices are in range) writes straight into out; "raise" buffers a copy.
+        np.take(tables[0], idx[0][lo:hi], axis=0, out=sub, mode="clip")
+        for table, ix in zip(tables[1:], idx[1:]):
+            sub *= np.take(table, ix[lo:hi], axis=0, out=buf[: sub.shape[0]], mode="clip")
+        if scale is not None:  # on the float view: Re and Im times s, as the complex product
+            sub.view(float)[...] *= scale[lo:hi, None]
+    return out
+
+
+def _lattice(axis, multi, *node_sets):
+    """Row sets over each node set at the lattice points with per-axis indices multi into axis.
+
+    Each axis keeps a table over the axis values in use only; the row sets share one index.
+    """
+    used = [np.unique(idx, return_inverse=True) for idx in multi]
+    index = tuple(inverse for _, inverse in used)
+    return [
+        _Rows([np.exp(2j * np.pi * np.outer(axis[u], xi)) for (u, _), xi in zip(used, nodes.T)], index)
+        for nodes in node_sets
+    ]
 
 
 def _apply_net_weights(m, net_out, net_in):
@@ -229,24 +276,16 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
 
     Entry (mu, nu) is sum_x conj(e(x.mu)) V(x) e(x.nu) cellvol sqrt(w_mu w_nu)
     with x running over the grid nodes where V is nonzero, in torus-centered
-    coordinates so wrapped supports stay contiguous.  Phase rows are products
-    of per-axis plane-wave tables, accumulated in chunks of about _CHUNK
-    entries.  An empty support gives the zero matrix.
+    coordinates so wrapped supports stay contiguous.  Its rows are gathered
+    from per-axis tables, as SandwichEnsemble's are.  An empty support gives
+    the zero matrix.
     """
     gs = field.grid
     vals = field.values.ravel()
     support = np.flatnonzero(vals)
-    weights = vals[support] * gs.cellvol
-    multi = np.unravel_index(support, gs.shape)
-    t_out = _axis_tables(gs.axis_centered, net_out.nodes)
-    t_in = None if net_in is net_out else _axis_tables(gs.axis_centered, net_in.nodes)
-    m = np.zeros((net_out.n_nodes, net_in.n_nodes), dtype=complex)
-    step = max(1, _CHUNK // max(net_out.n_nodes, net_in.n_nodes))
-    for lo in range(0, support.size, step):
-        idx = tuple(ax[lo : lo + step] for ax in multi)
-        rows_in = None if t_in is None else _phase_rows(t_in, idx)
-        m += _gram(_phase_rows(t_out, idx), weights[lo : lo + step], rows_in)
-    _apply_net_weights(m, net_out, net_in)
+    nets = [net_out.nodes] if net_in is net_out else [net_out.nodes, net_in.nodes]
+    rows = _lattice(gs.axis_centered, np.unravel_index(support, gs.shape), *nets)
+    m = _apply_net_weights(_gram(vals[support] * gs.cellvol, *rows), net_out, net_in)
     return SandwichOperator(m, {"assembly": "node", "support_nodes": int(support.size)})
 
 
@@ -280,16 +319,16 @@ class SandwichEnsemble:
       viewed as float they are the interleaved (cos, sin) rows, and T
       mixes their real Gram per 2 x 2 pair block with sigma(xi_nu - xi_mu)
       and sigma(xi_nu + xi_mu) (_mix).  The operator carries T, scaled, as
-      real_form, and M lifted from it in O(n^2) (_node_matrix).
+      real_form, and lifts M from it in O(n^2) on first access.
     * complex: anything else.  Rows over the whole net(s), at the cell
       corner for a uniform cell, and a complex sigma.
 
-    The ensemble keeps its rows, a sigma per group and M(1) (T(1) in the
-    pair form).  The build classifies cells a slab at a time and drops the
-    per-axis tables once the rows are gathered; the build and each
-    realization then work on one block of _GRAM_ROWS rows and a few Grams
-    beyond what is kept (2n x 2n real in the complex form, n x n in the
-    pair form).
+    The ensemble keeps no rows: per axis, a table over the cells (or the
+    nodes) in use, and each row's index into it; a sigma per group and M(1)
+    (T(1) in the pair form).  The build classifies cells a slab at a time;
+    the build and each realization gather one block of _GRAM_ROWS rows at
+    a time and hold a few Grams beyond what is kept (2n x 2n real in the
+    complex form, n x n in the pair form).
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -314,17 +353,17 @@ class SandwichEnsemble:
         self._mixed_cell_of_row = tuple(cell[a] for a in nodes)
         self._mixed_vals = values[nodes]
 
+        # Row sets (one per net, or the half-net in the pair form) of the uniform and mixed rows.
         axis = gs.axis_centered
-        self._u_in = self._p_in = None
         if self._pair:
             half = net_out.nodes[: net_out.n_nodes // 2]
-            [self._u_out] = _lattice_rows(axis[starts] + gs.dx * (counts - 1) / 2, half, upos)
-            [self._p_out] = _lattice_rows(axis, half, nodes)
+            self._uniform = _lattice(axis[starts] + gs.dx * (counts - 1) / 2, upos, half)
+            self._mixed = _lattice(axis, nodes, half)
             sigmas = [_pair_mix(half, gs.dx, t) for t in tuples]
         else:
-            self._u_out, self._p_out = _lattice_rows(axis, net_out.nodes, corners, nodes)
-            if net_in is not net_out:
-                self._u_in, self._p_in = _lattice_rows(axis, net_in.nodes, corners, nodes)
+            nets = [net_out.nodes] if net_in is net_out else [net_out.nodes, net_in.nodes]
+            self._uniform = _lattice(axis[starts], upos, *nets)
+            self._mixed = _lattice(axis, nodes, *nets)
             sigmas = [_cell_sum(net_out, net_in, gs.dx, t) for t in tuples]
         # Per count tuple, a mask of its rows (a Gram skips rows of zero weight) and sigma.
         self._groups = [(group.ravel() == g, sigma) for g, sigma in enumerate(sigmas)]
@@ -336,16 +375,16 @@ class SandwichEnsemble:
         Summed in that order, so no sum is alive beside the larger group Grams' blocks.
         """
         m = None
-        for rows, sigma in self._groups:
-            w = np.where(rows, u_w, 0)
+        for mask, sigma in self._groups:
+            w = np.where(mask, u_w, 0)
             if self._pair:
-                g = _mix(_real_gram(self._u_out, w), *sigma)
+                g = _mix(_real_gram(w, *self._uniform), *sigma)
             else:
-                g = _gram(self._u_out, w, self._u_in)
+                g = _gram(w, *self._uniform)
                 g *= sigma
             m = g if m is None else np.add(m, g, out=m)
             del g
-        g = _real_gram(self._p_out, p_w) if self._pair else _gram(self._p_out, p_w, self._p_in)
+        g = (_real_gram if self._pair else _gram)(p_w, *self._mixed)
         return g if m is None else np.add(m, g, out=m)
 
     def with_omega(self, omega: OmegaField) -> SandwichOperator:
@@ -385,7 +424,7 @@ class SandwichEnsemble:
         counts["cell_groups"] = len(self._groups)
         if self._pair:
             m *= 2.0 * self.field.grid.cellvol * self.net_out.weights[0]
-            return SandwichOperator(_node_matrix(m), {"assembly": "pair", **counts, **ref}, m)
+            return SandwichOperator(None, {"assembly": "pair", **counts, **ref}, m)
         m *= self.field.grid.cellvol
         _apply_net_weights(m, self.net_out, self.net_in)
         return SandwichOperator(m, {"assembly": "complex", **counts, **ref})
@@ -429,17 +468,6 @@ def _antipodal(net):
     n, w = net.n_nodes, net.weights
     paired = n % 2 == 0 and np.array_equal(net.nodes[n // 2 :], -net.nodes[: n // 2])
     return paired and bool(np.all(w == w[0]))
-
-
-def _axis_tables(axis, nodes):
-    """Per-axis plane waves e^{2 pi i x_a xi_a}: one (len(axis), len(nodes)) table per axis."""
-    return [np.exp(2j * np.pi * np.outer(axis, nodes[:, ax])) for ax in range(nodes.shape[1])]
-
-
-def _lattice_rows(axis, nodes, *points):
-    """Phase rows over nodes of each lattice point set, gathered from one set of per-axis tables."""
-    tables = _axis_tables(axis, nodes)
-    return [_phase_rows(tables, multi) for multi in points]
 
 
 def _cell_ratio(half, r):
@@ -520,24 +548,6 @@ def _node_matrix(s):
     im[m:, :m] = (cs + sc) / 2
     im[:m, m:] = -im[m:, :m]
     return out
-
-
-def _phase_rows(tables, multi):
-    """Rows e^{2 pi i x.xi} for the lattice points with per-axis indices multi.
-
-    A product of gathered per-axis table rows: one multiply per (point,
-    node) and axis instead of one exp.  The output is filled _GRAM_ROWS
-    rows at a time, so the working set beyond it is one block of rows.
-    """
-    rows = np.empty((len(multi[0]), tables[0].shape[1]), dtype=complex)
-    for lo in range(0, rows.shape[0], _GRAM_ROWS):
-        hi = lo + _GRAM_ROWS
-        block = rows[lo:hi]
-        # mode="clip" (the indices are in range) writes straight into out; "raise" buffers a copy.
-        np.take(tables[0], multi[0][lo:hi], axis=0, out=block, mode="clip")
-        for table, idx in zip(tables[1:], multi[1:]):
-            block *= table[idx[lo:hi]]
-    return rows
 
 
 def angular_weight(matrix: np.ndarray, lam: float, nu: float) -> np.ndarray:

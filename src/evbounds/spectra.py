@@ -275,7 +275,7 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
         if link.size > 1:
             labels[np.isin(labels, link)] = link.min()
     points: list[SpectralPoint] = []
-    for first in np.unique(labels):
+    for first in np.flatnonzero(labels == np.arange(n)):  # each cluster's first member
         cluster = np.flatnonzero(labels == first)
         points.append(
             SpectralPoint(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from evbounds.errors import SupportError
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
+    _Rows,
     angular_weight,
     build_net,
     extension_matrix,
@@ -371,7 +373,7 @@ def test_ensemble_in_blocks_of_five_rows_matches_node_level_route(monkeypatch, a
     slow = [sandwich(net_out, net_in, f).matrix for f in (field, anderson_randomize(field, omega))]
     monkeypatch.setattr(extension, "_GRAM_ROWS", 5)
     ens = SandwichEnsemble(net_out, net_in, field, h=1.0)
-    assert ens._u_out.shape[0] > 5 and ens._p_out.shape[0] > 5
+    assert ens._uniform[0].index[0].size > 5 and ens._mixed[0].index[0].size > 5
     for fast, want in zip((ens.deterministic().matrix, ens.with_omega(omega).matrix), slow):
         np.testing.assert_allclose(fast, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -412,57 +414,87 @@ def _transient_peak(fn):
     return peak - current, current - start, out
 
 
+def _kept_bound(gs, field, op, width):
+    """What an ensemble may keep: per-axis tables, 64 bytes a row, and its sigmas and M(1).
+
+    Two row sets (uniform and mixed) of d tables each, over at most the axis
+    nodes inside the support (a cell in use starts at one of them); the
+    index, cell, value and group mask of a row take under 64 bytes; each
+    count group keeps a sigma, the size of M(1) at most.  op is a draw
+    with every row's weight changed, so gram_rows counts the rows.
+    """
+    extent = np.count_nonzero(np.abs(gs.axis_centered) <= field.support_radius)
+    tables = 2 * gs.d * extent * width * 16
+    m1 = (2 * width) ** 2 * 8 if op.real_form is not None else width**2 * 16
+    return tables + 64 * op.potential_ref["gram_rows"] + (op.potential_ref["cell_groups"] + 1) * m1
+
+
+def _draw_bound(bound, block, width, omega):
+    """A realization's bound: the build's, the gather's sub-block of rows and omega's shifted cell values."""
+    return bound + min(block, extension._SUB_ROWS) * width * 16 + omega.cells.nbytes
+
+
 @pytest.mark.parametrize("h", [1.0, 0.75], ids=["tiled", "untiled"])
 def test_ensemble_works_in_one_block_of_rows(monkeypatch, h):
-    """Beyond what it keeps, a build or a realization holds one block of rows and a few Grams.
+    """An ensemble keeps tables, not rows; a build or a realization holds one block of rows and a few Grams.
 
-    omega = -1 everywhere selects every row; a full copy of the selected
-    rows, or of the rows formed at build, would exceed the bound.
+    omega = -1 everywhere selects every row.  Keeping the rows would exceed
+    the kept bound; a full copy of the selected rows, or of V (the grid is
+    twice the box a campaign takes at this net), would exceed the bound.
     """
     block = 64
     monkeypatch.setattr(extension, "_GRAM_ROWS", block)
     R = 16.0
-    gs = GridSpec(d=2, L=4 * R, N=int(4 * R / 0.25))
+    gs = GridSpec(d=2, L=8 * R, N=int(8 * R / 0.25))
     field = _field(gs, R=R)
     net = build_net(lam=1.0, R=R, d=2)
     n = net.n_nodes
     bound = block * n * 16 + 4 * (2 * n) ** 2 * 8
+    assert field.values.nbytes > bound
     build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=h))
-    rows = ens._u_out.nbytes + ens._p_out.nbytes
-    assert rows > bound and kept >= rows
     assert build_peak < bound
     spec = _omega_spec(h=h)
     flipped = OmegaField(spec, gs, -OmegaField.constant(spec, gs).cells)
     draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
-    assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
-    assert draw_peak + op.matrix.nbytes < bound
+    assert op.potential_ref["assembly"] == "complex"
+    # Two n x n complex sums (M and a group's Gram) beside the four Grams, and op's M.
+    assert draw_peak + op.matrix.nbytes < _draw_bound(bound, block, n, flipped) + 2 * n**2 * 16
+    rows = op.potential_ref["gram_rows"] * n * 16
+    assert rows > _draw_bound(bound, block, n, flipped)
+    assert kept < _kept_bound(gs, field, op, n) < rows
 
 
 def test_pair_form_works_in_one_block_of_half_rows(monkeypatch):
-    """On an even net the rows span the half-net and a realization holds n x n real Grams.
+    """On an even net the tables span the half-net and a realization holds n x n real Grams.
 
-    n = 104 at R = 16.5.  The complex form's rows, tables and 2n x 2n Grams
-    would exceed the bounds, so losing the pair form fails here.
+    n = 104 at R = 16.5.  The complex form's tables, rows and 2n x 2n Grams
+    would exceed the bounds, so losing the pair form fails here, and so
+    would keeping the rows or copying V.  A build also forms each axis
+    table's phase and its complex temporary, at most N x n/2 x 24 bytes; a
+    realization holds six n x n real Grams (two per-sign Grams, their
+    difference, a mixed T, its temporaries and the sum of T).
     """
     block = 64
     monkeypatch.setattr(extension, "_GRAM_ROWS", block)
-    gs = GridSpec(d=2, L=64.0, N=256)
+    gs = GridSpec(d=2, L=128.0, N=512)
     field = _field(gs, R=16.0)
     net = build_net(lam=1.0, R=16.5, d=2)
     n = net.n_nodes
     assert n == 104
     bound = block * (n // 2) * 16 + 4 * n**2 * 8
-    tables = gs.d * gs.N * (n // 2) * 16
+    table = gs.N * (n // 2) * 24
+    assert field.values.nbytes > bound + table
     build_peak, kept, ens = _transient_peak(lambda: SandwichEnsemble(net, net, field, h=1.0))
-    assert ens._u_out.shape[1] == ens._p_out.shape[1] == n // 2
-    rows = ens._u_out.nbytes + ens._p_out.nbytes
-    assert rows > bound + tables and kept >= rows
-    assert build_peak < bound + tables
-    flipped = OmegaField(_omega_spec(h=1.0), gs, -np.ones((64, 64)))
+    assert build_peak < bound + table
+    assert {t.shape[1] for rows in (ens._uniform, ens._mixed) for t in rows[0].tables} == {n // 2}
+    spec = _omega_spec(h=1.0)
+    flipped = OmegaField(spec, gs, -OmegaField.constant(spec, gs).cells)
     draw_peak, _, op = _transient_peak(lambda: ens.with_omega(flipped))
     assert op.potential_ref["assembly"] == "pair"
-    assert op.potential_ref["gram_rows"] == ens._u_out.shape[0] + ens._p_out.shape[0]
-    assert draw_peak < bound
+    draw_bound = _draw_bound(bound, block, n // 2, flipped) + 2 * n**2 * 8
+    assert draw_peak < draw_bound < 4 * (2 * n) ** 2 * 8
+    rows = op.potential_ref["gram_rows"] * (n // 2) * 16
+    assert kept < _kept_bound(gs, field, op, n // 2) < rows
 
 
 def test_single_cell_straddling_the_seam_matches_node_level_route():
@@ -612,18 +644,88 @@ def test_gram_in_blocks_matches_dense_product(monkeypatch, weights, block):
     _check_gram(weights)
 
 
+def _row_set(rows):
+    """rows as a row set of one axis whose table is rows itself."""
+    return _Rows([rows], (np.arange(rows.shape[0]),))
+
+
 def _check_gram(weights):
     rows, other = _rows(weights.size), _rows(weights.size, n=5, seed=1)
-    for right, got in ((rows, _gram(rows, weights)), (other, _gram(rows, weights, other))):
+    got = [_gram(weights, _row_set(rows)), _gram(weights, _row_set(rows), _row_set(other))]
+    for right, got in zip((rows, other), got):
         want = (rows.conj().T * weights) @ right
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
 def test_gram_of_empty_row_set_is_zero():
-    got = _gram(np.zeros((0, 7), dtype=complex), np.zeros(0))
+    got = _gram(np.zeros(0), _row_set(np.zeros((0, 7), dtype=complex)))
     assert got.shape == (7, 7)
     assert np.all(got == 0)
+
+
+def _stored(rows):
+    """A row set's rows formed at once, axis factors multiplied in axis order, as a one-axis row set."""
+    table = rows.tables[0][rows.index[0]]
+    for t, ix in zip(rows.tables[1:], rows.index[1:]):
+        table = table * t[ix]
+    return _row_set(table)
+
+
+_GATHER_CASES = {
+    # d, L, N, net R, net_in lam, amplitude, h, assembly
+    "pair": (2, 16.0, 64, 4.0, None, 1.5, 1.0, "pair"),
+    "complex": (2, 16.0, 64, 4.0, None, 1.0 + 0.5j, 1.0, "complex"),
+    "two_nets": (2, 16.0, 64, 4.0, 1.5, -2.0, 1.0, "complex"),
+    "d3": (3, 4.8, 16, 2.0, None, 1.5, 0.9, "complex"),
+    "untiled_dx0.3": (2, 19.2, 64, 4.0, None, 1.5, 1.0, "pair"),
+}
+
+
+@pytest.mark.parametrize("sub", [1, 3], ids=lambda s: f"sub{s}")
+@pytest.mark.parametrize("block", [1, 5, 2048], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("case", list(_GATHER_CASES))
+def test_gathered_rows_give_the_bits_of_stored_rows(monkeypatch, case, block, sub):
+    """M(1) and sign and Gaussian draws from gathered rows equal those from rows formed at once.
+
+    Every block and sub-block size gives the same bits, since each gathered
+    entry is its axis factors multiplied in axis order, then scaled.
+    """
+    d, L, N, R, lam_in, amplitude, h, assembly = _GATHER_CASES[case]
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    monkeypatch.setattr(extension, "_SUB_ROWS", sub)
+    gs = GridSpec(d=d, L=L, N=N)
+    net = build_net(lam=1.0, R=R, d=d)
+    net_in = net if lam_in is None else build_net(lam=lam_in, R=R, d=d)
+    ens = SandwichEnsemble(net, net_in, _field(gs, amplitude=amplitude, R=L / 4), h)
+    stored = copy.copy(ens)
+    stored._uniform = [_stored(rows) for rows in ens._uniform]
+    stored._mixed = [_stored(rows) for rows in ens._mixed]
+    stored._m1 = stored._assemble(ens._uniform_vals, ens._mixed_vals)
+    np.testing.assert_array_equal(stored._m1, ens._m1)
+    for distribution in ("bernoulli", "gaussian"):
+        omega = draw_omega(OmegaSpec(h, distribution, 3, 1), gs)
+        got, want = ens.with_omega(omega), stored.with_omega(omega)
+        assert got.potential_ref["assembly"] == assembly and got.potential_ref["gram_rows"] > 5
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        if assembly == "pair":
+            np.testing.assert_array_equal(got.real_form, want.real_form)
+
+
+def test_pair_form_lifts_the_node_matrix_when_first_read(monkeypatch):
+    """A draw forms real_form only; matrix is lifted on its first read, once, with the same bits."""
+    gs, net, field = _pair_case()
+    ens = SandwichEnsemble(net, net, field, 1.0)
+    lifts = []
+    lift = extension._node_matrix
+    monkeypatch.setattr(extension, "_node_matrix", lambda s: lifts.append(1) or lift(s))
+    op = ens.with_omega(draw_omega(_omega_spec(), gs))
+    spectral_norm(op.real_form)
+    assert lifts == []
+    m = op.matrix
+    assert op.matrix is m and lifts == [1]
+    np.testing.assert_array_equal(m, lift(op.real_form))
+    np.testing.assert_array_equal(m, m.conj().T)
 
 
 def test_ensemble_rejects_mismatched_omega():

@@ -325,6 +325,19 @@ def test_campaign_norms_take_the_real_form_on_even_nets(monkeypatch, R, h, dtype
     assert seen == [dtype] * 4
 
 
+def test_campaign_norms_never_lift_the_pair_form(monkeypatch):
+    """The draws and the reference read real_form: no node matrix is formed for them."""
+    import evbounds.extension as extension
+
+    def lift(s):
+        raise AssertionError("campaign_norms lifted a node matrix")
+
+    monkeypatch.setattr(extension, "_node_matrix", lift)
+    spec = PotentialSpec(kind="indicator_ball")
+    norms, det = campaign_norms(spec, _omega(h=1.0), 1.0, 4.0, range(3), reference=True)
+    assert norms.size == 3 and det > 0
+
+
 @pytest.mark.parametrize(
     "entry",
     [None, complex(-0.0, 0.0), complex(1.0, -0.0), -1.0, 1.0 + 1.0j],

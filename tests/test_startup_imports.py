@@ -85,6 +85,30 @@ def test_spectrum_loads_only_scipy_linalg(tmp_path):
     assert not [m for m in result["after"] if m.startswith("scipy.special")]
 
 
+def test_spectrum_clustering_leaves_numpy_ma_unloaded():
+    """eigenvalues_dense takes each cluster's first member without np.unique, which loads numpy.ma.
+
+    The eigensolve runs on numpy.linalg here: importing scipy.linalg loads
+    numpy.ma by itself, so the `spectrum` command loads it either way.
+    """
+    child = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from evbounds import GridSpec, PotentialSpec, hamiltonian_matrix, sample_potential, spectra
+spectra._solve = np.linalg.eig
+gs = GridSpec(d=1, L=16.0, N=64)
+h = hamiltonian_matrix(gs, sample_potential(PotentialSpec(kind="indicator_ball", amplitude=-2.0), gs))
+points = spectra.eigenvalues_dense(h)
+print(json.dumps({"points": len(points), "numpy_ma": "numpy.ma" in sys.modules,
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+    done = subprocess.run([sys.executable, "-c", child, str(SRC)], capture_output=True, text=True,
+                          timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"points": 64, "numpy_ma": False, "scipy": []}
+
+
 def test_gaussian_campaign_loads_scipy_special_and_matches_in_process(tmp_path):
     argv = _campaign(tmp_path, "gaussian")
     out = tmp_path / "out"
