@@ -163,20 +163,22 @@ def _gram(d, rows, rows_in=None):
     Hermitian matrix, assembled from the real Grams of _sign_grams, half
     the flops of the complex product.  Complex weights, or two row sets,
     take one complex product.  Either way the rows are gathered _GRAM_ROWS
-    at a time and their products summed, so the working set beyond the
-    tables is one block of rows and the Gram being summed (2n x 2n real in
-    the syrk branch), whatever the number of rows.
+    at a time into one reused array per row set and their products summed,
+    so the working set beyond the tables is those arrays and the Gram
+    being summed (2n x 2n real in the syrk branch), at any row count.
     """
     d = np.asarray(d)
     if np.iscomplexobj(d) and not d.imag.any():
         d = d.real
     if rows_in is not None or np.iscomplexobj(d):
-        right_rows = rows if rows_in is None else rows_in
-        m = np.zeros((rows.tables[0].shape[1], right_rows.tables[0].shape[1]), dtype=complex)
-        for blk in _blocks(np.flatnonzero(d)):
-            left = _gather(rows, blk)
-            right = left if rows_in is None else _gather(rows_in, blk)
-            m += (left.conj().T * d[blk]) @ right
+        sel = np.flatnonzero(d)
+        bufs = [np.empty((min(_GRAM_ROWS, sel.size), r.tables[0].shape[1]), dtype=complex)
+                for r in ([rows] if rows_in is None else [rows, rows_in])]
+        m = np.zeros((bufs[0].shape[1], bufs[-1].shape[1]), dtype=complex)
+        for blk in _blocks(sel):
+            x = _gather(rows, blk, bufs[0][: blk.size])
+            y = x if rows_in is None else _gather(rows_in, blk, bufs[1][: blk.size])
+            m += (x.conj().T * d[blk]) @ y
         return m
     n = rows.tables[0].shape[1]
     m = np.zeros((n, n), dtype=complex)
@@ -229,16 +231,14 @@ def _blocks(index):
     return (index[lo : lo + _GRAM_ROWS] for lo in range(0, index.size, _GRAM_ROWS))
 
 
-def _gather(rows, blk, out=None, scale=None):
-    """Rows blk of a row set, each times scale if given, into out (a new array by default).
+def _gather(rows, blk, out, scale=None):
+    """Rows blk of a row set, each times scale if given, into out.
 
     Filled _SUB_ROWS rows at a time through one reused buffer, so a sub-block's product
     over the axes and its scaling stay in cache.  Each entry is its axis factors multiplied
     in axis order, then scaled: the same bits for any block or sub-block size.
     """
     tables, idx = rows.tables, [ix[blk] for ix in rows.index]
-    if out is None:
-        out = np.empty((blk.size, tables[0].shape[1]), dtype=complex)
     buf = np.empty((min(_SUB_ROWS, blk.size), out.shape[1]), dtype=complex)
     for lo in range(0, blk.size, _SUB_ROWS):
         hi = lo + _SUB_ROWS

@@ -5,8 +5,8 @@ Filtering separates genuine discrete eigenvalues from the finite-box shadow
 of the essential spectrum [0, inf); the surviving points feed the weighted
 eigenvalue sums.
 
-scipy.linalg is imported inside `_solve`, at the first dense eigensolve, so
-importing this module does not load scipy.
+Every eigensolve is numpy.linalg's LAPACK, on the same OpenBLAS as every
+other product in the package; this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -184,11 +184,9 @@ def _commuting_reflection(h: np.ndarray) -> np.ndarray | None:
 
 def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors: `eigh` when h == h^H bit for bit, else `eig`."""
-    import scipy.linalg
-
     if np.array_equal(h, h.conj().T):
-        return scipy.linalg.eigh(h)
-    return scipy.linalg.eig(h)
+        return np.linalg.eigh(h)
+    return np.linalg.eig(h)
 
 
 def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +236,11 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
       Any such J is an exact symmetry of H, so the split is never wrong;
       with none, H is solved whole.
     - Driver.  A matrix (H or a block) equal bit for bit to its conjugate
-      transpose goes to the Hermitian solver `scipy.linalg.eigh`, whose
-      eigenvalues are exactly real, and every other matrix to the general
-      solver `scipy.linalg.eig`.
+      transpose goes to the Hermitian solver `numpy.linalg.eigh` (LAPACK
+      ?syevd / ?heevd), whose eigenvalues are exactly real, and every
+      other matrix to the general solver `numpy.linalg.eig` (?geev).
+      scipy.linalg's would run on a second OpenBLAS, whose threads wait
+      for the cores that numpy's still spin on after each product.
     Residuals are ||(H - z)v|| / ||v|| for the lifted right eigenvectors,
     always against the full position-basis H, so they certify the split.
     Multiplicities come from single-linkage clustering: eigenvalues within
@@ -254,37 +254,37 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     h = np.asarray(matrix)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    check_dense_size(n)
+    check_dense_size(h.shape[0])
 
     j = _commuting_reflection(h)
     w, vr = _solve(h) if j is None else _solve_split(h, j)
-    vnorms = np.linalg.norm(vr, axis=0)
-    residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / vnorms
+    residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / np.linalg.norm(vr, axis=0)
+    return _cluster(w, residuals)
 
+
+def _cluster(w: np.ndarray, residuals: np.ndarray) -> list[SpectralPoint]:
+    """Eigenvalues w with their residuals, clustered into points as eigenvalues_dense says."""
+    n = w.size
     tol = _CLUSTER_REL_TOL * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
-
     order = np.lexsort((w.imag, w.real))
     w, residuals = w[order], residuals[order]
-    # Single linkage, each group labelled by its first member; linked
-    # eigenvalues lie at most tol apart in Re, so each looks back that far.
+    # Single linkage, each group labelled by its first member; linked eigenvalues lie
+    # at most tol apart in Re, so only one with an earlier one that near can link.
     labels = np.arange(n)
     start = np.searchsorted(w.real, w.real - tol)
-    for i in range(n):
+    for i in np.flatnonzero(start < np.arange(n)):
         link = labels[start[i]:i + 1][np.abs(w[start[i]:i + 1] - w[i]) <= tol]
         if link.size > 1:
             labels[np.isin(labels, link)] = link.min()
-    points: list[SpectralPoint] = []
-    for first in np.flatnonzero(labels == np.arange(n)):  # each cluster's first member
-        cluster = np.flatnonzero(labels == first)
-        points.append(
-            SpectralPoint(
-                z=complex(w[cluster].mean()),
-                multiplicity=len(cluster),
-                residual=float(residuals[cluster].max()),
-            )
-        )
-    return points
+    firsts = np.flatnonzero(labels == np.arange(n))  # each cluster's first member
+    sizes = np.bincount(labels)[firsts]
+    members = np.argsort(labels, kind="stable")  # cluster by cluster, each in index order
+    bounds = np.cumsum(sizes) - sizes
+    z = w[firsts] + 0j  # a one-member mean bit for bit: -0.0 becomes 0.0
+    for k in np.flatnonzero(sizes > 1):
+        z[k] = w[members[bounds[k]:bounds[k] + sizes[k]]].mean()
+    worst = np.maximum.reduceat(residuals[members], bounds)
+    return list(map(SpectralPoint, z.tolist(), sizes.tolist(), worst.tolist()))
 
 
 def filter_discrete(points, filt: SpectrumFilter) -> list[SpectralPoint]:

@@ -658,6 +658,33 @@ def _check_gram(weights):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
+def _gram_of_fresh_blocks(weights, rows, rows_in=None):
+    """_gram's complex branch gathering every block into a new array: its reference."""
+    right_rows = rows if rows_in is None else rows_in
+    m = np.zeros((rows.tables[0].shape[1], right_rows.tables[0].shape[1]), dtype=complex)
+    for blk in extension._blocks(np.flatnonzero(weights)):
+        left = extension._gather(rows, blk, np.empty((blk.size, m.shape[0]), dtype=complex))
+        right = left if rows_in is None else extension._gather(
+            rows_in, blk, np.empty((blk.size, m.shape[1]), dtype=complex))
+        m += (left.conj().T * weights[blk]) @ right
+    return m
+
+
+@pytest.mark.parametrize("block", [1, 5, 2048], ids=lambda b: f"block{b}")
+def test_complex_gram_reuses_block_arrays_with_the_same_bits(monkeypatch, block):
+    """Complex weights on one row set, real or complex on two: 23 rows of 2 axes."""
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    rng = np.random.default_rng(7)
+    index = (rng.integers(0, 6, 23), rng.integers(0, 4, 23))
+    rows, rows_in = (_Rows([_rows(6, n, seed), _rows(4, n, seed + 1)], index)
+                     for n, seed in ((7, 2), (5, 4)))
+    real = rng.standard_normal(23) * (rng.random(23) < 0.8)
+    complex_ = real + 1j * rng.standard_normal(23) * (real != 0)
+    for weights, right in ((complex_, None), (real, rows_in), (complex_, rows_in)):
+        want = _gram_of_fresh_blocks(weights, rows, right)
+        np.testing.assert_array_equal(_gram(weights, rows, right), want)
+
+
 def test_gram_of_empty_row_set_is_zero():
     got = _gram(np.zeros(0), _row_set(np.zeros((0, 7), dtype=complex)))
     assert got.shape == (7, 7)

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from evbounds import GridSpec, spectra
 from evbounds.birman_schwinger import assemble_bs
@@ -108,16 +107,16 @@ def test_hamiltonian_peak_memory_stays_near_one_matrix(grid, amplitude):
 
 
 def _spy_solvers(monkeypatch):
-    """Record the shape of every matrix handed to scipy.linalg.eigh and eig."""
+    """Record the shape of every matrix handed to numpy.linalg.eigh and eig."""
     shapes = []
     for name in ("eigh", "eig"):
-        solver = getattr(scipy.linalg, name)
+        solver = getattr(np.linalg, name)
 
         def spy(a, *args, _solver=solver, **kwargs):
             shapes.append(np.shape(a))
             return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, spy)
+        monkeypatch.setattr(np.linalg, name, spy)
     return shapes
 
 
@@ -213,8 +212,15 @@ def test_no_split_without_exact_reflection_symmetry(monkeypatch, grid, build):
 def test_real_wells_match_the_general_eig_oracle(monkeypatch, grid, amplitude):
     h = hamiltonian_matrix(grid, _well(grid, amplitude))
     got = eigenvalues_dense(h)
-    monkeypatch.setattr(scipy.linalg, "eigh", scipy.linalg.eig)  # the oracle: eig on any H
+    eig, ran = np.linalg.eig, []
+
+    def oracle(a):  # the oracle: eig on any H
+        ran.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", oracle)
     want = eigenvalues_dense(h)
+    assert ran, "the general solver never ran"
     scale = np.abs(h).sum(axis=0).max()  # ||H||_1
     assert [p.multiplicity for p in got] == [p.multiplicity for p in want]
     # Both solvers are backward stable, so a point may move by a few
@@ -239,7 +245,7 @@ def test_one_ulp_off_hermitian_takes_the_general_path(monkeypatch):
     h = hamiltonian_matrix(gs, _well(gs))
     off = h.copy()
     off[0, 1] = np.nextafter(off[0, 1], np.inf)
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(AssertionError, match="eigh called"):
         eigenvalues_dense(h)
     assert sum(p.multiplicity for p in eigenvalues_dense(off)) == gs.node_count
@@ -303,6 +309,67 @@ def test_clustering_links_pairs_split_by_lexsort():
     assert [p.multiplicity for p in pts] == [2, 1]
     assert pts[0].z == pytest.approx(1.0, abs=1e-7)
     assert pts[1].z == pytest.approx(1.0 + 0.3j, abs=1e-7)
+
+
+def _loop_cluster(w, residuals):
+    """The per-eigenvalue clustering loop that spectra._cluster replaced: its reference."""
+    n = w.size
+    tol = 1e-7 * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
+    order = np.lexsort((w.imag, w.real))
+    w, residuals = w[order], residuals[order]
+    labels = np.arange(n)
+    start = np.searchsorted(w.real, w.real - tol)
+    for i in range(n):
+        link = labels[start[i]:i + 1][np.abs(w[start[i]:i + 1] - w[i]) <= tol]
+        if link.size > 1:
+            labels[np.isin(labels, link)] = link.min()
+    points = []
+    for first in np.flatnonzero(labels == np.arange(n)):
+        cluster = np.flatnonzero(labels == first)
+        points.append(SpectralPoint(z=complex(w[cluster].mean()), multiplicity=len(cluster),
+                                    residual=float(residuals[cluster].max())))
+    return points
+
+
+def _chain():
+    """a links to b and b to c, a and c lie more than tol apart; and a lone -0.0 imaginary part."""
+    tol = 1e-7 * 4.0
+    w = np.array([2.0, 2.0 + 0.6 * tol, 2.0 + 1.2 * tol, complex(-3.0, -0.0), 4.0, 4.0 + 0.5 * tol])
+    return w, np.random.default_rng(5).random(w.size)
+
+
+def _dense_inputs(monkeypatch, grid, amplitude):
+    """The eigenvalues and residuals eigenvalues_dense hands to _cluster for a well."""
+    seen = []
+
+    def capture(w, residuals):
+        seen.append((w, residuals))
+        return []
+
+    monkeypatch.setattr(spectra, "_cluster", capture)
+    eigenvalues_dense(hamiltonian_matrix(grid, _well(grid, amplitude)))
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["1d_real", "1d_dissipative", "2d_real", "chain"])
+def test_cluster_matches_the_per_eigenvalue_loop(monkeypatch, case):
+    if case == "chain":
+        w, residuals = _chain()
+    else:
+        grid, amplitude = {
+            "1d_real": (GridSpec(d=1, L=32.0, N=512), 2.7),
+            "1d_dissipative": (GridSpec(d=1, L=32.0, N=512), 3.2 * np.exp(1j * np.deg2rad(60.0))),
+            "2d_real": (GridSpec(d=2, L=8.0, N=32), 12.0),
+        }[case]
+        w, residuals = _dense_inputs(monkeypatch, grid, amplitude)
+    got, want = spectra._cluster(w, residuals), _loop_cluster(w, residuals)
+    assert got == want
+    assert [repr(p) for p in got] == [repr(p) for p in want]  # the bits, signs of zero too
+    if case in ("2d_real", "chain"):
+        assert max(p.multiplicity for p in got) > 1
+    if case == "chain":
+        assert [p.multiplicity for p in got] == [1, 3, 2]
 
 
 def test_companion_cube_roots():

@@ -1,10 +1,10 @@
-"""Which commands load scipy.
+"""Which commands load scipy and numpy.ma.
 
-scipy is imported where it is called: the dense eigensolve loads
-scipy.linalg and a Gaussian draw loads scipy.special, while importing
-evbounds, or running a sign-draw campaign, loads neither.  Each case runs
-the command in a fresh interpreter, since this process has scipy loaded
-long before.
+scipy is imported where it is called: a Gaussian draw loads scipy.special.
+Importing evbounds, a sign-draw campaign, a spectrum and a spectral verify
+load no scipy module, since every eigensolve is numpy.linalg's, and the
+spectral commands load no numpy.ma either.  Each case runs the command in
+a fresh interpreter, since this process has scipy loaded long before.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import evbounds
 from evbounds import cli
 
@@ -22,8 +24,9 @@ SRC = Path(evbounds.__file__).resolve().parents[1]
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 # argv: src directory, then the command line as JSON.  The last line of
-# standard output is a JSON object: the exit code, evbounds' location, and
-# the scipy modules loaded before and after the command.
+# standard output is a JSON object: the exit code, evbounds' location, the
+# scipy modules loaded before and after the command, and whether numpy.ma
+# is loaded after it.
 _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -36,7 +39,7 @@ def scipy_modules():
 before = scipy_modules()
 code = cli.main(json.loads(sys.argv[2]))
 print(json.dumps({"code": code, "file": evbounds.__file__, "before": before,
-                  "after": scipy_modules()}))
+                  "after": scipy_modules(), "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -76,27 +79,24 @@ def test_sign_campaign_never_loads_scipy(tmp_path):
     assert any(p.name.startswith("summary_") for p in (tmp_path / "out").iterdir())
 
 
-def test_spectrum_loads_only_scipy_linalg(tmp_path):
-    out = tmp_path / "out"
-    result = _run_fresh(["spectrum", "--config", str(CONFIGS / "well_spectrum.json"),
-                         "--out", str(out)])
+@pytest.mark.parametrize(
+    "command,config",
+    [("spectrum", "well_spectrum.json"), ("verify", "verify_well_bound.json")],
+)
+def test_spectral_commands_load_no_scipy_and_no_numpy_ma(tmp_path, command, config):
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out")]
+    result = _run_fresh(argv)
     assert result["code"] == 0
-    assert "scipy.linalg" in result["after"]
-    assert not [m for m in result["after"] if m.startswith("scipy.special")]
+    assert result["after"] == []
+    assert not result["numpy_ma"]
 
 
 def test_spectrum_clustering_leaves_numpy_ma_unloaded():
-    """eigenvalues_dense takes each cluster's first member without np.unique, which loads numpy.ma.
-
-    The eigensolve runs on numpy.linalg here: importing scipy.linalg loads
-    numpy.ma by itself, so the `spectrum` command loads it either way.
-    """
+    """eigenvalues_dense forms its points without np.unique, which loads numpy.ma."""
     child = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-import numpy as np
 from evbounds import GridSpec, PotentialSpec, hamiltonian_matrix, sample_potential, spectra
-spectra._solve = np.linalg.eig
 gs = GridSpec(d=1, L=16.0, N=64)
 h = hamiltonian_matrix(gs, sample_potential(PotentialSpec(kind="indicator_ball", amplitude=-2.0), gs))
 points = spectra.eigenvalues_dense(h)
