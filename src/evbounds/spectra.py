@@ -12,6 +12,11 @@ other product in the package; this module loads no scipy.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,8 @@ __all__ = [
 _DENSE_BUDGET = 4096
 _CLUSTER_REL_TOL = 1e-7
 _REFLECTION_ROWS = 64
+_GEEV_THREADED_ROWS = 1024
+_BLAS_THREADS = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,41 @@ def _commuting_reflection(h: np.ndarray) -> np.ndarray | None:
     return None
 
 
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if it has openblas_set_num_threads_local (0.3.27+)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(f for f in os.listdir(libs) if "openblas" in f) if os.path.isdir(libs) else []
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        if hasattr(lib, "openblas_set_num_threads_local"):
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block; a no-op on any other BLAS."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    with _BLAS_THREADS:  # the count is process-wide: one save/restore at a time
+        prev = lib.openblas_set_num_threads_local(1)
+        try:
+            yield
+        finally:
+            lib.openblas_set_num_threads_local(prev)
+
+
 def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors: `eigh` when h == h^H bit for bit, else `eig`."""
     if np.array_equal(h, h.conj().T):
         return np.linalg.eigh(h)
-    return np.linalg.eig(h)
+    if h.shape[0] >= _GEEV_THREADED_ROWS:
+        return np.linalg.eig(h)
+    with _one_blas_thread():
+        return np.linalg.eig(h)
 
 
 def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +278,10 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
       other matrix to the general solver `numpy.linalg.eig` (?geev).
       scipy.linalg's would run on a second OpenBLAS, whose threads wait
       for the cores that numpy's still spin on after each product.
+      Below 1024 rows ?geev runs on one BLAS thread: its QR sweeps are
+      sequential, so a second thread gained nothing at 256 and 512 rows
+      and made the time depend on whatever else held the cores; from
+      1024 rows two threads are faster.
     Residuals are ||(H - z)v|| / ||v|| for the lifted right eigenvectors,
     always against the full position-basis H, so they certify the split.
     Multiplicities come from single-linkage clustering: eigenvalues within

@@ -251,6 +251,33 @@ def test_one_ulp_off_hermitian_takes_the_general_path(monkeypatch):
     assert sum(p.multiplicity for p in eigenvalues_dense(off)) == gs.node_count
 
 
+def _blas_threads(lib):
+    """numpy's OpenBLAS thread count, read by setting it and putting it back."""
+    count = lib.openblas_set_num_threads_local(1)
+    lib.openblas_set_num_threads_local(count)
+    return count
+
+
+@pytest.mark.parametrize("n,threads", [(255, "one"), (1024, "default")])
+def test_general_solve_uses_one_blas_thread_below_1024_rows(monkeypatch, n, threads):
+    lib = spectra._openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+    before = _blas_threads(lib)
+    seen = []
+
+    def eig(a):
+        seen.append(_blas_threads(lib))
+        return np.zeros(n, complex), np.eye(n, dtype=complex)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    h = np.eye(n)
+    h[0, 1] = 1.0
+    spectra._solve(h)
+    assert seen == [1 if threads == "one" else before]
+    assert _blas_threads(lib) == before
+
+
 def test_budget_guard():
     gs = GridSpec(d=1, L=8.0, N=8192)
     with pytest.raises(ValueError):
