@@ -10,7 +10,9 @@ SandwichEnsemble assembles every sandwich the package reports: with_omega
 a randomized one, deterministic the stored M(1), on cells of any side,
 grouped by node count.  On an antipodal net with real V it works in a real
 pair basis, where each sandwich is a real symmetric matrix of the same
-norm, and lifts M back to the node basis when asked.  It and the
+norm, and lifts M back to the node basis when asked.  Otherwise its rows
+sit half a step off the nodes, where each row's mirror is its conjugate,
+and a real-weight Gram takes one row per mirror pair.  It and the
 node-level sandwich, the reference it agrees with, gather phase rows a
 block at a time from per-axis tables.  potential_ref records the assembly:
 "pair" or "complex" from the ensemble, "node" from sandwich.
@@ -156,16 +158,17 @@ class _Rows(NamedTuple):
     index: tuple  # per axis, each row's entry in its table
 
 
-def _gram(d, rows, rows_in=None):
+def _gram(d, rows, rows_in=None, mirror=None):
     """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
 
-    Rows of zero weight are skipped.  Real weights on one row set give a
-    Hermitian matrix, assembled from the real Grams of _sign_grams, half
-    the flops of the complex product.  Complex weights, or two row sets,
-    take one complex product.  Either way the rows are gathered _GRAM_ROWS
-    at a time into one reused array per row set and their products summed,
-    so the working set beyond the tables is those arrays and the Gram
-    being summed (2n x 2n real in the syrk branch), at any row count.
+    Rows of zero weight are skipped.  Complex weights, or two row sets,
+    take one complex product.  Real weights on one row set give a
+    Hermitian matrix from real Grams: over rows paired by mirror (row
+    mirror[k] is the conjugate of row k; -1 where it has none) from
+    _mirror_gram, else from _sign_grams, half the flops of the complex
+    product.  Either way the rows are gathered a block at a time into
+    reused arrays and their products summed, so the working set beyond the
+    tables is those arrays and a few Grams, at any row count.
     """
     d = np.asarray(d)
     if np.iscomplexobj(d) and not d.imag.any():
@@ -180,11 +183,54 @@ def _gram(d, rows, rows_in=None):
             y = x if rows_in is None else _gather(rows_in, blk, bufs[1][: blk.size])
             m += (x.conj().T * d[blk]) @ y
         return m
+    if mirror is not None:
+        return _mirror_gram(d, rows, mirror)
     n = rows.tables[0].shape[1]
     m = np.zeros((n, n), dtype=complex)
     for sign, g in _sign_grams(d, rows):
         m.real += sign * (g[0::2, 0::2] + g[1::2, 1::2])
         m.imag += sign * (g[0::2, 1::2] - g[1::2, 0::2])
+    return m
+
+
+def _mirror_gram(d, rows, mirror):
+    """The Hermitian Gram of real weights d over rows paired with their conjugates by mirror.
+
+    A pair of rows a + ib and a - ib with weights w and w' adds
+    s (a^T a + b^T b) + i t (a^T b - b^T a), s = w + w', t = w - w'; a row
+    with no mirror is a pair with w' = 0.  One row of each pair is
+    gathered, _GRAM_ROWS / 2 pairs of one sign of s at a time, straight into
+    the stacked real rows c a and c b, c = sqrt|s| (1 where s = 0), and
+    (t / c) a where t != 0.  Re M is, per sign, one real syrk over the
+    stacked rows (n columns, not the 2n of _sign_grams); X = sum t a^T b
+    is one GEMM of the (t / c) a rows against their c b rows, and
+    Im M = X - X^T.  So M is Hermitian bit for bit.
+    """
+    n = rows.tables[0].shape[1]
+    other = np.where(mirror >= 0, d[mirror], 0.0)
+    s, t = d + other, d - other
+    fed = ((mirror < 0) | (mirror > np.arange(d.size))) & ((d != 0) | (other != 0))
+    sels = []
+    for sign in (1.0, -1.0, 0.0):
+        sel = np.flatnonzero(fed & (np.sign(s) == sign))
+        sels.append((sign, sel[np.argsort(t[sel] == 0, kind="stable")]))  # rows with t != 0 first
+    size = min(max(1, _GRAM_ROWS // 2), max(sel.size for _, sel in sels))
+    y, xa = np.empty((2 * size, n)), np.empty((size, n))
+    re, x, g = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n))
+    for sign, sel in sels:
+        for blk in _blocks(sel, size):
+            b, k = blk.size, np.count_nonzero(t[blk])
+            c = np.sqrt(np.abs(s[blk])) if sign else np.ones(b)
+            _gather_split(rows, blk, y[: 2 * b], c, xa[:k], t[blk[:k]] / c[:k])
+            if sign:
+                np.matmul(y[: 2 * b].T, y[: 2 * b], out=g)
+                (np.add if sign > 0 else np.subtract)(re, g, out=re)
+            if k:
+                np.matmul(xa[:k].T, y[b : b + k], out=g)
+                x += g
+    m = np.empty((n, n), dtype=complex)
+    m.real = re
+    np.subtract(x, x.T, out=m.imag)
     return m
 
 
@@ -226,9 +272,10 @@ def _sign_grams(d, rows):
             yield sign, g
 
 
-def _blocks(index):
-    """Consecutive slices of at most _GRAM_ROWS entries of index."""
-    return (index[lo : lo + _GRAM_ROWS] for lo in range(0, index.size, _GRAM_ROWS))
+def _blocks(index, size=None):
+    """Consecutive slices of at most size (default _GRAM_ROWS) entries of index."""
+    size = size or _GRAM_ROWS
+    return (index[lo : lo + size] for lo in range(0, index.size, size))
 
 
 def _gather(rows, blk, out, scale=None):
@@ -241,15 +288,39 @@ def _gather(rows, blk, out, scale=None):
     tables, idx = rows.tables, [ix[blk] for ix in rows.index]
     buf = np.empty((min(_SUB_ROWS, blk.size), out.shape[1]), dtype=complex)
     for lo in range(0, blk.size, _SUB_ROWS):
-        hi = lo + _SUB_ROWS
-        sub = out[lo:hi]
-        # mode="clip" (the indices are in range) writes straight into out; "raise" buffers a copy.
-        np.take(tables[0], idx[0][lo:hi], axis=0, out=sub, mode="clip")
-        for table, ix in zip(tables[1:], idx[1:]):
-            sub *= np.take(table, ix[lo:hi], axis=0, out=buf[: sub.shape[0]], mode="clip")
+        sub = _form(tables, idx, lo, out[lo : lo + _SUB_ROWS], buf)
         if scale is not None:  # on the float view: Re and Im times s, as the complex product
-            sub.view(float)[...] *= scale[lo:hi, None]
+            sub.view(float)[...] *= scale[lo : lo + _SUB_ROWS, None]
     return out
+
+
+def _gather_split(rows, blk, stack, scale, xa, xscale):
+    """Rows blk as stacked real rows [scale Re; scale Im] in stack, and xscale Re of the first ones in xa.
+
+    Each _SUB_ROWS rows are formed in one reused buffer, as _gather forms
+    them, and split from it while in cache.
+    """
+    tables, idx = rows.tables, [ix[blk] for ix in rows.index]
+    bufs = np.empty((2, min(_SUB_ROWS, blk.size), stack.shape[1]), dtype=complex)
+    top, bottom = stack[: blk.size], stack[blk.size :]
+    for lo in range(0, blk.size, _SUB_ROWS):
+        hi = min(lo + _SUB_ROWS, blk.size)
+        sub = _form(tables, idx, lo, bufs[0][: hi - lo], bufs[1])
+        np.multiply(sub.real, scale[lo:hi, None], out=top[lo:hi])
+        np.multiply(sub.imag, scale[lo:hi, None], out=bottom[lo:hi])
+        if lo < xa.shape[0]:
+            k = min(hi, xa.shape[0]) - lo
+            np.multiply(sub.real[:k], xscale[lo : lo + k, None], out=xa[lo : lo + k])
+
+
+def _form(tables, idx, lo, sub, buf):
+    """Rows lo, lo + 1, ... of the gathered indices idx into sub: axis factors multiplied in axis order."""
+    hi = lo + sub.shape[0]
+    # mode="clip" (the indices are in range) writes straight into sub; "raise" buffers a copy.
+    np.take(tables[0], idx[0][lo:hi], axis=0, out=sub, mode="clip")
+    for table, ix in zip(tables[1:], idx[1:]):
+        sub *= np.take(table, ix[lo:hi], axis=0, out=buf[: sub.shape[0]], mode="clip")
+    return sub
 
 
 def _lattice(axis, multi, *node_sets):
@@ -320,15 +391,26 @@ class SandwichEnsemble:
       mixes their real Gram per 2 x 2 pair block with sigma(xi_nu - xi_mu)
       and sigma(xi_nu + xi_mu) (_mix).  The operator carries T, scaled, as
       real_form, and lifts M from it in O(n^2) on first access.
-    * complex: anything else.  Rows over the whole net(s), at the cell
-      corner for a uniform cell, and a complex sigma.
+    * complex: anything else.  Rows over the whole net(s), anchored half a
+      step off the nodes: at y = (m + 1/2) dx per axis for node m, and at
+      the cell centre (m0 + c/2) dx for a uniform cell of c nodes from m0,
+      where sigma is the real, even sum of the pair form.  Anchors are
+      integers times dx / 2.  Nodes and cells map onto themselves under
+      m -> -1 - m, which negates y exactly, so a row's mirror is its exact
+      conjugate; at build each row is paired with its mirror in the same
+      row set and count group, if there is one.  With real V on one net,
+      a Gram takes one row per pair (_gram's mirror); complex V and two
+      nets take the complex product.  Each M is then the sum times the
+      half-step phase e^{-i pi dx sum_a kappa_a}, with the cell volume and
+      net weights, one per-entry factor applied once; on one net it is
+      Hermitian bit for bit, and so is M for real V.
 
     The ensemble keeps no rows: per axis, a table over the cells (or the
-    nodes) in use, and each row's index into it; a sigma per group and M(1)
-    (T(1) in the pair form).  The build classifies cells a slab at a time;
-    the build and each realization gather one block of _GRAM_ROWS rows at
-    a time and hold a few Grams beyond what is kept (2n x 2n real in the
-    complex form, n x n in the pair form).
+    nodes) in use, and each row's index into it (and its mirror, in the
+    complex form); a sigma per group and M(1) (T(1) in the pair form), and
+    the phase.  The build classifies cells a slab at a time; the build and
+    each realization gather at most one block of _GRAM_ROWS rows at a time
+    and hold a few Grams beyond what is kept (n x n).
     """
 
     def __init__(self, net_out: SphereNet, net_in: SphereNet, field: PotentialField, h: float):
@@ -337,8 +419,9 @@ class SandwichEnsemble:
         self.field = field
         self.h = float(h)
         gs = field.grid
-        self._pair = net_in is net_out and _antipodal(net_out) and not field.values.imag.any()
-        values = field.values.real if self._pair else field.values
+        real = not field.values.imag.any()
+        self._pair = net_in is net_out and _antipodal(net_out) and real
+        values = field.values.real if real else field.values
         cell = axis_cells(self.h, gs)
         # The cells that hold nodes along an axis: first node and node count.
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
@@ -347,6 +430,7 @@ class SandwichEnsemble:
 
         upos = np.nonzero(uniform)
         tuples, group = np.unique(counts[np.stack(upos, -1)], axis=0, return_inverse=True)
+        group = group.ravel()
         corners = tuple(starts[p] for p in upos)
         self._uniform_cells = tuple(cell[c] for c in corners)
         self._uniform_vals = values[corners]
@@ -354,19 +438,34 @@ class SandwichEnsemble:
         self._mixed_vals = values[nodes]
 
         # Row sets (one per net, or the half-net in the pair form) of the uniform and mixed rows.
-        axis = gs.axis_centered
+        self._mirrors = (None, None)
         if self._pair:
+            axis = gs.axis_centered
             half = net_out.nodes[: net_out.n_nodes // 2]
             self._uniform = _lattice(axis[starts] + gs.dx * (counts - 1) / 2, upos, half)
             self._mixed = _lattice(axis, nodes, half)
             sigmas = [_pair_mix(half, gs.dx, t) for t in tuples]
         else:
+            # Anchors on the half-step axis (k - (N - 1)) dx / 2: k = 2 m + N for node m
+            # (centred), 2 m0 + c + N - 1 for a cell of c nodes from m0; the mirror of k is 2N - 2 - k.
+            n_ax = gs.N
+            centred = np.arange(n_ax) - n_ax * (np.arange(n_ax) >= n_ax // 2)
+            half_axis = (np.arange(2 * n_ax - 1) - (n_ax - 1)) * (gs.dx / 2)
+            cell_at = 2 * centred[starts] + counts + n_ax - 1
+            u_at = tuple(cell_at[p] for p in upos)
+            p_at = tuple(2 * centred[a] + n_ax for a in nodes)
             nets = [net_out.nodes] if net_in is net_out else [net_out.nodes, net_in.nodes]
-            self._uniform = _lattice(axis[starts], upos, *nets)
-            self._mixed = _lattice(axis, nodes, *nets)
-            sigmas = [_cell_sum(net_out, net_in, gs.dx, t) for t in tuples]
+            self._uniform = _lattice(half_axis, u_at, *nets)
+            self._mixed = _lattice(half_axis, p_at, *nets)
+            if net_in is net_out and real:
+                self._mirrors = (_mirrors(u_at, half_axis.size, group), _mirrors(p_at, half_axis.size))
+            kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
+            sigmas = [_centre_sum(kappa, gs.dx, t) for t in tuples]
+            self._phase = _half_step_phase(kappa, gs.dx)
+            del kappa
+            self._phase *= gs.cellvol * np.outer(np.sqrt(net_out.weights), np.sqrt(net_in.weights))
         # Per count tuple, a mask of its rows (a Gram skips rows of zero weight) and sigma.
-        self._groups = [(group.ravel() == g, sigma) for g, sigma in enumerate(sigmas)]
+        self._groups = [(group == g, sigma) for g, sigma in enumerate(sigmas)]
         self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)
 
     def _assemble(self, u_w, p_w):
@@ -380,20 +479,24 @@ class SandwichEnsemble:
             if self._pair:
                 g = _mix(_real_gram(w, *self._uniform), *sigma)
             else:
-                g = _gram(w, *self._uniform)
+                g = _gram(w, *self._uniform, mirror=self._mirrors[0])
                 g *= sigma
             m = g if m is None else np.add(m, g, out=m)
             del g
-        g = (_real_gram if self._pair else _gram)(p_w, *self._mixed)
+        if self._pair:
+            g = _real_gram(p_w, *self._mixed)
+        else:
+            g = _gram(p_w, *self._mixed, mirror=self._mirrors[1])
         return g if m is None else np.add(m, g, out=m)
 
     def with_omega(self, omega: OmegaField) -> SandwichOperator:
         """Sandwich of the potential randomized by omega.
 
         potential_ref records the assembly, the uniform and mixed cell
-        counts, cell_groups (the number of count tuples of uniform cells)
-        and gram_rows, the number of rows whose weight changed from
-        omega = 1.
+        counts, cell_groups (the number of count tuples of uniform cells),
+        gram_rows, the number of rows whose weight changed from omega = 1,
+        and in the complex form mirror_pairs, the mirror pairs among them
+        (pairs with a changed row) that fed the Gram as one.
         """
         if omega.grid != self.field.grid:
             raise ValueError("omega drawn for a different grid than the potential")
@@ -404,11 +507,11 @@ class SandwichEnsemble:
         mixed_w = shift[self._mixed_cell_of_row] * self._mixed_vals
         m = self._assemble(uniform_w, mixed_w)
         m += self._m1
-        return self._operator(
-            m,
-            gram_rows=int(np.count_nonzero(uniform_w) + np.count_nonzero(mixed_w)),
-            realization_index=omega.spec.realization_index,
-        )
+        ref = {"gram_rows": int(np.count_nonzero(uniform_w) + np.count_nonzero(mixed_w))}
+        if not self._pair:
+            fed = zip((uniform_w, mixed_w), self._mirrors)
+            ref["mirror_pairs"] = sum(_fed_pairs(w, mirror) for w, mirror in fed if mirror is not None)
+        return self._operator(m, **ref, realization_index=omega.spec.realization_index)
 
     def deterministic(self) -> SandwichOperator:
         """The deterministic sandwich M(1), the one stored at build: nothing is drawn."""
@@ -419,14 +522,14 @@ class SandwichEnsemble:
 
         In the pair form m is T; the real form is 2 T scaled (the pair rows
         are the half-net rows times sqrt 2), and matrix is M lifted from it.
+        In the complex form the scaled half-step phase takes m to M.
         """
         counts = {"uniform_cells": int(self._uniform_vals.size), "mixed_cells": int(self._n_mixed)}
         counts["cell_groups"] = len(self._groups)
         if self._pair:
             m *= 2.0 * self.field.grid.cellvol * self.net_out.weights[0]
             return SandwichOperator(None, {"assembly": "pair", **counts, **ref}, m)
-        m *= self.field.grid.cellvol
-        _apply_net_weights(m, self.net_out, self.net_in)
+        m *= self._phase
         return SandwichOperator(m, {"assembly": "complex", **counts, **ref})
 
 
@@ -477,38 +580,73 @@ def _cell_ratio(half, r):
     return np.where(tiny, r * np.cos(half * r), np.sin(half * r)) / np.where(tiny, np.cos(half), s)
 
 
-def _cell_sum(net_out, net_in, dx, counts):
-    """In-cell phase sum sigma from the cell corner: over axes, the product of geometric sums.
+def _centre_sum(kappa, dx, counts):
+    """In-cell phase sum sigma from the cell centre, real and even in kappa (n, n', d).
 
-    On axis a, with r = counts[a] nodes, the sum of e^{2 i half j}, j < r, is e^{i half (r - 1)}
-    sin(r half) / sin(half) with half = pi dx kappa_a, kappa = nu - mu.
-    Where sin(half) vanishes, half = k pi, the ratio takes its limit
-    r cos(r half) / cos(half) = r (-1)^{k (r - 1)}, so the sum is r; at
-    kappa_a = 0 the ratio is exactly r.
+    Over axes a, with r = counts[a] nodes, the sum of e^{2 i half (j - (r - 1) / 2)},
+    j < r, is sin(r half) / sin(half), half = pi dx kappa_a.  Where
+    sin(half) vanishes, half = k pi, the ratio takes its limit
+    r cos(r half) / cos(half) = r (-1)^{k (r - 1)}; at kappa_a = 0 it is
+    exactly r.  It is taken at |kappa_a|, so exactly negated kappa gives
+    the same bits.
     """
-    kappa = net_in.nodes[None, :, :] - net_out.nodes[:, None, :]
-    sigma = np.ones((net_out.n_nodes, net_in.n_nodes), dtype=complex)
+    s = np.ones(kappa.shape[:-1])
     for ax, r in enumerate(counts):
-        half = np.pi * dx * kappa[..., ax]
-        sigma *= np.exp(1j * half * (r - 1)) * _cell_ratio(half, r)
-    return sigma
+        s *= _cell_ratio(np.pi * dx * np.abs(kappa[..., ax]), r)
+    return s
+
+
+def _half_step_phase(kappa, dx):
+    """e^{-i pi dx sum_a kappa_a}: takes sums over rows anchored at (m + 1/2) dx to the nodes m dx.
+
+    Taken at |theta| with the sign put back, so exactly negated kappa gives
+    exactly conjugate entries: Hermitian bit for bit on one net.
+    """
+    total = kappa[..., 0].copy()
+    for ax in range(1, kappa.shape[-1]):
+        total += kappa[..., ax]
+    theta = np.pi * dx * total
+    size = np.abs(theta)
+    return np.cos(size) - 1j * (np.sign(theta) * np.sin(size))
+
+
+def _mirrors(index, span, group=None):
+    """Per row, the row at its mirror anchor (each per-axis index k at span - 1 - k, same group), or -1.
+
+    index holds each row's per-axis anchor index in range(span); rows are
+    distinct.  A row that is its own mirror gets -1.
+    """
+    size = index[0].size
+    if group is not None:
+        index, mirror = index + (group,), tuple(span - 1 - k for k in index) + (group,)
+        dims = (span,) * (len(index) - 1) + (int(group.max(initial=0)) + 1,)
+    else:
+        mirror, dims = tuple(span - 1 - k for k in index), (span,) * len(index)
+    if not size:
+        return np.zeros(0, dtype=int)
+    key, want = np.ravel_multi_index(index, dims), np.ravel_multi_index(mirror, dims)
+    order = np.argsort(key)
+    pos = np.minimum(np.searchsorted(key[order], want), size - 1)
+    partner = np.where(key[order[pos]] == want, order[pos], -1)
+    partner[partner == np.arange(size)] = -1
+    return partner
+
+
+def _fed_pairs(w, mirror):
+    """The mirror pairs with a nonzero weight: each pair fed a Gram as one."""
+    k = np.flatnonzero(mirror > np.arange(mirror.size))
+    return int(np.count_nonzero((w[k] != 0) | (w[mirror[k]] != 0)))
 
 
 def _pair_mix(half, dx, counts):
     """Pair-block mixing a = (s_minus + s_plus) / 2, b = (s_minus - s_plus) / 2 on the half-net.
 
-    s_minus and s_plus are the in-cell sum from the cell centre, the real
-    even product over axes of sin(r_a pi dx kappa_a) / sin(pi dx kappa_a), r_a = counts[a],
+    s_minus and s_plus are the in-cell sum from the cell centre (_centre_sum)
     at kappa = xi_nu - xi_mu and xi_nu + xi_mu.  It is taken at |kappa_a|,
     and a sum commutes, so a and b are symmetric bit for bit.
     """
-    out = []
-    for kappa in (half[None, :, :] - half[:, None, :], half[None, :, :] + half[:, None, :]):
-        s = np.ones(kappa.shape[:2])
-        for ax, r in enumerate(counts):
-            s *= _cell_ratio(np.pi * dx * np.abs(kappa[..., ax]), r)
-        out.append(s)
-    minus, plus = out
+    minus = _centre_sum(half[None, :, :] - half[:, None, :], dx, counts)
+    plus = _centre_sum(half[None, :, :] + half[:, None, :], dx, counts)
     return (minus + plus) / 2, (minus - plus) / 2
 
 

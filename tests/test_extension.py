@@ -610,6 +610,122 @@ def test_ensemble_gram_rows_count_changed_weights():
     assert flipped["gram_rows"] == uniform + support - per_cell * uniform
 
 
+def _knapp(gs, real):
+    """The Knapp slab of eps = 0.5, or its real part: V = cos(2 pi x_0), with no mirror symmetry."""
+    field = sample_potential(PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5}), gs)
+    values = field.values.real.astype(complex) if real else field.values
+    return PotentialField(gs, values, field.support_radius)
+
+
+_MIRROR_CASES = {
+    # d, L, N, net R, h, field (from gs)
+    "R8-n51-tiled": (2, 16.0, 64, 8.0, 1.0, lambda gs: _field(gs, R=4.0)),
+    "R16-n101-tiled": (2, 16.0, 64, 16.0, 1.0, lambda gs: _field(gs, R=4.0)),
+    "d3-fibonacci": (3, 8.0, 32, 2.0, 1.0, lambda gs: _field(gs, R=2.0)),
+    "dx0.3-h0.9": (2, 19.2, 64, 8.0, 0.9, lambda gs: _field(gs, amplitude=1.5, R=4.8)),
+    "dx0.3-h1.2": (2, 19.2, 64, 8.0, 1.2, lambda gs: _field(gs, amplitude=1.5, R=4.8)),
+    "knapp-real": (2, 16.0, 64, 8.0, 1.0, lambda gs: _knapp(gs, real=True)),
+    "knapp-complex": (2, 16.0, 64, 8.0, 1.0, lambda gs: _knapp(gs, real=False)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIRROR_CASES))
+def test_half_step_mirror_assembly_matches_node_level_sandwich(case):
+    """Odd and d = 3 nets, tiled and untiled cells: M(1) and sign and Gaussian draws.
+
+    Rows sit half a step off the nodes.  Real V pairs each row with its
+    mirror, and M is Hermitian bit for bit; the complex Knapp slab takes the
+    complex product over the same rows.
+    """
+    d, L, N, R, h, make = _MIRROR_CASES[case]
+    gs = GridSpec(d=d, L=L, N=N)
+    net = build_net(lam=1.0, R=R, d=d)
+    assert d == 3 or net.n_nodes % 2 == 1
+    field = make(gs)
+    real = not field.values.imag.any()
+    ens = SandwichEnsemble(net, net, field, h)
+    pairs = [(ens.deterministic(), field)]
+    for distribution in ("bernoulli", "gaussian"):
+        for idx in range(2):
+            omega = draw_omega(OmegaSpec(h, distribution, 41, idx), gs)
+            pairs.append((ens.with_omega(omega), anderson_randomize(field, omega)))
+    for fast, f in pairs:
+        assert fast.potential_ref["assembly"] == "complex"
+        slow = sandwich(net, net, f).matrix
+        assert np.abs(fast.matrix - slow).max() <= 1e-12 * np.abs(slow).max()
+        if real:
+            np.testing.assert_array_equal(fast.matrix, fast.matrix.conj().T)
+    fed = [op.potential_ref["mirror_pairs"] for op, _ in pairs[1:]]
+    assert (min(fed) > 0) == real and (max(fed) > 0) == real
+
+
+def test_uniform_cells_that_mirror_onto_mixed_cells_stay_unpaired():
+    """A uniform cell whose mirror cell is mixed has no mirror row; the assembly still matches."""
+    gs = GridSpec(d=2, L=16.0, N=64)
+    values = np.zeros(gs.shape, dtype=complex)
+    values[:8, :8] = 1.0  # centred nodes [0, 8)^2: four uniform cells
+    values[-8:, -8:] = 1.0  # their mirror [-8, 0)^2, two of its cells made mixed below
+    values[-1, -1] = 2.0
+    values[-5, -8] = 0.5
+    values[20:24, :4] = 3.0  # a uniform cell whose uniform mirror holds another value
+    values[-24:-20, -4:] = -1.0
+    field = PotentialField(gs, values, support_radius=8.0)
+    net = build_net(lam=1.0, R=8.0, d=2)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    uniform_mirror, mixed_mirror = ens._mirrors
+    assert uniform_mirror.size == 4 + 2 + 2 and np.count_nonzero(uniform_mirror < 0) == 2
+    # the two mixed cells' nodes mirror onto uniform cells: unpaired as well
+    assert mixed_mirror.size == 2 * 16 and (mixed_mirror < 0).all()
+    for idx in range(3):
+        omega = draw_omega(OmegaSpec(1.0, "gaussian", 43, idx), gs)
+        fast = ens.with_omega(omega)
+        slow = sandwich(net, net, anderson_randomize(field, omega)).matrix
+        assert np.abs(fast.matrix - slow).max() <= 1e-12 * np.abs(slow).max()
+        np.testing.assert_array_equal(fast.matrix, fast.matrix.conj().T)
+
+
+def test_draw_on_an_odd_net_takes_the_hermitian_eigensolver(monkeypatch):
+    """Real V on an odd net: spectral_norm of a draw's matrix calls eigvalsh and never the SVD."""
+    gs = GridSpec(d=2, L=16.0, N=64)
+    net = build_net(lam=1.0, R=8.0, d=2)
+    ens = SandwichEnsemble(net, net, _field(gs, R=4.0), h=1.0)
+    calls = []
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    for idx in range(3):
+        op = ens.with_omega(draw_omega(_omega_spec(h=1.0, seed=12, index=idx), gs))
+        assert op.potential_ref["assembly"] == "complex" and op.real_form is None
+        spectral_norm(op.matrix)
+    assert calls == ["eigvalsh"] * 3
+
+
+def test_ensemble_mirror_pairs_count_pairs_fed_as_one():
+    """The gram_rows grid and field on the odd R = 8 net: no pair at omega = 1, every pair at -1.
+
+    Cells are 4 x 4 blocks of raw indices (h / dx = 4); the mirror m -> -1 - m
+    of centred indices takes raw index i to N - 1 - i, so block j to block
+    N / 4 - 1 - j.  A pair is two uniform cells, or two nonzero nodes of
+    mixed cells, that are each other's mirrors.
+    """
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=8.0, d=2)
+    field = _field(gs, amplitude=1.0, R=2.0)
+    spec = _omega_spec(h=1.0)
+    ens = SandwichEnsemble(net, net, field, h=1.0)
+    ones = ens.with_omega(OmegaField.constant(spec, gs)).potential_ref
+    assert ones["assembly"] == "complex" and ones["mirror_pairs"] == 0
+    flipped = ens.with_omega(OmegaField(spec, gs, -np.ones((8, 8)))).potential_ref
+    v = field.values.real
+    blocks = v.reshape(8, 4, 8, 4).transpose(0, 2, 1, 3).reshape(8, 8, 16)
+    uniform = (blocks == blocks[..., :1]).all(axis=-1) & (blocks[..., 0] != 0)
+    mixed = (v != 0) & ~np.repeat(np.repeat(uniform, 4, axis=0), 4, axis=1)
+    expected = np.count_nonzero(uniform & uniform[::-1, ::-1]) // 2
+    expected += np.count_nonzero(mixed & mixed[::-1, ::-1]) // 2
+    assert 0 < expected < flipped["gram_rows"] / 2
+    assert flipped["mirror_pairs"] == expected
+
+
 def _rows(k, n=7, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
@@ -656,6 +772,29 @@ def _check_gram(weights):
         want = (rows.conj().T * weights) @ right
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 2048], ids=lambda b: f"block{b}")
+def test_mirrored_gram_matches_dense_product(monkeypatch, block):
+    """Five mirror pairs, three unpaired rows, shuffled: Hermitian bit for bit, and the dense Gram.
+
+    The pairs' weights (w, w') cover s = w + w' and t = w - w' of either
+    sign, s = 0, t = 0, one weight zero and both zero.
+    """
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    half, lone = _rows(5, seed=3), _rows(3, seed=4)
+    pair_w = [(1.5, -0.5), (2.0, 2.0), (0.7, -0.7), (0.0, 0.0), (0.0, -1.2)]
+    rows = np.concatenate([half, half.conj(), lone])
+    weights = np.concatenate([[w for w, _ in pair_w], [w for _, w in pair_w], [-3.0, 0.0, 0.25]])
+    mirror = np.concatenate([np.arange(5, 10), np.arange(5), [-1, -1, -1]])
+    order = np.random.default_rng(5).permutation(13)
+    where = np.argsort(order)  # the new position of each old row
+    rows, weights = rows[order], weights[order]
+    mirror = np.where(mirror[order] >= 0, where[mirror[order]], -1)
+    got = _gram(weights, _row_set(rows), mirror=mirror)
+    np.testing.assert_array_equal(got, got.conj().T)
+    want = (rows.conj().T * weights) @ rows
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def _gram_of_fresh_blocks(weights, rows, rows_in=None):
