@@ -6,7 +6,9 @@ produce byte-identical files, each written whole or not at all (_write).
 PROP_EXTNORM and TAIL campaigns resume from whatever realization indices
 are already on disk; SCHATTEN_DECAY and EVSUM campaigns recompute on every
 run.  DRIVERS maps every experiment name to its verify and campaign
-drivers; an experiment without one has no such command.
+drivers; an experiment without one has no such command.  Every command
+and driver takes the config and the worker count of --workers; only the
+drivers that draw extension norms use it, and no output depends on it.
 
 A bad config exits 2 with "config error: <field>: <message>" and does no
 work.  Every config value is converted, and every constructor, precondition
@@ -61,6 +63,7 @@ from .spectra import (
     filter_discrete,
     hamiltonian_matrix,
 )
+from .util import one_blas_thread_setting
 
 __all__ = ["main"]
 
@@ -210,7 +213,7 @@ def _write_manifest(out: Path, cfg: RunConfig, outputs: list[str], extra: dict |
     return path
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, workers: int) -> int:
     kept = _spectral(cfg, lambda points, field: points)
     out = _ensure_dir(cfg)
     tag = cfg.config_hash()
@@ -256,16 +259,18 @@ def _nu(cfg: RunConfig) -> float:
     return nu
 
 
-def _verify_extnorm(cfg: RunConfig):
+def _verify_extnorm(cfg: RunConfig, workers: int):
     # Every radius is checked; only the largest, the one reported, is computed.
     omega, R = _omega(cfg), max(_radii(cfg, "R_list"))
     n = _n_samples(cfg, 200, MIN_SAMPLES)
     d, dx = cfg.grid.d, cfg.grid.dx
-    norms = ext_norm_samples(cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx)
+    norms = ext_norm_samples(
+        cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx, workers=workers
+    )
     return check_extnorm(norms, R, omega.h, abs(cfg.potential.amplitude), d=d)
 
 
-def _verify_schatten(cfg: RunConfig):
+def _verify_schatten(cfg: RunConfig, workers: int):
     nu, (R,), h = _nu(cfg), _radii(cfg, "R", campaign=False), _cell_size(cfg)
     omegas = None if cfg.omega is None else [cfg.omega]
     field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
@@ -274,18 +279,18 @@ def _verify_schatten(cfg: RunConfig):
     return check_schatten_decay(svals, nu, cfg.grid.d, params)
 
 
-def _verify_tail(cfg: RunConfig):
+def _verify_tail(cfg: RunConfig, workers: int):
     omega, (R,) = _omega(cfg), _radii(cfg, "R")
     n = _n_samples(cfg, 200, MIN_SAMPLES)
     thresholds = _get(cfg, "thresholds", _tail_thresholds, TAIL_THRESHOLDS)
     norms = ext_norm_samples(
-        cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx
+        cfg.potential, omega, _lam(cfg), R, range(n), d=cfg.grid.d, dx=cfg.grid.dx, workers=workers
     )
     return check_tail(concentration_tail(norms, thresholds=thresholds))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = _driver(cfg, "verify")(cfg)
+def cmd_verify(cfg: RunConfig, workers: int) -> int:
+    report = _driver(cfg, "verify")(cfg, workers)
     out = _ensure_dir(cfg)
     tag = cfg.config_hash()
     payload = dataclasses.asdict(report)
@@ -358,15 +363,16 @@ def _write_norms(path: Path, norms: dict[int, float], header: str = _NORMS_HEADE
     _write_lines(path, header, [f"{idx},{_fmt(norms[idx])}" for idx in sorted(norms)])
 
 
-def _collect_norms(cfg: RunConfig, R: float, n: int, reference: bool = False):
+def _collect_norms(cfg: RunConfig, R: float, n: int, workers: int, reference: bool = False):
     """Norms of realizations 0..n-1 at one R and, with reference=True, the |V| reference there.
 
     Both are kept in campaign_<hash>/ under the output directory: the
     norms in norms_R<R>.csv, the reference deterministic_ext_norm in
     reference_R<R>.csv as its one row 0.  Both files are read before any
-    work, and only what they lack is computed, in one campaign_norms call,
-    so a resume that finds everything builds no ensemble.  Returns the
-    norms array and the reference, None without reference=True.
+    work, and only what they lack is computed, in one campaign_norms call
+    on workers processes, so a resume that finds everything builds no
+    ensemble.  Returns the norms array and the reference, None without
+    reference=True.
     """
     directory = _ensure_dir(cfg) / f"campaign_{cfg.config_hash()}"
     directory.mkdir(exist_ok=True)
@@ -379,7 +385,7 @@ def _collect_norms(cfg: RunConfig, R: float, n: int, reference: bool = False):
     if missing or wanted:
         vals, det = campaign_norms(
             cfg.potential, cfg.omega, _lam(cfg), R, missing,
-            d=cfg.grid.d, dx=cfg.grid.dx, reference=wanted,
+            d=cfg.grid.d, dx=cfg.grid.dx, reference=wanted, workers=workers,
         )
         if missing:
             have.update(zip(missing, map(float, vals)))
@@ -391,14 +397,16 @@ def _collect_norms(cfg: RunConfig, R: float, n: int, reference: bool = False):
 
 
 # Campaign drivers: each writes its CSVs and manifest and returns the exit code.
+# The manifests of campaigns that draw extension norms record the BLAS setting
+# the draws ran on (harness.campaign_norms), the same for every worker count.
 
 
-def _campaign_tail(cfg: RunConfig) -> int:
+def _campaign_tail(cfg: RunConfig, workers: int) -> int:
     _omega(cfg)
     (R,) = _radii(cfg, "R")
     n = _n_samples(cfg, 2000, MIN_SAMPLES)
     thresholds = _get(cfg, "thresholds", _tail_thresholds, TAIL_THRESHOLDS)
-    study = concentration_tail(_collect_norms(cfg, R, n)[0], thresholds=thresholds)
+    study = concentration_tail(_collect_norms(cfg, R, n, workers)[0], thresholds=thresholds)
     out, tag = _ensure_dir(cfg), cfg.config_hash()
     name = _write_lines(
         out / f"tail_{tag}.csv",
@@ -408,18 +416,19 @@ def _campaign_tail(cfg: RunConfig) -> int:
             for m, e in zip(study.thresholds, study.entries)
         ),
     )
-    _write_manifest(out, cfg, [name], {"c": _nan_none(study.c), "monotone": study.monotone})
+    extra = {"c": _nan_none(study.c), "monotone": study.monotone}
+    _write_manifest(out, cfg, [name], {**extra, "draw_blas": one_blas_thread_setting()})
     print(f"tail fractions {[e.fraction for e in study.entries]}, c={study.c:.4g}")
     return 0
 
 
-def _campaign_extnorm(cfg: RunConfig) -> int:
+def _campaign_extnorm(cfg: RunConfig, workers: int) -> int:
     _omega(cfg)
     r_list = _radii(cfg, "R_list")
     n = _n_samples(cfg, 200)
     rows = []
     for R in r_list:
-        arr, det = _collect_norms(cfg, R, n, reference=True)
+        arr, det = _collect_norms(cfg, R, n, workers, reference=True)
         stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         rows.append((R, float(arr.mean()), stderr, det))
     summary = [f"R,{_fmt(R)},{n},{_fmt(m)},{_fmt(se)},{_fmt(det)},," for R, m, se, det in rows]
@@ -439,12 +448,12 @@ def _campaign_extnorm(cfg: RunConfig) -> int:
             (f"{_fmt(R)},{_fmt(mean)},{_fmt(se)}" for R, mean, se, _ in rows),
         ),
     ]
-    _write_manifest(out, cfg, outputs)
+    _write_manifest(out, cfg, outputs, {"draw_blas": one_blas_thread_setting()})
     print(f"wrote {out / outputs[0]}")
     return 0
 
 
-def _campaign_schatten(cfg: RunConfig) -> int:
+def _campaign_schatten(cfg: RunConfig, workers: int) -> int:
     nu, omega, r_list = _nu(cfg), _omega(cfg), _radii(cfg, "R_list")
     n, lam, d, dx = _n_samples(cfg, 100), _lam(cfg), cfg.grid.d, cfg.grid.dx
     res = schatten_campaign(cfg.potential, lam, r_list, nu, omega, n, d=d, dx=dx)
@@ -464,7 +473,7 @@ def _campaign_schatten(cfg: RunConfig) -> int:
     return 0
 
 
-def _campaign_evsum(cfg: RunConfig) -> int:
+def _campaign_evsum(cfg: RunConfig, workers: int) -> int:
     amplitudes = _get(cfg, "amplitudes", _numbers)
     args = (*_floats(cfg, "eps", "R0"), _cell_size(cfg))
     filt = _spectrum_filter(cfg)
@@ -490,23 +499,28 @@ def _nan_none(x: float):
 # The one table of experiments, name -> (verify driver, campaign driver);
 # config.EXPERIMENTS lists the same names.
 DRIVERS = {
-    "AAD1D": (lambda cfg: _spectral(cfg, check_aad_1d), None),
-    "KLT_DET": (lambda cfg: _spectral(cfg, check_klt_det, *_floats(cfg, "q")), None),
-    "SECTOR": (lambda cfg: _spectral(cfg, check_sector, *_floats(cfg, "q", "kappa")), None),
+    "AAD1D": (lambda cfg, workers: _spectral(cfg, check_aad_1d), None),
+    "KLT_DET": (lambda cfg, workers: _spectral(cfg, check_klt_det, *_floats(cfg, "q")), None),
+    "SECTOR": (
+        lambda cfg, workers: _spectral(cfg, check_sector, *_floats(cfg, "q", "kappa")), None
+    ),
     "THM1": (
-        lambda cfg: _spectral(
+        lambda cfg, workers: _spectral(
             cfg, check_thm1, _omega(cfg), *_floats(cfg, "q", "R", "M"), deterministic=True
         ),
         None,
     ),
     "THM3": (
-        lambda cfg: _spectral(cfg, check_thm3, _omega(cfg), *_floats(cfg, "q", "M")), None
+        lambda cfg, workers: _spectral(cfg, check_thm3, _omega(cfg), *_floats(cfg, "q", "M")),
+        None,
     ),
     "PROP_EXTNORM": (_verify_extnorm, _campaign_extnorm),
     "SCHATTEN_DECAY": (_verify_schatten, _campaign_schatten),
     "TAIL": (_verify_tail, _campaign_tail),
     "EVSUM": (
-        lambda cfg: _spectral(cfg, check_evsum, *_floats(cfg, "eps", "R0"), _cell_size(cfg)),
+        lambda cfg, workers: _spectral(
+            cfg, check_evsum, *_floats(cfg, "eps", "R0"), _cell_size(cfg)
+        ),
         _campaign_evsum,
     ),
     "SPECTRUM": (None, None),
@@ -522,11 +536,11 @@ def _driver(cfg: RunConfig, command: str):
     return driver
 
 
-def cmd_campaign(cfg: RunConfig) -> int:
-    return _driver(cfg, "campaign")(cfg)
+def cmd_campaign(cfg: RunConfig, workers: int) -> int:
+    return _driver(cfg, "campaign")(cfg, workers)
 
 
-def cmd_svd(cfg: RunConfig) -> int:
+def cmd_svd(cfg: RunConfig, workers: int) -> int:
     tag = cfg.config_hash()
     (R,) = _radii(cfg, "R", campaign=False)
     if cfg.omega is None:
@@ -549,7 +563,7 @@ def cmd_svd(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_net_info(cfg: RunConfig) -> int:
+def cmd_net_info(cfg: RunConfig, workers: int) -> int:
     lam, r_list = _lam(cfg), _radii(cfg, "R_list", campaign=False)
     from scipy.spatial import cKDTree
 
@@ -594,7 +608,10 @@ def main(argv=None) -> int:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
-        p.add_argument("--workers", type=int, default=1, help="realizations run in sequence")
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="processes drawing extension norms, at most the CPU count; outputs do not change",
+        )
         p.add_argument("--out", default=None, help="override the config's output directory")
         p.add_argument("--seed", type=int, default=None, help="override omega.master_seed")
 
@@ -605,9 +622,10 @@ def main(argv=None) -> int:
             cfg = checked("omega.master_seed", cfg.with_seed, args.seed)
         if args.out is not None:
             cfg = cfg.with_out_dir(args.out)
-        if args.workers < 1:
-            raise ConfigError("workers: must be >= 1")
-        return COMMANDS[args.command][0](cfg)
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            raise ConfigError(f"workers: must lie in [1, {cpus}] (CPU count), got {args.workers}")
+        return COMMANDS[args.command][0](cfg, args.workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

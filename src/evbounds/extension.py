@@ -316,11 +316,27 @@ def _gather_split(rows, blk, stack, scale, xa, xscale):
 def _form(tables, idx, lo, sub, buf):
     """Rows lo, lo + 1, ... of the gathered indices idx into sub: axis factors multiplied in axis order."""
     hi = lo + sub.shape[0]
-    # mode="clip" (the indices are in range) writes straight into sub; "raise" buffers a copy.
+    # mode="clip" writes straight into sub; "raise" buffers a copy.  _in_range checked
+    # every index at build, so no clip maps an index to the wrong row.
     np.take(tables[0], idx[0][lo:hi], axis=0, out=sub, mode="clip")
     for table, ix in zip(tables[1:], idx[1:]):
         sub *= np.take(table, ix[lo:hi], axis=0, out=buf[: sub.shape[0]], mode="clip")
     return sub
+
+
+def _in_range(*row_sets):
+    """IndexError unless every per-axis index of each row set addresses a row of its table.
+
+    One min and max per axis, at build: _form's np.take(mode="clip") would
+    map an index past either end to the end row without an error.
+    """
+    for rows in row_sets:
+        for axis, (table, ix) in enumerate(zip(rows.tables, rows.index)):
+            if ix.size and not 0 <= ix.min() <= ix.max() < table.shape[0]:
+                raise IndexError(
+                    f"row indices on axis {axis} span [{ix.min()}, {ix.max()}], "
+                    f"outside a table of {table.shape[0]} rows"
+                )
 
 
 def _lattice(axis, multi, *node_sets):
@@ -356,6 +372,7 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
     support = np.flatnonzero(vals)
     nets = [net_out.nodes] if net_in is net_out else [net_out.nodes, net_in.nodes]
     rows = _lattice(gs.axis_centered, np.unravel_index(support, gs.shape), *nets)
+    _in_range(*rows)
     m = _apply_net_weights(_gram(vals[support] * gs.cellvol, *rows), net_out, net_in)
     return SandwichOperator(m, {"assembly": "node", "support_nodes": int(support.size)})
 
@@ -464,6 +481,7 @@ class SandwichEnsemble:
             self._phase = _half_step_phase(kappa, gs.dx)
             del kappa
             self._phase *= gs.cellvol * np.outer(np.sqrt(net_out.weights), np.sqrt(net_in.weights))
+        _in_range(*self._uniform, *self._mixed)
         # Per count tuple, a mask of its rows (a Gram skips rows of zero weight) and sigma.
         self._groups = [(group == g, sigma) for g, sigma in enumerate(sigmas)]
         self._m1 = self._assemble(self._uniform_vals, self._mixed_vals)

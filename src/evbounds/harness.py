@@ -10,6 +10,9 @@ gives a campaign radius its draws and its |V| reference from one build
 whenever the draws' ensemble is the one deterministic_ext_norm would build;
 both take each norm from the operator's real pair form when it carries
 one (an antipodal net and real V), a real eigvalsh of the same size.
+Both run under util.one_blas_thread, and campaign_norms may fork worker
+processes for its draws: their norms depend neither on the worker count
+nor on the BLAS thread count the process started with.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -20,6 +23,11 @@ the absolute constant.
 from __future__ import annotations
 
 import dataclasses
+import mmap
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -44,7 +52,7 @@ from .spectra import (
     filter_discrete,
     hamiltonian_matrix,
 )
-from .util import bracket, spectral_norm
+from .util import bracket, one_blas_thread, spectral_norm
 
 __all__ = [
     "FITTED_CONSTANTS",
@@ -315,9 +323,15 @@ def ext_norm_samples(
     indices,
     d: int = 2,
     dx: float = 0.25,
+    workers: int = 1,
 ) -> np.ndarray:
-    """Randomized sandwich norms at one R for the given realization indices."""
-    return campaign_norms(potential_spec, omega_template, lam, R, indices, d, dx)[0]
+    """Randomized sandwich norms at one R for the given realization indices.
+
+    The norms of campaign_norms: the same bits for every workers.
+    """
+    return campaign_norms(
+        potential_spec, omega_template, lam, R, indices, d, dx, workers=workers
+    )[0]
 
 
 def campaign_norms(
@@ -329,6 +343,7 @@ def campaign_norms(
     d: int = 2,
     dx: float = 0.25,
     reference: bool = False,
+    workers: int = 1,
 ) -> tuple[np.ndarray, float | None]:
     """ext_norm_samples at one R and, with reference=True, deterministic_ext_norm there.
 
@@ -338,18 +353,112 @@ def campaign_norms(
     one _deterministic builds, V equal to |V| bit for bit on cells of side
     min(1, L).  Any other V or h builds the reference's own ensemble.  The
     reference is None without reference=True.
+
+    The build, the draws and the reference run under util.one_blas_thread.
+    With workers = k > 1 (capped at the number of draws) the ensemble is
+    built once and k - 1 worker processes are forked from it, sharing its
+    tables copy-on-write.  Worker w draws position w of indices (this
+    process is worker 0), then claims undrawn positions one at a time, and
+    writes each norm at its position in one shared array, so the norms are
+    the same for every k and for any split of the draws.  A k
+    outside [1, os.cpu_count()] raises ValueError before any work.  A
+    worker that raises prints its traceback and exits 1; once every worker
+    has exited, the call raises RuntimeError naming it.
     """
-    norms, ensemble = np.empty(len(indices)), None
-    if len(indices):
-        ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-        for k, idx in enumerate(indices):
-            omega = draw_omega(omega_template.with_realization(int(idx)), ensemble.field.grid)
-            norms[k] = _norm(ensemble.with_omega(omega))
-    if not reference:
-        return norms, None
-    if ensemble is not None and _holds_reference(ensemble):
-        return norms, _norm(ensemble.deterministic())
-    return norms, deterministic_ext_norm(potential_spec, lam, R, d, dx)
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
+    with one_blas_thread():
+        norms, ensemble = np.empty(0), None
+        if len(indices):
+            ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
+            norms = _draw_norms(ensemble, omega_template, indices, min(workers, len(indices)))
+        if not reference:
+            return norms, None
+        if ensemble is not None and _holds_reference(ensemble):
+            return norms, _norm(ensemble.deterministic())
+        return norms, deterministic_ext_norm(potential_spec, lam, R, d, dx)
+
+
+def _draw_norms(ensemble, omega_template: OmegaSpec, indices, k: int) -> np.ndarray:
+    """The norm of each realization in indices, drawn by this process and k - 1 forked workers.
+
+    Worker w first draws position w, then claims the next undrawn position
+    until none is left, so a worker slowed by a busy core draws fewer
+    instead of holding up the others at the end.  Each norm is written at
+    its position in one shared anonymous map, whoever draws it.  The claim
+    counter sits in the same map behind a token pipe: a claim reads the
+    pipe's one byte, bumps the counter and writes the byte back.
+    The caller forks inside util.one_blas_thread, so its thread holds the
+    BLAS lock; a worker runs only the draws and leaves by os._exit, running
+    none of the parent's exit handlers.  On any exception here, or when a
+    worker fails, every worker is reaped before the call returns or raises.
+    """
+    n = len(indices)
+
+    def norm_at(pos):
+        spec = omega_template.with_realization(int(indices[pos]))
+        return _norm(ensemble.with_omega(draw_omega(spec, ensemble.field.grid)))
+
+    if k == 1:
+        return np.array([norm_at(pos) for pos in range(n)], dtype=float)
+    shared = mmap.mmap(-1, 8 * (n + 1))
+    norms = np.frombuffer(shared, dtype=float, count=n)
+    claimed = np.frombuffer(shared, dtype=np.int64, count=1, offset=8 * n)
+    claimed[0] = k
+    token_r, token_w = os.pipe()
+    os.write(token_w, b"\0")
+
+    def claim():
+        os.read(token_r, 1)
+        try:
+            pos = int(claimed[0])
+            claimed[0] = pos + 1
+        finally:
+            os.write(token_w, b"\0")
+        return pos
+
+    def draw(w):
+        pos = w
+        while pos < n:
+            norms[pos] = norm_at(pos)
+            pos = claim()
+
+    pids = {}
+    try:
+        for w in range(1, k):
+            pid = os.fork()
+            if pid == 0:
+                _worker(draw, w)
+            pids[pid] = w
+        draw(0)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        status = {w: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, w in pids.items()}
+        os.close(token_r)
+        os.close(token_w)
+    failed = sorted((w, code) for w, code in status.items() if code)
+    if failed:
+        w, code = failed[0]
+        raise RuntimeError(f"campaign worker {w} of {k} exited with status {code}")
+    return norms.copy()  # an array of its own, not a view of the map
+
+
+def _worker(draw, w: int):
+    """draw(w) in a forked worker, left by os._exit: 1 after printing the traceback, else 0."""
+    code = 1
+    try:
+        try:
+            draw(w)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def _norm(op) -> float:
@@ -386,11 +495,14 @@ def deterministic_ext_norm(
     uniform cell plus one per nonzero node of the other cells, and no
     per-node plane wave; on an antipodal net its norm is that of the real
     pair form.  The value equals the norm of the node-level sandwich of
-    |V| to rounding.
+    |V| to rounding.  It is computed under util.one_blas_thread, as the
+    campaign draws are.
     """
-    field = _campaign_field(potential_spec, R, d, dx)
-    field = PotentialField(field.grid, np.abs(field.values).astype(complex), field.support_radius)
-    return _norm(_deterministic(build_net(lam, R, d), field))
+    with one_blas_thread():
+        field = _campaign_field(potential_spec, R, d, dx)
+        values = np.abs(field.values).astype(complex)
+        abs_v = PotentialField(field.grid, values, field.support_radius)
+        return _norm(_deterministic(build_net(lam, R, d), abs_v))
 
 
 def check_extnorm(norms, R: float, h: float, v_inf: float, d: int = 2) -> BoundReport:

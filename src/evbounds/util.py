@@ -1,6 +1,13 @@
-"""Small shared helpers: the Japanese bracket, binomial intervals and the operator norm."""
+"""Small shared helpers: the Japanese bracket, binomial intervals, the operator norm
+and numpy's OpenBLAS on one thread."""
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 
 import numpy as np
 
@@ -46,3 +53,46 @@ def spectral_norm(matrix) -> float:
     if np.array_equal(a, a.conj().T):
         return float(np.abs(np.linalg.eigvalsh(a)).max())
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if it has openblas_set_num_threads_local (0.3.27+)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(f for f in os.listdir(libs) if "openblas" in f) if os.path.isdir(libs) else []
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        if hasattr(lib, "openblas_set_num_threads_local"):
+            lib.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
+            lib.openblas_set_num_threads_local.restype = ctypes.c_int
+            return lib
+    return None
+
+
+# The OpenBLAS thread count is process-wide: one save/restore at a time.  Re-entrant,
+# so a block that already holds one thread may call code that asks for it again.
+_BLAS_THREADS = threading.RLock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block; a no-op on any other BLAS.
+
+    Re-entrant: a nested block keeps one thread, and the outermost block
+    puts back the count it found.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    with _BLAS_THREADS:
+        prev = lib.openblas_set_num_threads_local(1)
+        try:
+            yield
+        finally:
+            lib.openblas_set_num_threads_local(prev)
+
+
+def one_blas_thread_setting() -> dict | str:
+    """What one_blas_thread sets: {"library": "openblas", "threads": 1}, or "unknown" (a no-op)."""
+    return "unknown" if _openblas() is None else {"library": "openblas", "threads": 1}

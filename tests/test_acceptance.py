@@ -8,6 +8,8 @@ checks each share their data.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -79,12 +81,19 @@ def well_sweep():
 
 @pytest.fixture(scope="session")
 def campaign():
-    """Randomized extension-norm draws: 200 per R, 2000 at R=32 for the tail."""
+    """Randomized extension-norm draws: 200 per R, 2000 at R=32 for the tail.
+
+    The draws run on two worker processes where there are two CPUs; the
+    norms are the same bits for any worker count.
+    """
+    workers = min(2, os.cpu_count() or 1)
     norms = {
-        R: ext_norm_samples(CAMPAIGN_SPEC, CAMPAIGN_TEMPLATE, 1.0, R, range(200))
+        R: ext_norm_samples(CAMPAIGN_SPEC, CAMPAIGN_TEMPLATE, 1.0, R, range(200), workers=workers)
         for R in (8.0, 16.0, 64.0)
     }
-    norms[32.0] = ext_norm_samples(CAMPAIGN_SPEC, CAMPAIGN_TEMPLATE, 1.0, 32.0, range(2000))
+    norms[32.0] = ext_norm_samples(
+        CAMPAIGN_SPEC, CAMPAIGN_TEMPLATE, 1.0, 32.0, range(2000), workers=workers
+    )
     dets = {R: deterministic_ext_norm(CAMPAIGN_SPEC, 1.0, R) for R in (8.0, 16.0, 32.0, 64.0)}
     return norms, dets
 

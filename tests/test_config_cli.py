@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -446,16 +447,138 @@ def test_read_reference_wants_exactly_row_0(tmp_path, text, line):
         cli._read_norms(path, "row,deterministic", rows=1)
 
 
-def test_campaign_workers_agree(tmp_path):
-    data = _campaign_dict(n_samples=4)
-    _, out1 = _run(tmp_path, data, command="campaign")
-    cfg_path = _write_cfg(tmp_path, data, name="cfg2.json")
-    out2 = tmp_path / "out2"
-    code = main(["campaign", "--config", cfg_path, "--out", str(out2), "--workers", "2"])
-    assert code == 0
-    a = next(out1.glob("campaign_*/norms_R8.csv")).read_text(encoding="utf-8")
-    b = next(out2.glob("campaign_*/norms_R8.csv")).read_text(encoding="utf-8")
-    assert a == b
+def _admit_three_workers(monkeypatch):
+    """Let --workers 3 pass the CPU-count check on any machine: the split is tested, not speed."""
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(3, cpus))
+
+
+def _tree(work: Path, data: dict, command: str, workers: int, monkeypatch) -> dict[str, bytes]:
+    """Every file a command run from work writes, by path under its relative out_dir.
+
+    The config's out_dir is the same relative path in every run, so the
+    config hash, and with it every file name and manifest, is too.
+    """
+    work.mkdir()
+    (work / "cfg.json").write_text(json.dumps({**data, "out_dir": "out"}), encoding="utf-8")
+    monkeypatch.chdir(work)
+    assert main([command, "--config", "cfg.json", "--workers", str(workers)]) in (0, 1)
+    return _files(work / "out")
+
+
+@pytest.mark.parametrize("n_samples", [5, 2], ids=["five_draws", "fewer_draws_than_workers"])
+def test_campaign_workers_agree(tmp_path, monkeypatch, n_samples):
+    """The campaign files and the manifest are the same bytes for --workers 1, 2 and 3.
+
+    R = 8 and 16 have odd nets (the mirror-paired complex form); R = 32 the
+    pair form.  The manifest records the draws' BLAS setting, not k.
+    """
+    from evbounds.util import one_blas_thread_setting
+
+    _admit_three_workers(monkeypatch)
+    data = _campaign_dict(n_samples=n_samples, r_list=(8.0, 16.0, 32.0))
+    trees = [_tree(tmp_path / f"k{k}", data, "campaign", k, monkeypatch) for k in (1, 2, 3)]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    names = sorted(name.split("_")[0] for name in trees[0] if "/" not in name)
+    assert names == ["manifest", "plot", "summary"] and len(trees[0]) == 9
+    manifest = json.loads(next(v for k, v in trees[0].items() if k.startswith("manifest_")))
+    assert manifest["draw_blas"] == one_blas_thread_setting()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+def test_verify_report_is_the_same_for_every_worker_count(tmp_path, monkeypatch):
+    data = _campaign_dict(n_samples=100, r_list=(8.0,))
+    reports = [_tree(tmp_path / f"k{k}", data, "verify", k, monkeypatch) for k in (1, 2)]
+    assert len(reports[0]) == 1 and reports[1] == reports[0]
+
+
+# argv: src directory, then the command line.
+_CLI_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from evbounds.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+def test_campaign_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A process started with OPENBLAS_NUM_THREADS=3 writes the bytes of one started by default."""
+    import subprocess
+    import sys
+
+    import evbounds
+
+    src = Path(evbounds.__file__).resolve().parents[1]
+    data = {**_campaign_dict(n_samples=5, r_list=(8.0, 16.0, 32.0)), "out_dir": "out"}
+    unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    trees = []
+    for threads in ("default", "3"):
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        if threads != "default":
+            env["OPENBLAS_NUM_THREADS"] = threads
+        work = tmp_path / f"threads_{threads}"
+        work.mkdir()
+        (work / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        argv = ["campaign", "--config", "cfg.json", "--workers", "2"]
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_CHILD, str(src), *argv],
+            cwd=work, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        trees.append(_files(work / "out"))
+    assert len(trees[0]) == 9 and trees[1] == trees[0]
+
+
+@pytest.mark.parametrize(
+    "index,raised", [(1, RuntimeError), (0, FloatingPointError)], ids=["worker_1", "parent"]
+)
+def test_a_failed_draw_writes_nothing_and_leaves_no_worker(
+    tmp_path, monkeypatch, capfd, index, raised
+):
+    """Realization 1 is worker 1's first draw at --workers 2, realization 0 this process's.
+
+    A worker that raises prints its traceback and exits 1, and the command
+    raises naming it; a draw that raises here stops the workers.  Either
+    way no norms file is written and every worker has been reaped.
+    """
+    from evbounds.extension import SandwichEnsemble
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    real = SandwichEnsemble.with_omega
+
+    def with_omega(self, omega):
+        if omega.spec.realization_index == index:
+            raise FloatingPointError(f"injected failure at realization {index}")
+        return real(self, omega)
+
+    monkeypatch.setattr(SandwichEnsemble, "with_omega", with_omega)
+    worker_failed = raised is RuntimeError
+    message = "campaign worker 1 of 2 exited with status 1" if worker_failed else "injected"
+    with pytest.raises(raised, match=message):
+        _run(tmp_path, _campaign_dict(n_samples=4), "campaign", ("--workers", "2"))
+    if worker_failed:
+        assert "injected failure at realization 1" in capfd.readouterr().err
+    assert not list((tmp_path / "out").rglob("norms_R*.csv"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_above_the_cpu_count_is_a_config_error_before_any_fork(
+    tmp_path, monkeypatch, capsys
+):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    too_many = str((os.cpu_count() or 1) + 1)
+    code, out = _run(tmp_path, _campaign_dict(n_samples=4), "campaign", ("--workers", too_many))
+    assert code == 2
+    assert "workers: must lie in [1, " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_campaign_tail(tmp_path):

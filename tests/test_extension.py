@@ -244,6 +244,28 @@ def test_pair_form_needs_one_real_antipodal_net(case):
     np.testing.assert_allclose(op.matrix, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
 
+@pytest.mark.parametrize("case", ["pair", "complex", "node_level"])
+@pytest.mark.parametrize("end", [-1, 1], ids=["below", "above"])
+def test_an_index_outside_its_table_fails_the_build(monkeypatch, case, end):
+    """One corrupted row index raises at build instead of being clipped to an end row."""
+    gs = GridSpec(d=2, L=8.0, N=32)
+    net = build_net(lam=1.0, R=4.0 if case == "pair" else 8.0, d=2)
+    real = extension._lattice
+
+    def corrupt(axis, multi, *node_sets):
+        rows = real(axis, multi, *node_sets)
+        ix = rows[0].index[1]
+        ix[ix.size // 2] = -1 if end < 0 else rows[0].tables[1].shape[0]
+        return rows
+
+    monkeypatch.setattr(extension, "_lattice", corrupt)
+    with pytest.raises(IndexError, match="on axis 1 span"):
+        if case == "node_level":
+            sandwich(net, net, _field(gs, R=2.0))
+        else:
+            SandwichEnsemble(net, net, _field(gs, R=2.0), h=1.0)
+
+
 def test_node_level_sandwich_records_its_assembly():
     gs = GridSpec(d=2, L=8.0, N=32)
     net = build_net(lam=1.0, R=4.0, d=2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -240,6 +241,109 @@ def test_randomization_shrinks_the_norm():
     det = deterministic_ext_norm(spec, lam=1.0, R=8.0, dx=0.5)
     draws = ext_norm_samples(spec, _omega(), lam=1.0, R=8.0, indices=range(5), dx=0.5)
     assert np.all(draws < det)
+
+
+@pytest.mark.parametrize(
+    "R,n", [(8.0, 5), (16.0, 5), (32.0, 5), (16.0, 2)],
+    ids=["R8_mirror_pairs", "R16_mirror_pairs", "R32_pair_form", "fewer_draws_than_workers"],
+)
+def test_campaign_norms_are_the_same_bits_for_every_worker_count(monkeypatch, R, n):
+    """Whichever worker of k draws a position, its norm lands there."""
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(3, cpus))
+    spec = PotentialSpec(kind="indicator_ball", amplitude=1.0, R=8.0)
+    indices = list(range(n))[::-1]
+    want_norms, want_det = campaign_norms(spec, _omega(), 1.0, R, indices, reference=True)
+    for workers in (2, 3):
+        norms, det = campaign_norms(
+            spec, _omega(), 1.0, R, indices, reference=True, workers=workers
+        )
+        assert norms.tobytes() == want_norms.tobytes() and det == want_det
+        samples = ext_norm_samples(spec, _omega(), 1.0, R, indices, workers=workers)
+        assert samples.tobytes() == norms.tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_stalled_worker_leaves_its_draws_to_the_others(monkeypatch):
+    """Worker 1 stalls on its first draw until this process has drawn every other position.
+
+    With a fixed split this process would draw only 0, 2, 4 and then wait
+    out the stall; claiming draws one at a time, it takes them all.
+    """
+    import select
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    spec, n = PotentialSpec(kind="indicator_ball", amplitude=1.0, R=8.0), 6
+    want = ext_norm_samples(spec, _omega(), 1.0, 8.0, range(n), dx=0.5)
+    parent, drawn = os.getpid(), []
+    done_r, done_w = os.pipe()
+    real = SandwichEnsemble.with_omega
+
+    def with_omega(self, omega):
+        i = omega.spec.realization_index
+        if os.getpid() == parent:
+            drawn.append(i)
+            if i == n - 1:
+                os.write(done_w, b"\0")
+        elif i == 1:
+            select.select([done_r], [], [], 10.0)
+        return real(self, omega)
+
+    monkeypatch.setattr(SandwichEnsemble, "with_omega", with_omega)
+    try:
+        norms = ext_norm_samples(spec, _omega(), 1.0, 8.0, range(n), dx=0.5, workers=2)
+    finally:
+        os.close(done_r)
+        os.close(done_w)
+    assert drawn == [0, 2, 3, 4, 5]
+    assert norms.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("over", [-1, 1], ids=["zero", "above_cpu_count"])
+def test_campaign_norms_refuse_a_worker_count_outside_one_to_the_cpus(monkeypatch, over):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    workers = 1 + over if over < 0 else (os.cpu_count() or 1) + over
+    with pytest.raises(ValueError, match=r"workers must lie in \[1, "):
+        campaign_norms(
+            PotentialSpec(kind="indicator_ball"), _omega(), 1.0, 8.0, range(4), workers=workers
+        )
+
+
+def test_campaign_norms_run_on_one_blas_thread(monkeypatch):
+    """The build, every draw and the reference see one BLAS thread; the count is put back after."""
+    import evbounds.harness as harness
+    from evbounds import util
+
+    lib = util._openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+
+    def threads():
+        count = lib.openblas_set_num_threads_local(1)
+        lib.openblas_set_num_threads_local(count)
+        return count
+
+    before, seen = threads(), []
+    real_build, real_norm = harness.SandwichEnsemble, harness.spectral_norm
+    def build(*args):
+        seen.append(threads())
+        return real_build(*args)
+
+    def norm(a):
+        seen.append(threads())
+        return real_norm(a)
+
+    monkeypatch.setattr(harness, "SandwichEnsemble", build)
+    monkeypatch.setattr(harness, "spectral_norm", norm)
+    # V = -|V| is not the |V| ensemble: the reference builds its own.
+    spec = PotentialSpec(kind="indicator_ball", amplitude=-1.0)
+    campaign_norms(spec, _omega(), 1.0, 8.0, range(2), reference=True)
+    assert seen == [1] * 5 and threads() == before
 
 
 def _node_level_det(spec, lam, R, dx, d=2):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evbounds import GridSpec, spectra
+from evbounds import GridSpec, spectra, util
 from evbounds.birman_schwinger import assemble_bs
 from evbounds.potential import PotentialField, PotentialSpec, sample_potential
 from evbounds.randomize import OmegaSpec, anderson_randomize, draw_omega
@@ -260,7 +260,7 @@ def _blas_threads(lib):
 
 @pytest.mark.parametrize("n,threads", [(255, "one"), (1024, "default")])
 def test_general_solve_uses_one_blas_thread_below_1024_rows(monkeypatch, n, threads):
-    lib = spectra._openblas()
+    lib = util._openblas()
     if lib is None:
         pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
     before = _blas_threads(lib)

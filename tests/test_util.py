@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from evbounds.util import spectral_norm, wilson_interval
+from evbounds import util
+from evbounds.util import one_blas_thread, spectral_norm, wilson_interval
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-3])
@@ -99,3 +102,36 @@ def test_wilson_interval_narrows_with_trials():
 def test_wilson_interval_rejects_bad_counts(k, n):
     with pytest.raises(ValueError):
         wilson_interval(k, n)
+
+
+def _blas_threads(lib):
+    """numpy's OpenBLAS thread count, read by setting it and putting it back."""
+    count = lib.openblas_set_num_threads_local(1)
+    lib.openblas_set_num_threads_local(count)
+    return count
+
+
+def test_nested_one_blas_thread_neither_deadlocks_nor_loses_the_count():
+    lib = util._openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+    before, seen = _blas_threads(lib), []
+
+    def nest():
+        with one_blas_thread():
+            seen.append(_blas_threads(lib))
+            with one_blas_thread():
+                seen.append(_blas_threads(lib))
+            seen.append(_blas_threads(lib))
+
+    worker = threading.Thread(target=nest, daemon=True)  # a deadlock fails the join, not the run
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "nested one_blas_thread deadlocked"
+    assert seen == [1, 1, 1]
+    assert _blas_threads(lib) == before
+
+
+def test_one_blas_thread_setting_names_the_library_it_sets():
+    want = "unknown" if util._openblas() is None else {"library": "openblas", "threads": 1}
+    assert util.one_blas_thread_setting() == want
