@@ -14,8 +14,9 @@ norm, and lifts M back to the node basis when asked.  Otherwise its rows
 sit half a step off the nodes, where each row's mirror is its conjugate,
 and a real-weight Gram takes one row per mirror pair.  It and the
 node-level sandwich, the reference it agrees with, gather phase rows a
-block at a time from per-axis tables.  potential_ref records the assembly:
-"pair" or "complex" from the ensemble, "node" from sandwich.
+block at a time from per-axis tables; the reference sums them in one
+complex product for every V.  potential_ref records the assembly: "pair"
+or "complex" from the ensemble, "node" from sandwich.
 angular_weight conjugates a d=2 sandwich by the angular multiplier of the
 Schatten-norm estimates.
 """
@@ -161,35 +162,23 @@ class _Rows(NamedTuple):
 def _gram(d, rows, rows_in=None, mirror=None):
     """Weighted Gram sum_k d_k conj(rows[k])^T rows_in[k]; rows_in defaults to rows.
 
-    Rows of zero weight are skipped.  Complex weights, or two row sets,
-    take one complex product.  Real weights on one row set give a
-    Hermitian matrix from real Grams: over rows paired by mirror (row
-    mirror[k] is the conjugate of row k; -1 where it has none) from
-    _mirror_gram, else from _sign_grams, half the flops of the complex
-    product.  Either way the rows are gathered a block at a time into
+    Rows of zero weight are skipped.  Given mirror (row mirror[k] is the
+    conjugate of row k; -1 where it has none), d is real on one row set and
+    _mirror_gram takes one row per mirror pair.  Otherwise one complex
+    product, for any weights: the rows are gathered a block at a time into
     reused arrays and their products summed, so the working set beyond the
-    tables is those arrays and a few Grams, at any row count.
+    tables is those arrays and the Gram, at any row count.
     """
-    d = np.asarray(d)
-    if np.iscomplexobj(d) and not d.imag.any():
-        d = d.real
-    if rows_in is not None or np.iscomplexobj(d):
-        sel = np.flatnonzero(d)
-        bufs = [np.empty((min(_GRAM_ROWS, sel.size), r.tables[0].shape[1]), dtype=complex)
-                for r in ([rows] if rows_in is None else [rows, rows_in])]
-        m = np.zeros((bufs[0].shape[1], bufs[-1].shape[1]), dtype=complex)
-        for blk in _blocks(sel):
-            x = _gather(rows, blk, bufs[0][: blk.size])
-            y = x if rows_in is None else _gather(rows_in, blk, bufs[1][: blk.size])
-            m += (x.conj().T * d[blk]) @ y
-        return m
     if mirror is not None:
         return _mirror_gram(d, rows, mirror)
-    n = rows.tables[0].shape[1]
-    m = np.zeros((n, n), dtype=complex)
-    for sign, g in _sign_grams(d, rows):
-        m.real += sign * (g[0::2, 0::2] + g[1::2, 1::2])
-        m.imag += sign * (g[0::2, 1::2] - g[1::2, 0::2])
+    sel = np.flatnonzero(d)
+    bufs = [np.empty((min(_GRAM_ROWS, sel.size), r.tables[0].shape[1]), dtype=complex)
+            for r in ([rows] if rows_in is None else [rows, rows_in])]
+    m = np.zeros((bufs[0].shape[1], bufs[-1].shape[1]), dtype=complex)
+    for blk in _blocks(sel):
+        x = _gather(rows, blk, bufs[0][: blk.size])
+        y = x if rows_in is None else _gather(rows_in, blk, bufs[1][: blk.size])
+        m += (x.conj().T * d[blk]) @ y
     return m
 
 
@@ -202,9 +191,9 @@ def _mirror_gram(d, rows, mirror):
     gathered, _GRAM_ROWS / 2 pairs of one sign of s at a time, straight into
     the stacked real rows c a and c b, c = sqrt|s| (1 where s = 0), and
     (t / c) a where t != 0.  Re M is, per sign, one real syrk over the
-    stacked rows (n columns, not the 2n of _sign_grams); X = sum t a^T b
-    is one GEMM of the (t / c) a rows against their c b rows, and
-    Im M = X - X^T.  So M is Hermitian bit for bit.
+    stacked rows (n columns, not the 2n of interleaved (Re, Im) rows);
+    X = sum t a^T b is one GEMM of the (t / c) a rows against their c b
+    rows, and Im M = X - X^T.  So M is Hermitian bit for bit.
     """
     n = rows.tables[0].shape[1]
     other = np.where(mirror >= 0, d[mirror], 0.0)
@@ -237,28 +226,15 @@ def _mirror_gram(d, rows, mirror):
 def _real_gram(d, rows):
     """The real Gram sum_k d_k x_k^T x_k of rows viewed as interleaved (Re, Im) columns.
 
-    d is real.  Symmetric bit for bit: a difference of the per-sign Grams
-    of _sign_grams.
-    """
-    n = 2 * rows.tables[0].shape[1]
-    total = np.zeros((n, n))
-    for sign, g in _sign_grams(d, rows):
-        total += sign * g
-    return total
-
-
-def _sign_grams(d, rows):
-    """Per sign of the real weights d, the real Gram x^T x of x = sqrt|d| rows.
-
-    x is viewed as interleaved (Re, Im) columns, and numpy sends x.T @ x to
-    its symmetric rank-k update, which mirrors one triangle: each Gram is
-    symmetric bit for bit.  Each block of x is gathered, scaled, into one
-    reused array, each block's product goes into one reused buffer, and
-    one Gram array serves both signs (a caller uses each yielded Gram
-    before asking for the next).
+    d is real.  Per sign, each block of sqrt|d| rows is gathered, scaled,
+    into one reused array; numpy sends its x.T @ x to its symmetric rank-k
+    update, which mirrors one triangle.  The block Grams of a sign are
+    summed into one array (through one reused buffer), which is then added
+    to the total times the sign, so the result is symmetric bit for bit.
     """
     x = np.empty((min(_GRAM_ROWS, np.count_nonzero(d)), rows.tables[0].shape[1]), dtype=complex)
-    g, buf = np.empty((2 * x.shape[1],) * 2), None
+    n = 2 * x.shape[1]
+    total, g, buf = np.zeros((n, n)), np.empty((n, n)), None
     for sign in (1.0, -1.0):
         sel = np.flatnonzero(sign * d > 0)
         for i, blk in enumerate(_blocks(sel)):
@@ -269,7 +245,8 @@ def _sign_grams(d, rows):
             if i:
                 g += buf
         if sel.size:
-            yield sign, g
+            total += sign * g
+    return total
 
 
 def _blocks(index, size=None):
@@ -352,20 +329,15 @@ def _lattice(axis, multi, *node_sets):
     ]
 
 
-def _apply_net_weights(m, net_out, net_in):
-    m *= np.sqrt(net_out.weights)[:, None]
-    m *= np.sqrt(net_in.weights)[None, :]
-    return m
-
-
 def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> SandwichOperator:
     """Assemble the co-extension/potential/extension matrix on support nodes.
 
     Entry (mu, nu) is sum_x conj(e(x.mu)) V(x) e(x.nu) cellvol sqrt(w_mu w_nu)
     with x running over the grid nodes where V is nonzero, in torus-centered
     coordinates so wrapped supports stay contiguous.  Its rows are gathered
-    from per-axis tables, as SandwichEnsemble's are.  An empty support gives
-    the zero matrix.
+    from per-axis tables, as SandwichEnsemble's are, but summed in one
+    complex product for every V: the reference shares no real Gram with the
+    ensemble's pair and mirror forms.  An empty support gives the zero matrix.
     """
     gs = field.grid
     vals = field.values.ravel()
@@ -373,7 +345,9 @@ def sandwich(net_out: SphereNet, net_in: SphereNet, field: PotentialField) -> Sa
     nets = [net_out.nodes] if net_in is net_out else [net_out.nodes, net_in.nodes]
     rows = _lattice(gs.axis_centered, np.unravel_index(support, gs.shape), *nets)
     _in_range(*rows)
-    m = _apply_net_weights(_gram(vals[support] * gs.cellvol, *rows), net_out, net_in)
+    m = _gram(vals[support] * gs.cellvol, *rows)
+    m *= np.sqrt(net_out.weights)[:, None]
+    m *= np.sqrt(net_in.weights)[None, :]
     return SandwichOperator(m, {"assembly": "node", "support_nodes": int(support.size)})
 
 

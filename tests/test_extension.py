@@ -11,6 +11,7 @@ from evbounds.errors import SupportError
 from evbounds.extension import (
     SandwichEnsemble,
     _gram,
+    _real_gram,
     _Rows,
     angular_weight,
     build_net,
@@ -141,11 +142,13 @@ def test_sandwich_zero_potential_is_zero_matrix():
         (2, 8.0, 32, PotentialSpec(kind="indicator_ball", amplitude=1.0 - 2.0j, R=2.0), None),
         (2, 16.0, 32, PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5}), 1.5),
         (2, 6.0, 16, PotentialSpec(kind="wigner_von_neumann", amplitude=0.5 + 1.0j), None),
+        (2, 6.0, 16, PotentialSpec(kind="wigner_von_neumann", amplitude=-1.5), None),
         (3, 4.0, 8, PotentialSpec(kind="indicator_ball", amplitude=-1.5, R=1.0), None),
         (3, 3.0, 8, PotentialSpec(kind="power_decay", amplitude=1.0 + 1.0j, s=2.0), None),
         (3, 16.0, 16, PotentialSpec(kind="knapp_oscillatory", oscillation={"eps": 0.5}), None),
     ],
-    ids=["d2_ball", "d2_knapp_two_nets", "d2_smooth", "d3_ball", "d3_smooth", "d3_knapp"],
+    ids=["d2_ball", "d2_knapp_two_nets", "d2_smooth", "d2_smooth_real", "d3_ball", "d3_smooth",
+         "d3_knapp"],
 )
 def test_sandwich_matches_extension_matrix_sum(d, L, N, spec, lam_in):
     """sandwich against (E* V cellvol) E from extension_matrix's own exp, net weights split."""
@@ -817,6 +820,47 @@ def test_mirrored_gram_matches_dense_product(monkeypatch, block):
     np.testing.assert_array_equal(got, got.conj().T)
     want = (rows.conj().T * weights) @ rows
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def _real_gram_by_sign(weights, rows):
+    """_real_gram's order written out: per sign, fresh blocks' Grams summed, then added times the sign."""
+    table = _stored(rows).tables[0]
+    total = np.zeros((2 * table.shape[1],) * 2)
+    for sign in (1.0, -1.0):
+        sel = np.flatnonzero(sign * weights > 0)
+        if not sel.size:
+            continue
+        g = None
+        for blk in extension._blocks(sel):
+            x = table[blk].view(float) * np.sqrt(sign * weights[blk])[:, None]
+            g = x.T @ x if g is None else g + x.T @ x
+        total += sign * g
+    return total
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 2048], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.array([1.5, -0.5, 0.0, 2.0, -3.0, 0.25, -0.75, 1.0, 0.0, -2.5, 0.5]),
+        -np.array([1.5, 0.5, 0.0, 2.0, 3.0, 0.25, 0.75, 1.0, 0.0, 2.5, 0.5]),
+        np.zeros(11),
+    ],
+    ids=["mixed_sign", "all_negative", "all_zero"],
+)
+def test_real_gram_is_symmetric_and_sums_each_sign_in_order(monkeypatch, weights, block):
+    """11 rows of 2 axes: symmetric bit for bit, the dense real Gram, and the per-sign sum's bits."""
+    monkeypatch.setattr(extension, "_GRAM_ROWS", block)
+    rng = np.random.default_rng(11)
+    index = (rng.integers(0, 4, 11), rng.integers(0, 3, 11))
+    rows = _Rows([_rows(4, seed=12), _rows(3, seed=13)], index)
+    got = _real_gram(weights, rows)
+    np.testing.assert_array_equal(got, got.T)
+    x = _stored(rows).tables[0].view(float)
+    want = x.T * weights @ x
+    assert got.shape == want.shape == (14, 14)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+    np.testing.assert_array_equal(got, _real_gram_by_sign(weights, rows))
 
 
 def _gram_of_fresh_blocks(weights, rows, rows_in=None):
