@@ -6,12 +6,18 @@ of the essential spectrum [0, inf); the surviving points feed the weighted
 eigenvalue sums.
 
 Every eigensolve is numpy.linalg's LAPACK, on the same OpenBLAS as every
-other product in the package; this module loads no scipy.
+other product in the package; this module loads no scipy.  The two
+reflection blocks of a split solve run at once, in two threads, each on one
+OpenBLAS thread at every size; below 1024 rows every other BLAS call on a
+Hamiltonian runs on one thread too, so those spectra do not depend on the
+thread count a process starts with.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,7 @@ __all__ = [
 _DENSE_BUDGET = 4096
 _CLUSTER_REL_TOL = 1e-7
 _REFLECTION_ROWS = 64
-_GEEV_THREADED_ROWS = 1024
+_THREADED_ROWS = 1024  # from this many rows, H keeps the default BLAS thread count
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ def hamiltonian_matrix(grid: GridSpec, potential: PotentialField) -> np.ndarray:
     for _ in range(2):
         v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         # Real and imaginary parts apart, so a real H is never cast to complex.
-        direct = (h @ v.real.ravel() + 1j * (h @ v.imag.ravel())).reshape(grid.shape)
+        with _blas_threads(n):
+            direct = (h @ v.real.ravel() + 1j * (h @ v.imag.ravel())).reshape(grid.shape)
         spectral = apply_multiplier(grid, grid.lap_symbol, v) - vals * v
         err = np.linalg.norm(direct - spectral) / np.linalg.norm(spectral)
         if err > 1e-10:
@@ -184,20 +191,24 @@ def _commuting_reflection(h: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _blas_threads(n: int):
+    """One BLAS thread for an n-row H below _THREADED_ROWS, else the count as it stands."""
+    return one_blas_thread() if n < _THREADED_ROWS else contextlib.nullcontext()
+
+
 def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors: `eigh` when h == h^H bit for bit, else `eig`."""
     if np.array_equal(h, h.conj().T):
         return np.linalg.eigh(h)
-    if h.shape[0] >= _GEEV_THREADED_ROWS:
-        return np.linalg.eig(h)
-    with one_blas_thread():
-        return np.linalg.eig(h)
+    return np.linalg.eig(h)
 
 
 def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of h from its blocks even and odd under the reflection j.
 
-    The eigenvectors are lifted back to the position basis, one per column.
+    The odd block is solved in a helper thread while the even one is solved
+    in this one, both on one BLAS thread.  The eigenvectors are lifted back
+    to the position basis, one per column.
     """
     n = h.shape[0]
     k = np.arange(n)
@@ -208,8 +219,28 @@ def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.where(fixed, half, 1.0)
     even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, j[reps])]) * np.outer(c, c)
     odd = h[np.ix_(pairs, pairs)] - h[np.ix_(pairs, j[pairs])]
-    w_even, u_even = _solve(even)
-    w_odd, u_odd = _solve(odd)
+
+    solved, failed = [], []
+
+    def solve_odd():
+        # Never enters one_blas_thread: the caller holds its lock while it joins.
+        try:
+            solved.append(_solve(odd))
+        except BaseException as exc:
+            failed.append(exc)
+
+    # LAPACK releases the GIL, and the thread count is process-wide, so each
+    # block gets the bits of a serial one-thread solve.
+    with one_blas_thread():
+        helper = threading.Thread(target=solve_odd, name="evbounds-odd-block")
+        helper.start()
+        try:
+            w_even, u_even = _solve(even)
+        finally:
+            helper.join()
+    if failed:
+        raise failed[0]
+    w_odd, u_odd = solved[0]
 
     # Even columns cover every row through R and JR; odd ones vanish on
     # the fixed points.
@@ -246,10 +277,16 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
       other matrix to the general solver `numpy.linalg.eig` (?geev).
       scipy.linalg's would run on a second OpenBLAS, whose threads wait
       for the cores that numpy's still spin on after each product.
-      Below 1024 rows ?geev runs on one BLAS thread: its QR sweeps are
-      sequential, so a second thread gained nothing at 256 and 512 rows
-      and made the time depend on whatever else held the cores; from
-      1024 rows two threads are faster.
+    - Threads.  The two blocks of a split are solved at once, the odd one
+      in a helper thread, each on one BLAS thread at every block size, so
+      each has the bits of a serial one-thread solve.  Below 1024 rows
+      every other BLAS call on H (the whole-H solve and the residual
+      product) runs on one BLAS thread too: ?geev's QR sweeps are
+      sequential, so a second thread gained nothing at 256 and 512 rows,
+      and a BLAS worker left spinning after a two-thread call takes the
+      core the helper needs.  Spectra under 1024 rows therefore do not
+      depend on the thread count a process starts with.  From 1024 rows
+      an unsplit solve and the residual keep the default count.
     Residuals are ||(H - z)v|| / ||v|| for the lifted right eigenvectors,
     always against the full position-basis H, so they certify the split.
     Multiplicities come from single-linkage clustering: eigenvalues within
@@ -266,8 +303,9 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     check_dense_size(h.shape[0])
 
     j = _commuting_reflection(h)
-    w, vr = _solve(h) if j is None else _solve_split(h, j)
-    residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / np.linalg.norm(vr, axis=0)
+    with _blas_threads(h.shape[0]):
+        w, vr = _solve(h) if j is None else _solve_split(h, j)
+        residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / np.linalg.norm(vr, axis=0)
     return _cluster(w, residuals)
 
 

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +150,8 @@ def test_reflection_split_matches_the_unsplit_solve(monkeypatch, grid, amplitude
     shapes = _spy_solvers(monkeypatch)
     got = eigenvalues_dense(h)
     n, fixed = grid.node_count, 2**grid.d
-    assert shapes == [((n + fixed) // 2,) * 2, ((n - fixed) // 2,) * 2]
+    # the blocks are solved at once, so in no fixed order
+    assert sorted(shapes) == [((n - fixed) // 2,) * 2, ((n + fixed) // 2,) * 2]
 
     scale = np.abs(h).sum(axis=0).max()  # ||H||_1
     assert len(got) == len(want)
@@ -258,24 +264,139 @@ def _blas_threads(lib):
     return count
 
 
-@pytest.mark.parametrize("n,threads", [(255, "one"), (1024, "default")])
-def test_general_solve_uses_one_blas_thread_below_1024_rows(monkeypatch, n, threads):
+def _dense(grid, amplitude):
+    return hamiltonian_matrix(grid, _well(grid, amplitude))
+
+
+def _nonsymmetric(n):
+    """An n-row matrix with no torus reflection symmetry, for the whole-H solve."""
+    h = np.eye(n)
+    h[0, 1] = 1.0
+    return h
+
+
+@pytest.mark.parametrize(
+    "case,build,want",
+    [
+        ("whole", lambda: _nonsymmetric(255), [("eig", 255, "one")]),
+        ("whole", lambda: _nonsymmetric(1024), [("eig", 1024, "default")]),
+        ("whole", lambda: _nonsymmetric(255) + _nonsymmetric(255).T, [("eigh", 255, "one")]),
+        ("whole", lambda: _nonsymmetric(1024) + _nonsymmetric(1024).T,
+         [("eigh", 1024, "default")]),
+        ("split", lambda: _dense(GridSpec(d=1, L=16.0, N=64), 2.0),
+         [("eigh", 31, "one"), ("eigh", 33, "one")]),
+        ("split", lambda: _dense(GridSpec(d=1, L=16.0, N=64), 2.0 + 1.0j),
+         [("eig", 31, "one"), ("eig", 33, "one")]),
+        # H at the size cut: its blocks still run on one thread each
+        ("split", lambda: _dense(GridSpec(d=2, L=8.0, N=32), 12.0),
+         [("eigh", 510, "one"), ("eigh", 514, "one")]),
+    ],
+    ids=["255-one", "1024-default", "eigh_255-one", "eigh_1024-default", "split_eigh-one",
+         "split_eig-one", "split_eigh_1024-one"],
+)
+def test_general_solve_uses_one_blas_thread_below_1024_rows(monkeypatch, case, build, want):
     lib = util._openblas()
     if lib is None:
         pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+    h = build()
     before = _blas_threads(lib)
     seen = []
+    for name in ("eigh", "eig"):
+        solver = getattr(np.linalg, name)
 
-    def eig(a):
-        seen.append(_blas_threads(lib))
-        return np.zeros(n, complex), np.eye(n, dtype=complex)
+        def spy(a, _name=name, _solver=solver):
+            seen.append((_name, a.shape[0], _blas_threads(lib)))
+            if case == "whole":  # any eigenpairs will do; a 1024-row solve is slow
+                return np.zeros(a.shape[0]), np.eye(a.shape[0])
+            return _solver(a)
 
-    monkeypatch.setattr(np.linalg, "eig", eig)
-    h = np.eye(n)
-    h[0, 1] = 1.0
-    spectra._solve(h)
-    assert seen == [1 if threads == "one" else before]
+        monkeypatch.setattr(np.linalg, name, spy)
+    eigenvalues_dense(h)
+    counts = {"one": 1, "default": before}
+    assert sorted(seen) == [(name, n, counts[threads]) for name, n, threads in want]
     assert _blas_threads(lib) == before
+
+
+class _SerialThread:
+    """Runs the target in the caller at join: the blocks one after the other."""
+
+    def __init__(self, target, name=None):
+        self._target = target
+
+    def start(self):
+        pass
+
+    def join(self):
+        self._target()
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude",
+    [
+        (GridSpec(d=1, L=32.0, N=512), 2.7),
+        (GridSpec(d=1, L=32.0, N=512), 3.2 * np.exp(1j * np.deg2rad(60.0))),
+        (GridSpec(d=2, L=8.0, N=16), 2.0 + 2.0j),
+    ],
+    ids=["1d_real", "1d_dissipative", "2d_dissipative"],
+)
+def test_concurrent_blocks_keep_the_bits_of_a_serial_one_thread_solve(monkeypatch, grid, amplitude):
+    h = _dense(grid, amplitude)
+    with monkeypatch.context() as m:
+        m.setattr(spectra.threading, "Thread", _SerialThread)
+        with util.one_blas_thread():
+            want = repr(eigenvalues_dense(h))
+    assert repr(eigenvalues_dense(h)) == want
+    assert repr(eigenvalues_dense(h)) == want
+
+
+@pytest.mark.parametrize("block", ["odd", "even"])
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_failing_block_solve_raises_in_the_caller(monkeypatch, block):
+    gs = GridSpec(d=1, L=16.0, N=64)
+    h = _dense(gs, 2.0 + 1.0j)
+    failing = {"odd": 31, "even": 33}[block]
+    eig, unhandled = np.linalg.eig, []
+
+    def fail_one_block(a):
+        if a.shape[0] == failing:
+            raise np.linalg.LinAlgError(f"{block} block")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", fail_one_block)
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match=f"{block} block"):
+        eigenvalues_dense(h)
+    assert threading.active_count() == threads
+    assert unhandled == []
+
+
+# argv: src directory.  Prints, for each well, the SHA-256 of the repr of its points.
+_POINTS_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from evbounds import GridSpec, PotentialSpec, sample_potential
+from evbounds.spectra import eigenvalues_dense, hamiltonian_matrix
+for d, N, L, depth in ((1, 512, 32.0, 2.7), (2, 32, 8.0, 12.0)):
+    gs = GridSpec(d=d, L=L, N=N)
+    well = sample_potential(PotentialSpec(kind="indicator_ball", amplitude=depth, R=1.0), gs)
+    print(hashlib.sha256(repr(eigenvalues_dense(hamiltonian_matrix(gs, well))).encode()).hexdigest())
+"""
+
+
+def test_spectra_do_not_depend_on_the_start_thread_count():
+    if util._openblas() is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    digests = {}
+    for threads in (1, 2, 3):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-c", _POINTS_DIGEST, src], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests[threads] = done.stdout.split()
+    assert len(digests[1]) == 2
+    assert digests[2] == digests[1]
+    assert digests[3] == digests[1]
 
 
 def test_budget_guard():
