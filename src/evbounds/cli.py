@@ -7,8 +7,8 @@ PROP_EXTNORM and TAIL campaigns resume from whatever realization indices
 are already on disk; SCHATTEN_DECAY and EVSUM campaigns recompute on every
 run.  DRIVERS maps every experiment name to its verify and campaign
 drivers; an experiment without one has no such command.  Every command
-and driver takes the config and the worker count of --workers; only the
-drivers that draw extension norms use it, and no output depends on it.
+and driver takes the config and the worker count of --workers; those that
+draw randomized sandwiches use it, and no output depends on it.
 
 A bad config exits 2 with "config error: <field>: <message>" and does no
 work.  Every config value is converted, and every constructor, precondition
@@ -53,7 +53,7 @@ from .harness import (
     schatten_campaign,
     schatten_exponent,
 )
-from .extension import build_net, singular_values
+from .extension import build_net
 from .potential import sample_potential
 from .randomize import MIN_SAMPLES, OmegaField, anderson_randomize, draw_omega
 from .spectra import (
@@ -267,14 +267,15 @@ def _verify_extnorm(cfg: RunConfig, workers: int):
     norms = ext_norm_samples(
         cfg.potential, omega, _lam(cfg), R, range(n), d=d, dx=dx, workers=workers
     )
-    return check_extnorm(norms, R, omega.h, abs(cfg.potential.amplitude), d=d)
+    field = sample_potential(dataclasses.replace(cfg.potential, R=R), campaign_grid(R, d, dx))
+    return check_extnorm(norms, R, omega.h, float(np.abs(field.values).max()), d=d)
 
 
 def _verify_schatten(cfg: RunConfig, workers: int):
     nu, (R,), h = _nu(cfg), _radii(cfg, "R", campaign=False), _cell_size(cfg)
-    omegas = None if cfg.omega is None else [cfg.omega]
+    indices = () if cfg.omega is None else [cfg.omega.realization_index]
     field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
-    svals = singular_values(next(config_sandwiches(field, _lam(cfg), R, omegas)))
+    (svals,) = config_sandwiches(field, _lam(cfg), R, cfg.omega, indices, workers)
     params = {"lam": _lam(cfg), "R": R, "h": h, "v_inf": float(np.abs(field.values).max())}
     return check_schatten_decay(svals, nu, cfg.grid.d, params)
 
@@ -397,8 +398,8 @@ def _collect_norms(cfg: RunConfig, R: float, n: int, workers: int, reference: bo
 
 
 # Campaign drivers: each writes its CSVs and manifest and returns the exit code.
-# The manifests of campaigns that draw extension norms record the BLAS setting
-# the draws ran on (harness.campaign_norms), the same for every worker count.
+# The manifests of campaigns that draw randomized sandwiches record the BLAS
+# setting the draws ran on (harness._draw_norms), the same for every worker count.
 
 
 def _campaign_tail(cfg: RunConfig, workers: int) -> int:
@@ -456,7 +457,7 @@ def _campaign_extnorm(cfg: RunConfig, workers: int) -> int:
 def _campaign_schatten(cfg: RunConfig, workers: int) -> int:
     nu, omega, r_list = _nu(cfg), _omega(cfg), _radii(cfg, "R_list")
     n, lam, d, dx = _n_samples(cfg, 100), _lam(cfg), cfg.grid.d, cfg.grid.dx
-    res = schatten_campaign(cfg.potential, lam, r_list, nu, omega, n, d=d, dx=dx)
+    res = schatten_campaign(cfg.potential, lam, r_list, nu, omega, n, d=d, dx=dx, workers=workers)
     out = _ensure_dir(cfg)
     path = out / f"schatten_{cfg.config_hash()}.csv"
     _write_lines(
@@ -468,7 +469,7 @@ def _campaign_schatten(cfg: RunConfig, workers: int) -> int:
             for R in r_list
         ),
     )
-    _write_manifest(out, cfg, [path.name])
+    _write_manifest(out, cfg, [path.name], {"draw_blas": one_blas_thread_setting()})
     print(f"wrote {path}")
     return 0
 
@@ -544,21 +545,16 @@ def cmd_svd(cfg: RunConfig, workers: int) -> int:
     tag = cfg.config_hash()
     (R,) = _radii(cfg, "R", campaign=False)
     if cfg.omega is None:
-        omegas, names = None, [f"svals_{tag}_det.csv"]
+        indices, names = (), [f"svals_{tag}_det.csv"]
     else:
-        n = _n_samples(cfg, 1)
-        omegas = [cfg.omega.with_realization(i) for i in range(n)]
-        names = [f"svals_{tag}_r{i:04d}.csv" for i in range(n)]
+        indices = range(_n_samples(cfg, 1))
+        names = [f"svals_{tag}_r{i:04d}.csv" for i in indices]
     field, _ = _sampled(cfg, dataclasses.replace(cfg.potential, R=R))
-    ops = config_sandwiches(field, _lam(cfg), R, omegas)
+    rows = config_sandwiches(field, _lam(cfg), R, cfg.omega, indices, workers)
     out = _ensure_dir(cfg)
-    for name, op in zip(names, ops):
-        _write_lines(
-            out / name,
-            "index,value",
-            (f"{i},{_fmt(s)}" for i, s in enumerate(singular_values(op), start=1)),
-        )
-    _write_manifest(out, cfg, names)
+    for name, svals in zip(names, rows):
+        _write_lines(out / name, "index,value", (f"{i},{_fmt(s)}" for i, s in enumerate(svals, 1)))
+    _write_manifest(out, cfg, names, {"draw_blas": one_blas_thread_setting()})
     print(f"wrote {len(names)} singular-value files to {out}")
     return 0
 
@@ -610,7 +606,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument(
             "--workers", type=int, default=1,
-            help="processes drawing extension norms, at most the CPU count; outputs do not change",
+            help="processes drawing random sandwiches, at most the CPU count; outputs do not change",
         )
         p.add_argument("--out", default=None, help="override the config's output directory")
         p.add_argument("--seed", type=int, default=None, help="override omega.master_seed")

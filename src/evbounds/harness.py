@@ -10,9 +10,9 @@ gives a campaign radius its draws and its |V| reference from one build
 whenever the draws' ensemble is the one deterministic_ext_norm would build;
 both take each norm from the operator's real pair form when it carries
 one (an antipodal net and real V), a real eigvalsh of the same size.
-Both run under util.one_blas_thread, and campaign_norms may fork worker
-processes for its draws: their norms depend neither on the worker count
-nor on the BLAS thread count the process started with.
+Every realization is drawn by _draw_norms, on one BLAS thread and on
+forked worker processes: no draw depends on the worker count or on the
+BLAS thread count the process started with.
 Each checker evaluates one inequality in the form lhs <= constant * rhs and
 returns a BoundReport.  Inequalities whose constants are not explicit are
 tested against constants calibrated once on a reference family and frozen
@@ -23,6 +23,7 @@ the absolute constant.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import mmap
 import os
 import signal
@@ -301,18 +302,21 @@ def _deterministic(net, field: PotentialField):
     return SandwichEnsemble(net, net, field, min(1.0, field.grid.L)).deterministic()
 
 
-def config_sandwiches(field: PotentialField, lam: float, R: float, omegas=None):
-    """Sandwiches of a field sampled on a config's own grid, over the net at (lam, R).
+def config_sandwiches(
+    field: PotentialField, lam: float, R: float, omega_template=None, indices=(), workers: int = 1
+) -> np.ndarray:
+    """Singular values of sandwiches of a field on a config's own grid, over the net at (lam, R).
 
-    An iterator over the deterministic sandwich M(1) when omegas is None,
-    else over one realization per OmegaSpec (one h).
+    One row per realization in indices of omega_template (one h), drawn by
+    _draw_norms on workers processes, or without omega_template the one
+    row of the deterministic sandwich M(1); all on one BLAS thread.
     """
-    grid = field.grid
-    net = build_net(lam, R, grid.d)
-    if omegas is None:
-        return iter([_deterministic(net, field)])
-    ensemble = SandwichEnsemble(net, net, field, omegas[0].h) if omegas else None
-    return (ensemble.with_omega(draw_omega(om, grid)) for om in omegas)
+    net = build_net(lam, R, field.grid.d)
+    if omega_template is None:
+        with one_blas_thread():
+            return singular_values(_deterministic(net, field))[None]
+    build = functools.partial(SandwichEnsemble, net, net, field, omega_template.h)
+    return _draw_norms(build, omega_template, indices, workers, singular_values, net.n_nodes)[1]
 
 
 def ext_norm_samples(
@@ -354,97 +358,95 @@ def campaign_norms(
     min(1, L).  Any other V or h builds the reference's own ensemble.  The
     reference is None without reference=True.
 
-    The build, the draws and the reference run under util.one_blas_thread.
-    With workers = k > 1 (capped at the number of draws) the ensemble is
-    built once and k - 1 worker processes are forked from it, sharing its
-    tables copy-on-write.  Worker w draws position w of indices (this
-    process is worker 0), then claims undrawn positions one at a time, and
-    writes each norm at its position in one shared array, so the norms are
-    the same for every k and for any split of the draws.  A k
-    outside [1, os.cpu_count()] raises ValueError before any work.  A
-    worker that raises prints its traceback and exits 1; once every worker
-    has exited, the call raises RuntimeError naming it.
+    The draws are _draw_norms' on workers processes; the reference too runs
+    under util.one_blas_thread.
+    """
+    build = functools.partial(_campaign_ensemble, potential_spec, lam, R, d, dx, omega_template.h)
+    with one_blas_thread():
+        ensemble, norms = _draw_norms(build, omega_template, indices, workers, _norm)
+        if not reference:
+            return norms[:, 0], None
+        if ensemble is not None and _holds_reference(ensemble):
+            return norms[:, 0], _norm(ensemble.deterministic())
+        return norms[:, 0], deterministic_ext_norm(potential_spec, lam, R, d, dx)
+
+
+def _draw_norms(build, omega_template: OmegaSpec, indices, workers: int, measure, width: int = 1):
+    """(ensemble, values): build() and measure(op), width floats, of each realization in indices.
+
+    The package's one loop over randomized sandwiches: row i of the
+    (n, width) values is measure of realization indices[i] of
+    omega_template.  Empty indices build nothing and give (None, no rows).
+    A workers outside [1, os.cpu_count()] raises ValueError before any
+    build.  The build and the draws run under util.one_blas_thread; with
+    k = min(workers, n) > 1, k - 1 workers forked after the build share
+    its tables copy-on-write.
+
+    Worker w (this process is 0) first draws position w, then claims the
+    next undrawn position until none is left, so a worker slowed by a busy
+    core draws fewer instead of holding up the others at the end.  Each row
+    is written at its position in one shared anonymous map, whoever draws
+    it, so the values are the same for every k.  The claim counter sits in
+    the same map behind a token pipe: a claim reads the pipe's one byte,
+    bumps the counter and writes the byte back.  A worker runs only the
+    draws and leaves by os._exit, running none of the parent's exit
+    handlers; one that raises prints its traceback and exits 1.  On any
+    exception here, or when a worker fails, every worker is reaped before
+    the call returns or raises RuntimeError naming the failed worker.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
-    with one_blas_thread():
-        norms, ensemble = np.empty(0), None
-        if len(indices):
-            ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
-            norms = _draw_norms(ensemble, omega_template, indices, min(workers, len(indices)))
-        if not reference:
-            return norms, None
-        if ensemble is not None and _holds_reference(ensemble):
-            return norms, _norm(ensemble.deterministic())
-        return norms, deterministic_ext_norm(potential_spec, lam, R, d, dx)
-
-
-def _draw_norms(ensemble, omega_template: OmegaSpec, indices, k: int) -> np.ndarray:
-    """The norm of each realization in indices, drawn by this process and k - 1 forked workers.
-
-    Worker w first draws position w, then claims the next undrawn position
-    until none is left, so a worker slowed by a busy core draws fewer
-    instead of holding up the others at the end.  Each norm is written at
-    its position in one shared anonymous map, whoever draws it.  The claim
-    counter sits in the same map behind a token pipe: a claim reads the
-    pipe's one byte, bumps the counter and writes the byte back.
-    The caller forks inside util.one_blas_thread, so its thread holds the
-    BLAS lock; a worker runs only the draws and leaves by os._exit, running
-    none of the parent's exit handlers.  On any exception here, or when a
-    worker fails, every worker is reaped before the call returns or raises.
-    """
     n = len(indices)
+    if not n:
+        return None, np.empty((0, width))
+    k = min(workers, n)
+    with one_blas_thread():
+        ensemble = build()
+        shared = mmap.mmap(-1, 8 * (n * width + 1))
+        values = np.frombuffer(shared, dtype=float, count=n * width).reshape(n, width)
+        claimed = np.frombuffer(shared, dtype=np.int64, count=1, offset=8 * n * width)
+        claimed[0] = k
+        token_r, token_w = os.pipe()
+        os.write(token_w, b"\0")
 
-    def norm_at(pos):
-        spec = omega_template.with_realization(int(indices[pos]))
-        return _norm(ensemble.with_omega(draw_omega(spec, ensemble.field.grid)))
+        def claim():
+            os.read(token_r, 1)
+            try:
+                pos = int(claimed[0])
+                claimed[0] = pos + 1
+            finally:
+                os.write(token_w, b"\0")
+            return pos
 
-    if k == 1:
-        return np.array([norm_at(pos) for pos in range(n)], dtype=float)
-    shared = mmap.mmap(-1, 8 * (n + 1))
-    norms = np.frombuffer(shared, dtype=float, count=n)
-    claimed = np.frombuffer(shared, dtype=np.int64, count=1, offset=8 * n)
-    claimed[0] = k
-    token_r, token_w = os.pipe()
-    os.write(token_w, b"\0")
+        def draw(w):
+            pos = w
+            while pos < n:
+                spec = omega_template.with_realization(int(indices[pos]))
+                values[pos] = measure(ensemble.with_omega(draw_omega(spec, ensemble.field.grid)))
+                pos = claim()
 
-    def claim():
-        os.read(token_r, 1)
+        pids = {}
         try:
-            pos = int(claimed[0])
-            claimed[0] = pos + 1
+            for w in range(1, k):
+                pid = os.fork()
+                if pid == 0:
+                    _worker(draw, w)
+                pids[pid] = w
+            draw(0)
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+            raise
         finally:
-            os.write(token_w, b"\0")
-        return pos
-
-    def draw(w):
-        pos = w
-        while pos < n:
-            norms[pos] = norm_at(pos)
-            pos = claim()
-
-    pids = {}
-    try:
-        for w in range(1, k):
-            pid = os.fork()
-            if pid == 0:
-                _worker(draw, w)
-            pids[pid] = w
-        draw(0)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGTERM)
-        raise
-    finally:
-        status = {w: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, w in pids.items()}
-        os.close(token_r)
-        os.close(token_w)
+            status = {w: os.waitstatus_to_exitcode(os.waitpid(p, 0)[1]) for p, w in pids.items()}
+            os.close(token_r)
+            os.close(token_w)
     failed = sorted((w, code) for w, code in status.items() if code)
     if failed:
         w, code = failed[0]
         raise RuntimeError(f"campaign worker {w} of {k} exited with status {code}")
-    return norms.copy()  # an array of its own, not a view of the map
+    return ensemble, values.copy()  # an array of its own, not a view of the map
 
 
 def _worker(draw, w: int):
@@ -681,6 +683,7 @@ def schatten_campaign(
     n_samples: int,
     d: int = 2,
     dx: float = 0.25,
+    workers: int = 1,
 ) -> dict[float, dict]:
     """Median weak-Schatten lhs of the angular-weighted sandwich, per radius.
 
@@ -688,31 +691,32 @@ def schatten_campaign(
     in which lhs and the bandwidth/log right side grow together.  Singular
     values are taken from the nu-weighted operator (the object the decay
     bound speaks about); median_tail_ratio records s_n/s_1, the drop past
-    the bandwidth index 2 pi lam R.  nu and d are checked before anything
-    is built.  Returns per R the median lhs, the rhs_raw factor, their
-    ratio, and the last realization's profile.
+    the bandwidth index 2 pi lam R.  nu, d and n_samples >= 1 are checked
+    before anything is built; the draws are _draw_norms' on workers
+    processes.  Returns per R the median lhs, the rhs_raw factor, their
+    ratio, the median tail ratio and the net's node count.
     """
     p = schatten_exponent(nu, d)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+
+    def measure(op):
+        svals = singular_values(angular_weight(op.matrix, lam, nu))
+        return weak_schatten(svals, p), svals[-1] / svals[0]
+
     out: dict[float, dict] = {}
     for R in R_list:
-        ensemble = _campaign_ensemble(potential_spec, lam, R, d, dx, omega_template.h)
+        build = functools.partial(_campaign_ensemble, potential_spec, lam, R, d, dx, omega_template.h)
+        ensemble, draws = _draw_norms(build, omega_template, range(n_samples), workers, measure, 2)
+        median_lhs, median_tail = np.median(draws, axis=0)
         v_inf = float(np.abs(ensemble.field.values).max())
-        lhs_vals = np.empty(n_samples)
-        tail_ratios = np.empty(n_samples)
-        svals = None
-        for i in range(n_samples):
-            omega = draw_omega(omega_template.with_realization(i), ensemble.field.grid)
-            svals = singular_values(angular_weight(ensemble.with_omega(omega).matrix, lam, nu))
-            lhs_vals[i] = weak_schatten(svals, p)
-            tail_ratios[i] = svals[-1] / svals[0]
         params = {"lam": lam, "R": R, "h": omega_template.h, "v_inf": v_inf}
-        report = check_schatten_decay(svals, nu, d, params)
+        rhs_raw = check_schatten_decay((), nu, d, params).rhs_raw
         out[float(R)] = {
-            "median_lhs": float(np.median(lhs_vals)),
-            "rhs_raw": report.rhs_raw,
-            "ratio": float(np.median(lhs_vals) / report.rhs_raw),
-            "median_tail_ratio": float(np.median(tail_ratios)),
-            "last_svals": svals,
+            "median_lhs": float(median_lhs),
+            "rhs_raw": rhs_raw,
+            "ratio": float(median_lhs / rhs_raw),
+            "median_tail_ratio": float(median_tail),
             "n_nodes": ensemble.net_out.n_nodes,
         }
     return out

@@ -188,7 +188,10 @@ def test_criterion_5_concentration_tail(campaign, capfd):
 
 def test_criterion_6_weighted_singular_value_decay(capfd):
     unit_ball = PotentialSpec(kind="indicator_ball")
-    res = schatten_campaign(unit_ball, 1.0, [16.0, 32.0], 1.0, CAMPAIGN_TEMPLATE, n_samples=100)
+    workers = min(2, os.cpu_count() or 1)
+    res = schatten_campaign(
+        unit_ball, 1.0, [16.0, 32.0], 1.0, CAMPAIGN_TEMPLATE, n_samples=100, workers=workers
+    )
     r16, r32 = res[16.0]["ratio"], res[32.0]["ratio"]
     tails = [res[R]["median_tail_ratio"] for R in (16.0, 32.0)]
     ok = (

@@ -277,7 +277,7 @@ def test_verify_missing_parameter(tmp_path, capsys, monkeypatch, overrides, fiel
         raise AssertionError("solve ran before the experiment keys were read")
 
     monkeypatch.setattr(cli, "eigenvalues_dense", no_solve)
-    monkeypatch.setattr(cli, "singular_values", no_solve)
+    monkeypatch.setattr(cli, "config_sandwiches", no_solve)
     data = _base_dict(**overrides)
     code, out = _run(tmp_path, data, command="verify")
     assert code == 2
@@ -503,46 +503,70 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+_SCHATTEN = {"name": "SCHATTEN_DECAY", "nu": 1.0, "lam": 1.0}
+_SCHATTEN_GRID = {"d": 2, "L": 64.0, "N": 128}
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
-def test_campaign_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """A process started with OPENBLAS_NUM_THREADS=3 writes the bytes of one started by default."""
+@pytest.mark.parametrize(
+    "command,update,n_files",
+    [
+        ("campaign", {}, 9),
+        ("campaign", {"grid": _SCHATTEN_GRID,
+                      "experiment": {**_SCHATTEN, "n_samples": 4, "R_list": [16.0, 32.0]}}, 2),
+        ("svd", {"grid": _SCHATTEN_GRID, "experiment": {**_SCHATTEN, "n_samples": 3, "R": 16.0}}, 4),
+    ],
+    ids=["extnorm_campaign", "schatten_campaign", "svd"],
+)
+def test_campaign_bits_do_not_depend_on_the_blas_thread_count(tmp_path, command, update, n_files):
+    """Processes started with OPENBLAS_NUM_THREADS = 1, 2 and 3 write the bytes of one started by default.
+
+    Every randomized sandwich is drawn on one BLAS thread set inside the
+    process, whatever count it started with.
+    """
     import subprocess
     import sys
 
     import evbounds
+    from evbounds import util
 
+    if util._openblas() is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
     src = Path(evbounds.__file__).resolve().parents[1]
-    data = {**_campaign_dict(n_samples=5, r_list=(8.0, 16.0, 32.0)), "out_dir": "out"}
+    data = {**_campaign_dict(n_samples=5, r_list=(8.0, 16.0, 32.0)), **update, "out_dir": "out"}
     unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     trees = []
-    for threads in ("default", "3"):
+    for threads in ("default", "1", "2", "3"):
         env = {k: v for k, v in os.environ.items() if k not in unset}
         if threads != "default":
             env["OPENBLAS_NUM_THREADS"] = threads
         work = tmp_path / f"threads_{threads}"
         work.mkdir()
         (work / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
-        argv = ["campaign", "--config", "cfg.json", "--workers", "2"]
+        argv = [command, "--config", "cfg.json", "--workers", "2"]
         done = subprocess.run(
             [sys.executable, "-c", _CLI_CHILD, str(src), *argv],
             cwd=work, env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         trees.append(_files(work / "out"))
-    assert len(trees[0]) == 9 and trees[1] == trees[0]
+    assert len(trees[0]) == n_files and all(tree == trees[0] for tree in trees[1:])
 
 
 @pytest.mark.parametrize(
-    "index,raised", [(1, RuntimeError), (0, FloatingPointError)], ids=["worker_1", "parent"]
+    "index,raised,experiment",
+    [(1, RuntimeError, "PROP_EXTNORM"), (0, FloatingPointError, "PROP_EXTNORM"),
+     (1, RuntimeError, "SCHATTEN_DECAY")],
+    ids=["worker_1", "parent", "schatten_worker_1"],
 )
 def test_a_failed_draw_writes_nothing_and_leaves_no_worker(
-    tmp_path, monkeypatch, capfd, index, raised
+    tmp_path, monkeypatch, capfd, index, raised, experiment
 ):
     """Realization 1 is worker 1's first draw at --workers 2, realization 0 this process's.
 
     A worker that raises prints its traceback and exits 1, and the command
     raises naming it; a draw that raises here stops the workers.  Either
-    way no norms file is written and every worker has been reaped.
+    way no CSV is written and every worker has been reaped.
     """
     from evbounds.extension import SandwichEnsemble
 
@@ -558,13 +582,58 @@ def test_a_failed_draw_writes_nothing_and_leaves_no_worker(
     monkeypatch.setattr(SandwichEnsemble, "with_omega", with_omega)
     worker_failed = raised is RuntimeError
     message = "campaign worker 1 of 2 exited with status 1" if worker_failed else "injected"
+    if experiment == "PROP_EXTNORM":
+        data = _campaign_dict(n_samples=4)
+    else:
+        data = _schatten_dict(campaign=True)
+        data["experiment"]["n_samples"] = 4
     with pytest.raises(raised, match=message):
-        _run(tmp_path, _campaign_dict(n_samples=4), "campaign", ("--workers", "2"))
+        _run(tmp_path, data, "campaign", ("--workers", "2"))
     if worker_failed:
         assert "injected failure at realization 1" in capfd.readouterr().err
-    assert not list((tmp_path / "out").rglob("norms_R*.csv"))
+    assert not list((tmp_path / "out").rglob("*.csv"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["campaign", "svd", "verify"])
+def test_schatten_outputs_are_the_same_for_every_worker_count(tmp_path, monkeypatch, command):
+    """The SCHATTEN_DECAY campaign, svd and verify files are the same bytes for --workers 1, 2 and 3.
+
+    The campaign and svd manifests record the draws' BLAS setting, not k.
+    """
+    from evbounds.util import one_blas_thread_setting
+
+    _admit_three_workers(monkeypatch)
+    data = _schatten_dict(campaign=command == "campaign")
+    data["experiment"]["n_samples"] = 5
+    trees = [_tree(tmp_path / f"k{k}", data, command, k, monkeypatch) for k in (1, 2, 3)]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert len(trees[0]) == {"campaign": 2, "svd": 6, "verify": 1}[command]
+    if command != "verify":
+        manifest = json.loads(next(v for k, v in trees[0].items() if k.startswith("manifest_")))
+        assert manifest["draw_blas"] == one_blas_thread_setting()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "potential,v_inf",
+    [({"kind": "indicator_ball", "amplitude": [0.6, 0.8], "R": 8.0}, abs(0.6 + 0.8j)),
+     ({"kind": "power_decay", "amplitude": [1.5, 0.0], "s": 2.0}, 1.5 / 2.0**2)],
+    ids=["indicator", "power_decay"],
+)
+def test_extnorm_verify_takes_the_sup_norm_of_the_campaign_field(tmp_path, potential, v_inf):
+    """||V||_inf is max |V| on the reported radius's campaign grid, not |amplitude|.
+
+    For the indicator the two agree bit for bit; a power_decay field with
+    s = 2 peaks at amplitude / <0>^2.
+    """
+    data = {**_campaign_dict(n_samples=100), "potential": potential}
+    code, out = _run(tmp_path, data, command="verify")
+    assert code in (0, 1)
+    report = json.loads(next(out.glob("report_*.json")).read_text(encoding="utf-8"))
+    assert report["params"]["v_inf"] == v_inf
 
 
 def test_workers_above_the_cpu_count_is_a_config_error_before_any_fork(
@@ -1015,7 +1084,7 @@ def test_demo_config_mutations_end_in_a_config_error_or_the_solver(tmp_path, cap
         raise _Solver
 
     for name in ("eigenvalues_dense", "ext_norm_samples", "campaign_norms", "deterministic_ext_norm", "evsum_sweep",
-                 "schatten_campaign", "config_sandwiches", "singular_values"):
+                 "schatten_campaign", "config_sandwiches"):
         monkeypatch.setattr(cli, name, solver)
     faults, runs = [], 0
     for command, path in _readme_runs():
@@ -1061,7 +1130,6 @@ def test_schatten_parameters_are_checked_before_any_work(
 
     monkeypatch.setattr(harness, "SandwichEnsemble", no_work)
     monkeypatch.setattr(harness, "singular_values", no_work)
-    monkeypatch.setattr(cli, "singular_values", no_work)
     code, out = _run(tmp_path, _schatten_dict(nu, d, command == "campaign"), command=command)
     assert code == 2
     err = capsys.readouterr().err

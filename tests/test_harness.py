@@ -8,7 +8,7 @@ import pytest
 
 from evbounds import GridSpec
 from evbounds.errors import SupportError
-from evbounds.extension import SandwichEnsemble, build_net, sandwich
+from evbounds.extension import SandwichEnsemble, build_net, sandwich, singular_values
 from evbounds.harness import (
     FITTED_CONSTANTS,
     BoundReport,
@@ -33,7 +33,7 @@ from evbounds.harness import (
     stein_tomas_spread,
 )
 from evbounds.potential import PotentialSpec, lq_norm, sample_potential, weighted_sup_norm
-from evbounds.randomize import OmegaSpec
+from evbounds.randomize import OmegaSpec, draw_omega
 from evbounds.spectra import (
     SpectralPoint,
     SpectrumFilter,
@@ -301,17 +301,53 @@ def test_a_stalled_worker_leaves_its_draws_to_the_others(monkeypatch):
     assert norms.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("caller", ["campaign_norms", "schatten_campaign", "config_sandwiches"])
 @pytest.mark.parametrize("over", [-1, 1], ids=["zero", "above_cpu_count"])
-def test_campaign_norms_refuse_a_worker_count_outside_one_to_the_cpus(monkeypatch, over):
-    def refuse():
-        raise AssertionError("forked")
+def test_draws_refuse_a_worker_count_outside_one_to_the_cpus(monkeypatch, over, caller):
+    """The worker-count check sits in the one draw routine, before any ensemble is built."""
+    import evbounds.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or forked")
 
     monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(harness, "SandwichEnsemble", refuse)
+    spec = PotentialSpec(kind="indicator_ball")
     workers = 1 + over if over < 0 else (os.cpu_count() or 1) + over
     with pytest.raises(ValueError, match=r"workers must lie in \[1, "):
-        campaign_norms(
-            PotentialSpec(kind="indicator_ball"), _omega(), 1.0, 8.0, range(4), workers=workers
-        )
+        if caller == "campaign_norms":
+            campaign_norms(spec, _omega(), 1.0, 8.0, range(4), workers=workers)
+        elif caller == "schatten_campaign":
+            schatten_campaign(spec, 1.0, [8.0], 1.0, _omega(), 2, workers=workers)
+        else:
+            field = sample_potential(spec, GridSpec(d=2, L=8.0, N=32))
+            config_sandwiches(field, 1.0, 2.0, _omega(), range(2), workers=workers)
+
+
+def test_config_sandwiches_rows_are_the_realizations_singular_values(monkeypatch):
+    """Row i holds the singular values of realization indices[i], the same bits for every k."""
+    from evbounds.util import one_blas_thread
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(3, cpus))
+    gs = GridSpec(d=2, L=16.0, N=64)
+    field = sample_potential(PotentialSpec(kind="indicator_ball", amplitude=1.0 + 0.5j, R=4.0), gs)
+    indices = [4, 0, 3]
+    net = build_net(1.0, 4.0, 2)
+    with one_blas_thread():
+        ensemble = SandwichEnsemble(net, net, field, 1.0)
+        want = [singular_values(ensemble.with_omega(draw_omega(_omega(index=i), gs))) for i in indices]
+    for workers in (1, 2, 3):
+        rows = config_sandwiches(field, 1.0, 4.0, _omega(), indices, workers=workers)
+        assert rows.shape == (3, net.n_nodes)
+        assert rows.tobytes() == np.array(want).tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_schatten_campaign_needs_a_draw():
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        schatten_campaign(PotentialSpec(kind="indicator_ball"), 1.0, [8.0], 1.0, _omega(), 0)
 
 
 def test_campaign_norms_run_on_one_blas_thread(monkeypatch):
@@ -641,7 +677,7 @@ def test_schatten_campaign_shape():
     assert entry["rhs_raw"] > 0
     assert entry["median_tail_ratio"] < 1.0
     assert entry["n_nodes"] == 51
-    assert entry["last_svals"].shape == (51,)
+    assert set(entry) == {"median_lhs", "rhs_raw", "ratio", "median_tail_ratio", "n_nodes"}
 
 
 def test_schatten_campaign_takes_the_potential_amplitude():
@@ -677,10 +713,10 @@ def test_config_sandwiches_deterministic_is_the_node_level_sandwich(L, N, R, lam
     gs = GridSpec(d=2, L=L, N=N)
     spec = PotentialSpec(kind="indicator_ball", amplitude=1.0 + 0.5j, R=R)
     field = sample_potential(spec, gs)
-    ops = config_sandwiches(field, lam, R)
+    (got,) = config_sandwiches(field, lam, R)
     net = build_net(lam, R, 2)
-    want = sandwich(net, net, field).matrix
-    np.testing.assert_allclose(next(ops).matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    want = singular_values(sandwich(net, net, field))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])
 
 
 def test_evsum_sweep_fits_power_law():
