@@ -18,17 +18,16 @@ import argparse
 import numpy as np
 
 from evbounds import GridSpec, PotentialSpec, sample_potential
-from evbounds.extension import SandwichEnsemble, angular_weight, build_net, singular_values
 from evbounds.harness import (
     FITTED_CONSTANTS,
     check_extnorm,
     check_klt_det,
-    check_schatten_decay,
     check_sector,
     evsum_sweep,
     ext_norm_samples,
+    schatten_campaign,
 )
-from evbounds.randomize import OmegaSpec, draw_omega
+from evbounds.randomize import OmegaSpec
 from evbounds.spectra import (
     SpectrumFilter,
     eigenvalues_dense,
@@ -71,20 +70,13 @@ def sector_family() -> float:
 
 
 def schatten_family(n_samples: int) -> float:
-    """Per-realization weak-S^1 ratio of the angular-weighted sandwich, nu=1."""
-    worst = 0.0
-    for R in (16.0, 32.0):
-        gs = GridSpec(d=2, L=4.0 * R, N=int(16 * R))
-        field = sample_potential(PotentialSpec(kind="indicator_ball", R=R), gs)
-        net = build_net(1.0, R, 2)
-        ensemble = SandwichEnsemble(net, net, field, TEMPLATE.h)
-        params = {"lam": 1.0, "R": R, "h": TEMPLATE.h, "v_inf": float(np.abs(field.values).max())}
-        for i in range(n_samples):
-            omega = draw_omega(TEMPLATE.with_realization(i), gs)
-            svals = singular_values(angular_weight(ensemble.with_omega(omega).matrix, 1.0, 1.0))
-            report = check_schatten_decay(svals, 1.0, 2, params)
-            worst = max(worst, report.lhs / report.rhs_raw)
-    return worst
+    """Per-realization weak-S^1 ratio of the angular-weighted sandwich, nu=1.
+
+    The worst draw of schatten_campaign at R = 16 and 32 (L = 4R, dx = 0.25).
+    """
+    spec = PotentialSpec(kind="indicator_ball")
+    res = schatten_campaign(spec, 1.0, (16.0, 32.0), 1.0, TEMPLATE, n_samples)
+    return max(r["max_lhs"] / r["rhs_raw"] for r in res.values())
 
 
 def extnorm_family(n_samples: int) -> float:

@@ -694,7 +694,8 @@ def schatten_campaign(
     the bandwidth index 2 pi lam R.  nu, d and n_samples >= 1 are checked
     before anything is built; the draws are _draw_norms' on workers
     processes.  Returns per R the median lhs, the rhs_raw factor, their
-    ratio, the median tail ratio and the net's node count.
+    ratio, the median tail ratio, the net's node count and the largest lhs
+    of any draw.
     """
     p = schatten_exponent(nu, d)
     if n_samples < 1:
@@ -718,6 +719,7 @@ def schatten_campaign(
             "ratio": float(median_lhs / rhs_raw),
             "median_tail_ratio": float(median_tail),
             "n_nodes": ensemble.net_out.n_nodes,
+            "max_lhs": float(draws[:, 0].max()),
         }
     return out
 

@@ -7,9 +7,10 @@ eigenvalue sums.
 
 Every eigensolve is numpy.linalg's LAPACK, on the same OpenBLAS as every
 other product in the package; this module loads no scipy.  The two
-reflection blocks of a split solve run at once, in two threads, each on one
-OpenBLAS thread at every size; below 1024 rows every other BLAS call on a
-Hamiltonian runs on one thread too, so those spectra do not depend on the
+reflection blocks of a split solve are formed, solved and certified at
+once, in two threads, each on one OpenBLAS thread at every size; below 1024
+rows every other BLAS call on a Hamiltonian runs on one thread too, so
+split spectra, and every spectrum under 1024 rows, do not depend on the
 thread count a process starts with.
 """
 
@@ -203,29 +204,67 @@ def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eig(h)
 
 
-def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of h from its blocks even and odd under the reflection j.
+def _lift_residuals(
+    h: np.ndarray, cols: np.ndarray, jcols: np.ndarray, parity: int, w: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """||(H - w_a) v_a|| / ||v_a|| for the lifted eigenvectors v = P u of one reflection block.
 
-    The odd block is solved in a helper thread while the even one is solved
-    in this one, both on one BLAS thread.  The eigenvectors are lifted back
-    to the position basis, one per column.
+    cols are the block's representatives and jcols their reflections.
+    Column a of P is (e_cols[a] + parity e_jcols[a]) / sqrt(2), or e_f alone
+    at a fixed point f (even block only).  So H v = (H P) u, and column a of
+    H P is (H[:, r] + parity H[:, Jr]) / sqrt(2) or H[:, f]: every row of H
+    takes part, and no n x n matrix is formed.  Rows come _REFLECTION_ROWS
+    at a time; row i of v is row at[i] of u times scale[i], which is 0 on
+    the fixed points of the odd block.
     """
-    n = h.shape[0]
-    k = np.arange(n)
+    n, m = h.shape[0], cols.size
+    fixed = cols == jcols
+    half = np.sqrt(0.5)
+    weights = u * np.where(fixed, 0.5, half)[:, None]  # a fixed column is summed twice
+    at = np.zeros(n, dtype=np.intp)
+    at[cols] = at[jcols] = np.arange(m)
+    scale = np.zeros(n)
+    scale[cols] = np.where(fixed, 1.0, half)
+    scale[jcols[~fixed]] = parity * half
+    combine = np.add if parity > 0 else np.subtract
+    res2, norm2 = np.zeros(m), np.zeros(m)
+    for lo in range(0, n, _REFLECTION_ROWS):
+        rows = slice(lo, lo + _REFLECTION_ROWS)
+        v = u[at[rows]] * scale[rows, None]
+        r = combine(h[rows, cols], h[rows, jcols]) @ weights - v * w
+        res2 += np.einsum("ij,ij->j", r.conj(), r).real
+        norm2 += np.einsum("ij,ij->j", v.conj(), v).real
+    return np.sqrt(res2 / norm2)
+
+
+def _solve_block(h: np.ndarray, cols: np.ndarray, jcols: np.ndarray, parity: int):
+    """(w, residuals) of the even (parity 1) or odd (-1) block of h on representatives cols."""
+    c = np.where(cols == jcols, np.sqrt(0.5), 1.0)
+    block = h[np.ix_(cols, cols)]
+    (np.add if parity > 0 else np.subtract)(block, h[np.ix_(cols, jcols)], out=block)
+    block *= np.outer(c, c)
+    w, u = _solve(block)
+    del block  # freed before the residuals
+    return w, _lift_residuals(h, cols, jcols, parity, w, u)
+
+
+def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of h and their residuals, from its blocks even and odd under the reflection j.
+
+    The odd block is formed, solved and certified in a helper thread while
+    the even one is in this one, both on one BLAS thread.  Each thread
+    takes its residuals against the full h by _lift_residuals, so no
+    eigenvector is lifted into an n x n matrix.
+    """
+    k = np.arange(h.shape[0])
     reps = np.flatnonzero(k <= j)  # fixed points and pair representatives
     pairs = np.flatnonzero(k < j)
-    fixed = j[reps] == reps
-    half = np.sqrt(0.5)
-    c = np.where(fixed, half, 1.0)
-    even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, j[reps])]) * np.outer(c, c)
-    odd = h[np.ix_(pairs, pairs)] - h[np.ix_(pairs, j[pairs])]
-
     solved, failed = [], []
 
     def solve_odd():
         # Never enters one_blas_thread: the caller holds its lock while it joins.
         try:
-            solved.append(_solve(odd))
+            solved.append(_solve_block(h, pairs, j[pairs], -1))
         except BaseException as exc:
             failed.append(exc)
 
@@ -235,24 +274,13 @@ def _solve_split(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         helper = threading.Thread(target=solve_odd, name="evbounds-odd-block")
         helper.start()
         try:
-            w_even, u_even = _solve(even)
+            w_even, res_even = _solve_block(h, reps, j[reps], 1)
         finally:
             helper.join()
     if failed:
         raise failed[0]
-    w_odd, u_odd = solved[0]
-
-    # Even columns cover every row through R and JR; odd ones vanish on
-    # the fixed points.
-    vr = np.zeros((n, n), dtype=np.result_type(u_even, u_odd))
-    m = len(reps)
-    lifted = u_even * np.where(fixed, 1.0, half)[:, None]
-    vr[reps, :m] = lifted
-    vr[j[reps], :m] = lifted
-    lifted = u_odd * half
-    vr[pairs, m:] = lifted
-    vr[j[pairs], m:] = -lifted
-    return np.concatenate([w_even, w_odd]), vr
+    w_odd, res_odd = solved[0]
+    return np.concatenate([w_even, w_odd]), np.concatenate([res_even, res_odd])
 
 
 def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
@@ -277,18 +305,22 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
       other matrix to the general solver `numpy.linalg.eig` (?geev).
       scipy.linalg's would run on a second OpenBLAS, whose threads wait
       for the cores that numpy's still spin on after each product.
-    - Threads.  The two blocks of a split are solved at once, the odd one
-      in a helper thread, each on one BLAS thread at every block size, so
-      each has the bits of a serial one-thread solve.  Below 1024 rows
-      every other BLAS call on H (the whole-H solve and the residual
-      product) runs on one BLAS thread too: ?geev's QR sweeps are
-      sequential, so a second thread gained nothing at 256 and 512 rows,
-      and a BLAS worker left spinning after a two-thread call takes the
-      core the helper needs.  Spectra under 1024 rows therefore do not
-      depend on the thread count a process starts with.  From 1024 rows
-      an unsplit solve and the residual keep the default count.
-    Residuals are ||(H - z)v|| / ||v|| for the lifted right eigenvectors,
+    - Threads.  The two blocks of a split are formed, solved and
+      certified at once, the odd one in a helper thread, each on one BLAS
+      thread at every block size, so each has the bits of a serial
+      one-thread solve.  Below 1024 rows every other BLAS call on H (the
+      whole-H solve and its residual product) runs on one BLAS thread
+      too: ?geev's QR sweeps are sequential, so a second thread gained
+      nothing at 256 and 512 rows, and a BLAS worker left spinning after
+      a two-thread call takes the core the helper needs.  Split spectra,
+      and all spectra under 1024 rows, therefore do not depend on the
+      thread count a process starts with.  From 1024 rows an unsplit
+      solve and its residual keep the default count.
+    Residuals are ||(H - z)v|| / ||v|| for the right eigenvectors v,
     always against the full position-basis H, so they certify the split.
+    A whole-H solve takes them from the dense product H V.  A split takes
+    them as H v = (H P) u for the lift P of each block: every row of H,
+    _REFLECTION_ROWS rows at a time, with no n x n eigenvector matrix.
     Multiplicities come from single-linkage clustering: eigenvalues within
     1e-7 max|z| of each other, with max|z| the spectral radius of the
     computed eigenvalues, are linked, and each connected group is one point.
@@ -303,8 +335,10 @@ def eigenvalues_dense(matrix: np.ndarray) -> list[SpectralPoint]:
     check_dense_size(h.shape[0])
 
     j = _commuting_reflection(h)
+    if j is not None:
+        return _cluster(*_solve_split(h, j))
     with _blas_threads(h.shape[0]):
-        w, vr = _solve(h) if j is None else _solve_split(h, j)
+        w, vr = _solve(h)
         residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0) / np.linalg.norm(vr, axis=0)
     return _cluster(w, residuals)
 

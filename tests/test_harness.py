@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evbounds import GridSpec
+from evbounds import GridSpec, util
 from evbounds.errors import SupportError
 from evbounds.extension import SandwichEnsemble, build_net, sandwich, singular_values
 from evbounds.harness import (
@@ -677,7 +680,34 @@ def test_schatten_campaign_shape():
     assert entry["rhs_raw"] > 0
     assert entry["median_tail_ratio"] < 1.0
     assert entry["n_nodes"] == 51
-    assert set(entry) == {"median_lhs", "rhs_raw", "ratio", "median_tail_ratio", "n_nodes"}
+    assert entry["max_lhs"] >= entry["median_lhs"]
+    assert set(entry) == {
+        "median_lhs", "rhs_raw", "ratio", "median_tail_ratio", "n_nodes", "max_lhs"
+    }
+
+
+# argv: src and demos directories.  Prints the calibration demo's SCHATTEN_DECAY ratio.
+_SCHATTEN_FAMILY = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from calibrate_constants import schatten_family
+print(repr(schatten_family(2)))
+"""
+
+
+def test_calibration_schatten_family_does_not_depend_on_the_start_thread_count():
+    if util._openblas() is None:
+        pytest.skip("numpy does not bundle an OpenBLAS with openblas_set_num_threads_local")
+    root = Path(__file__).resolve().parents[1]
+    ratios = set()
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        done = subprocess.run(
+            [sys.executable, "-c", _SCHATTEN_FAMILY, str(root / "src"), str(root / "demos")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        ratios.add(float(done.stdout))
+    assert len(ratios) == 1
 
 
 def test_schatten_campaign_takes_the_potential_amplitude():

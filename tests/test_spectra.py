@@ -349,20 +349,32 @@ def test_concurrent_blocks_keep_the_bits_of_a_serial_one_thread_solve(monkeypatc
     assert repr(eigenvalues_dense(h)) == want
 
 
-@pytest.mark.parametrize("block", ["odd", "even"])
+@pytest.mark.parametrize(
+    "block,step",
+    [("odd", "solve"), ("even", "solve"), ("odd", "residuals"), ("even", "residuals")],
+    ids=["odd", "even", "odd_residuals", "even_residuals"],
+)
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
-def test_a_failing_block_solve_raises_in_the_caller(monkeypatch, block):
+def test_a_failing_block_solve_raises_in_the_caller(monkeypatch, block, step):
     gs = GridSpec(d=1, L=16.0, N=64)
     h = _dense(gs, 2.0 + 1.0j)
     failing = {"odd": 31, "even": 33}[block]
-    eig, unhandled = np.linalg.eig, []
+    eig, residuals, unhandled = np.linalg.eig, spectra._lift_residuals, []
 
     def fail_one_block(a):
         if a.shape[0] == failing:
             raise np.linalg.LinAlgError(f"{block} block")
         return eig(a)
 
-    monkeypatch.setattr(np.linalg, "eig", fail_one_block)
+    def fail_one_residual(h, cols, *args):
+        if cols.size == failing:
+            raise np.linalg.LinAlgError(f"{block} block")
+        return residuals(h, cols, *args)
+
+    if step == "solve":
+        monkeypatch.setattr(np.linalg, "eig", fail_one_block)
+    else:
+        monkeypatch.setattr(spectra, "_lift_residuals", fail_one_residual)
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
     threads = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match=f"{block} block"):
@@ -371,13 +383,115 @@ def test_a_failing_block_solve_raises_in_the_caller(monkeypatch, block):
     assert unhandled == []
 
 
+def _spy_blocks(monkeypatch, change=lambda a, w, u: u):
+    """Record (block size, w, u) of every block solve; change(a, w, u) replaces its u."""
+    solves, solve = [], spectra._solve
+
+    def spy(a):
+        w, u = solve(a)
+        u = change(a, w, u)
+        solves.append((a.shape[0], w, u))
+        return w, u
+
+    monkeypatch.setattr(spectra, "_solve", spy)
+    return solves
+
+
+def _dense_lift_residuals(h, solves):
+    """The oracle: the blocks' eigenvectors lifted into one n x n vr, then ||h vr - vr w|| / ||vr||."""
+    n = h.shape[0]
+    j = spectra._commuting_reflection(h)
+    k = np.arange(n)
+    reps, pairs = np.flatnonzero(k <= j), np.flatnonzero(k < j)
+    fixed = j[reps] == reps
+    (_, w_even, u_even), (_, w_odd, u_odd) = sorted(solves, key=lambda s: -s[0])
+    vr = np.zeros((n, n), dtype=np.result_type(u_even, u_odd))
+    m = reps.size
+    lifted = u_even * np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
+    vr[reps, :m] = lifted
+    vr[j[reps], :m] = lifted
+    lifted = u_odd * np.sqrt(0.5)
+    vr[pairs, m:] = lifted
+    vr[j[pairs], m:] = -lifted
+    w = np.concatenate([w_even, w_odd])
+    return w, np.linalg.norm(h @ vr - vr * w, axis=0) / np.linalg.norm(vr, axis=0)
+
+
+@pytest.mark.parametrize(
+    "grid,amplitude",
+    [
+        (GridSpec(d=1, L=32.0, N=512), 2.7),
+        (GridSpec(d=1, L=32.0, N=512), 3.2 * np.exp(1j * np.deg2rad(60.0))),
+        (GridSpec(d=2, L=8.0, N=16), 4.0),
+        (GridSpec(d=2, L=8.0, N=16), 2.0 + 2.0j),
+        (GridSpec(d=3, L=4.0, N=8), 2.0),
+        (GridSpec(d=3, L=4.0, N=8), 3.0 + 1.0j),
+    ],
+    ids=["1d_real", "1d_dissipative", "2d_real", "2d_dissipative", "3d_real", "3d_dissipative"],
+)
+def test_split_residuals_match_the_dense_lift(monkeypatch, grid, amplitude):
+    h = _dense(grid, amplitude)
+    solves = _spy_blocks(monkeypatch)
+    clustered, cluster = [], spectra._cluster
+
+    def spy_cluster(w, residuals):
+        clustered.append((w, residuals))
+        return cluster(w, residuals)
+
+    monkeypatch.setattr(spectra, "_cluster", spy_cluster)
+    eigenvalues_dense(h)
+    (w, residuals), = clustered
+    want_w, want = _dense_lift_residuals(h, solves)
+    assert np.array_equal(w, want_w)
+    scale = np.abs(h).sum(axis=0).max()  # ||H||_1
+    assert np.abs(residuals - want).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 2.0 + 1.0j], ids=["real", "dissipative"])
+@pytest.mark.parametrize("block", ["odd", "even"])
+def test_a_perturbed_block_eigenvector_shows_in_its_residual(monkeypatch, block, amplitude):
+    gs = GridSpec(d=1, L=16.0, N=64)
+    h = _dense(gs, amplitude)
+    size, moved = {"odd": 31, "even": 33}[block], []
+
+    def perturb(a, w, u):
+        if a.shape[0] != size:
+            return u
+        col = int(np.argmin(w.real))
+        moved.append(w[col])
+        u = u.copy()
+        u[size // 2, col] += 1e-6
+        return u
+
+    _spy_blocks(monkeypatch, perturb)
+    points = eigenvalues_dense(h)
+    hit = int(np.argmin([abs(p.z - moved[0]) for p in points]))
+    scale = np.abs(h).sum(axis=0).max()  # ||H||_1
+    assert points[hit].residual >= 1e-8 * scale
+    assert max(p.residual for i, p in enumerate(points) if i != hit) <= 1e-10 * scale
+
+
+def test_a_split_solve_peaks_below_two_matrices():
+    """No n x n eigenvector matrix or residual product is formed for a split H."""
+    gs = GridSpec(d=2, L=8.0, N=32)
+    h = _dense(gs, 1.0 + 2.0j)
+    eigenvalues_dense(h)
+    tracemalloc.start()
+    try:
+        eigenvalues_dense(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * h.nbytes
+
+
 # argv: src directory.  Prints, for each well, the SHA-256 of the repr of its points.
 _POINTS_DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from evbounds import GridSpec, PotentialSpec, sample_potential
 from evbounds.spectra import eigenvalues_dense, hamiltonian_matrix
-for d, N, L, depth in ((1, 512, 32.0, 2.7), (2, 32, 8.0, 12.0)):
+for d, N, L, depth in ((1, 512, 32.0, 2.7), (2, 32, 8.0, 12.0), (2, 32, 8.0, 1.0 + 2.0j)):
     gs = GridSpec(d=d, L=L, N=N)
     well = sample_potential(PotentialSpec(kind="indicator_ball", amplitude=depth, R=1.0), gs)
     print(hashlib.sha256(repr(eigenvalues_dense(hamiltonian_matrix(gs, well))).encode()).hexdigest())
@@ -394,7 +508,7 @@ def test_spectra_do_not_depend_on_the_start_thread_count():
         done = subprocess.run([sys.executable, "-c", _POINTS_DIGEST, src], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         digests[threads] = done.stdout.split()
-    assert len(digests[1]) == 2
+    assert len(digests[1]) == 3
     assert digests[2] == digests[1]
     assert digests[3] == digests[1]
 
