@@ -50,8 +50,8 @@ _FIB_FACTOR = 9.6
 
 _MIN_NODES = 8
 
-# Rows per block of a Gram sum: bounds the rows gathered at once (2048 x 403
-# complex rows are 13 MB at R = 64).
+# Rows per block of a Gram sum: bounds the rows gathered at once (2048 x 202
+# complex half-net rows of the pair form are 6.6 MB at R = 64).
 _GRAM_ROWS = 2048
 
 # Rows per sub-block of a gather: its product over the axes stays in cache.
@@ -103,23 +103,23 @@ class SandwichOperator:
 def build_net(lam: float, R: float, d: int) -> SphereNet:
     """Discretize the radius-lam frequency sphere at spacing 1/R.
 
-    d=2 uses equispaced angles with uniform weights summing to the exact
-    circumference; for even n the second half of the nodes are the exact
-    negations of the first, so the net is antipodal bit for bit.  d=3 uses
-    an offset Fibonacci lattice with equal-area weights summing to the
-    exact sphere area.
+    d=2 uses n = 2 ceil(pi lam R) equispaced angles, an even count, with
+    uniform weights summing to the exact circumference; the second half of
+    the nodes are the exact negations of the first, so every d=2 net is
+    antipodal bit for bit and a real V takes SandwichEnsemble's pair form.
+    d=3 uses an offset Fibonacci lattice with equal-area weights summing
+    to the exact sphere area.
     """
     if d == 2:
-        n = int(np.ceil(2.0 * np.pi * lam * R))
+        n = 2 * int(np.ceil(np.pi * lam * R))
         if n < _MIN_NODES:
             raise ValueError(
                 f"net would have {n} nodes; lam*R too small for a usable sphere net"
             )
-        theta = 2.0 * np.pi * np.arange(n) / n
-        nodes = lam * np.column_stack([np.cos(theta), np.sin(theta)])
-        if n % 2 == 0:
-            # Exact antipodes xi_{k + n/2} = -xi_k: SandwichEnsemble's pair form needs them.
-            nodes[n // 2 :] = -nodes[: n // 2]
+        theta = 2.0 * np.pi * np.arange(n // 2) / n
+        half = lam * np.column_stack([np.cos(theta), np.sin(theta)])
+        # Exact antipodes xi_{k + n/2} = -xi_k: SandwichEnsemble's pair form needs them.
+        nodes = np.concatenate([half, -half])
         weights = np.full(n, 2.0 * np.pi * lam / n)
         return SphereNet(d, lam, R, nodes, weights)
     if d == 3:

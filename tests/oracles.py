@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the underlying
 mathematics (transcendental equations, explicit DFT matrices, closed-form
-special functions) and shares no code with the package.  Expected values
+special functions) and shares no code with the package; equispaced_circle_net
+only wraps its nodes in the package's SphereNet container.  Expected values
 frozen below were computed once from these routines at high precision.
 """
 
@@ -12,6 +13,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import j0
 from scipy.stats import norm
+
+from evbounds.extension import SphereNet
 
 # Ground state of -u'' - 2*1_[-1,1] u = E u on the line.
 SQUARE_WELL_E0_A1_V2 = -1.2077956677267891
@@ -96,6 +99,20 @@ def gram_svals(matrix: np.ndarray) -> np.ndarray:
     gram = matrix.conj().T @ matrix
     ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     return np.sqrt(np.clip(ev, 0.0, None))[::-1]
+
+
+def equispaced_circle_net(lam: float, R: float) -> SphereNet:
+    """ceil(2 pi lam R) equispaced nodes on the radius-lam circle, with uniform weights.
+
+    The count is odd at most radii (51 at lam R = 8), and an even net built
+    here is in general not antipodal bit for bit (cos(theta + pi) need not
+    be -cos(theta) exactly), so it reaches the mirror-paired complex
+    assembly that build_net's antipodal nets skip.
+    """
+    n = int(np.ceil(2.0 * np.pi * lam * R))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    nodes = lam * np.column_stack([np.cos(theta), np.sin(theta)])
+    return SphereNet(2, lam, R, nodes, np.full(n, 2.0 * np.pi * lam / n))
 
 
 def circle_extension_of_one(lam: float, x: np.ndarray) -> complex | np.ndarray:

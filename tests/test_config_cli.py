@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -466,25 +467,49 @@ def _tree(work: Path, data: dict, command: str, workers: int, monkeypatch) -> di
     return _files(work / "out")
 
 
-@pytest.mark.parametrize("n_samples", [5, 2], ids=["five_draws", "fewer_draws_than_workers"])
-def test_campaign_workers_agree(tmp_path, monkeypatch, n_samples):
+@pytest.mark.parametrize(
+    "n_samples,d,r_list",
+    [(5, 2, (8.0, 16.0, 32.0)), (2, 2, (8.0, 16.0, 32.0)), (5, 3, (2.0,))],
+    ids=["five_draws", "fewer_draws_than_workers", "d3_five_draws"],
+)
+def test_campaign_workers_agree(tmp_path, monkeypatch, n_samples, d, r_list):
     """The campaign files and the manifest are the same bytes for --workers 1, 2 and 3.
 
-    R = 8 and 16 have odd nets (the mirror-paired complex form); R = 32 the
-    pair form.  The manifest records the draws' BLAS setting, not k.
+    Every d = 2 net is antipodal, so R = 8, 16 and 32 draw in the pair form;
+    the 39-node d = 3 Fibonacci net at R = 2 draws in the mirror-paired
+    complex form.  The manifest records the draws' BLAS setting, not k.
     """
     from evbounds.util import one_blas_thread_setting
 
     _admit_three_workers(monkeypatch)
-    data = _campaign_dict(n_samples=n_samples, r_list=(8.0, 16.0, 32.0))
+    data = _campaign_dict(n_samples=n_samples, r_list=r_list)
+    if d == 3:
+        data["grid"] = {"d": 3, "L": 8.0, "N": 32}
     trees = [_tree(tmp_path / f"k{k}", data, "campaign", k, monkeypatch) for k in (1, 2, 3)]
     assert trees[1] == trees[0] and trees[2] == trees[0]
     names = sorted(name.split("_")[0] for name in trees[0] if "/" not in name)
-    assert names == ["manifest", "plot", "summary"] and len(trees[0]) == 9
+    assert names == ["manifest", "plot", "summary"] and len(trees[0]) == 3 + 2 * len(r_list)
     manifest = json.loads(next(v for k, v in trees[0].items() if k.startswith("manifest_")))
     assert manifest["draw_blas"] == one_blas_thread_setting()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_scaling_campaign_draws_every_radius_in_the_pair_form():
+    """The demo campaign's radii all sit on antipodal d = 2 nets: a real V draws the real pair form."""
+    from evbounds.extension import SandwichEnsemble, build_net
+    from evbounds.harness import campaign_grid
+    from evbounds.potential import sample_potential
+    from evbounds.randomize import draw_omega
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "scaling_campaign.json")
+    d, dx = cfg.grid.d, cfg.grid.L / cfg.grid.N
+    for R in cfg.experiment["R_list"]:
+        gs = campaign_grid(R, d, dx)
+        field = sample_potential(dataclasses.replace(cfg.potential, R=R), gs)
+        net = build_net(cfg.experiment["lam"], R, d)
+        op = SandwichEnsemble(net, net, field, cfg.omega.h).with_omega(draw_omega(cfg.omega, gs))
+        assert op.potential_ref["assembly"] == "pair", R
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
@@ -691,7 +716,7 @@ def test_svd_deterministic(tmp_path):
     assert code == 0
     lines = next(out.glob("svals_*_det.csv")).read_text(encoding="utf-8").splitlines()
     vals = [float(l.split(",")[1]) for l in lines[1:]]
-    assert len(vals) == 13  # ceil(4 pi) nodes on the radius-2 circle net
+    assert len(vals) == 14  # 2 ceil(2 pi) nodes on the radius-2 circle net
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 

@@ -37,8 +37,8 @@ def _omega_spec(h=1.0, seed=9, index=0):
 
 def test_circle_net_node_count_and_weights():
     net = build_net(lam=1.0, R=8.0, d=2)
-    assert net.n_nodes == 51  # ceil(16 pi)
-    np.testing.assert_allclose(net.weights, 2 * np.pi / 51)
+    assert net.n_nodes == 52  # 2 ceil(8 pi)
+    np.testing.assert_allclose(net.weights, 2 * np.pi / 52)
 
 
 @pytest.mark.parametrize("lam,R", [(1.0, 8.0), (2.5, 4.0), (1.0, 32.0)])
@@ -79,10 +79,33 @@ def test_circle_nearest_neighbor_window():
     assert np.all(nn <= 2 * net.spacing)
 
 
-@pytest.mark.parametrize("d,R", [(2, 1.0), (3, 0.5)])
+@pytest.mark.parametrize("d,R", [(2, 0.5), (3, 0.5)])
 def test_tiny_net_rejected(d, R):
+    """lam R = 0.5 gives 2 ceil(pi / 2) = 4 circle nodes and 3 sphere nodes, under _MIN_NODES."""
     with pytest.raises(ValueError):
         build_net(lam=1.0, R=R, d=d)
+
+
+# (lam, R): the campaign radii, non-integer lam R, and lam R = 1 (8 nodes, the _MIN_NODES edge).
+_CIRCLE_NETS = [
+    (1.0, 4.0), (1.0, 8.0), (1.0, 16.0), (1.0, 32.0), (1.0, 64.0), (1.0, 128.0),
+    (1.5, 4.0), (0.7, 3.3), (1.0, 2.75), (1.0, 1.0), (2.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("lam,R", _CIRCLE_NETS)
+def test_every_circle_net_is_even_antipodal_and_spaced_within_the_window(lam, R):
+    """n = 2 ceil(pi lam R); antipodal bit for bit; nearest neighbours 1/(2R) to 1/R apart; weights 2 pi lam."""
+    net = build_net(lam, R, d=2)
+    n = net.n_nodes
+    assert n == 2 * int(np.ceil(np.pi * lam * R)) and n % 2 == 0 and n >= extension._MIN_NODES
+    assert extension._antipodal(net)
+    diff = net.nodes[:, None, :] - net.nodes[None, :, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
+    assert np.all(nn >= 1.0 / (2.0 * R)) and np.all(nn <= 1.0 / R)
+    assert net.weights.sum() == pytest.approx(2 * np.pi * lam, rel=1e-12)
 
 
 def test_net_dimension_validation():
@@ -235,7 +258,8 @@ def test_pair_form_needs_one_real_antipodal_net(case):
     if case == "d3":
         d, R = 3, 4.0
     gs = GridSpec(d=d, L=8.0, N=16 if d == 3 else 32)
-    net = build_net(lam=1.0, R=R, d=d)
+    net = oracles.equispaced_circle_net(1.0, R) if case == "odd_n" else build_net(lam=1.0, R=R, d=d)
+    assert case != "odd_n" or net.n_nodes % 2 == 1
     net_in = build_net(lam=1.0, R=R, d=d) if case == "two_nets" else net
     field = _field(gs, amplitude=amplitude, R=2.0)
     ens = SandwichEnsemble(net, net_in, field, h=1.0)
@@ -252,7 +276,10 @@ def test_pair_form_needs_one_real_antipodal_net(case):
 def test_an_index_outside_its_table_fails_the_build(monkeypatch, case, end):
     """One corrupted row index raises at build instead of being clipped to an end row."""
     gs = GridSpec(d=2, L=8.0, N=32)
-    net = build_net(lam=1.0, R=4.0 if case == "pair" else 8.0, d=2)
+    if case == "complex":
+        net = oracles.equispaced_circle_net(1.0, 8.0)
+    else:
+        net = build_net(lam=1.0, R=4.0 if case == "pair" else 8.0, d=2)
     real = extension._lattice
 
     def corrupt(axis, multi, *node_sets):
@@ -276,27 +303,20 @@ def test_node_level_sandwich_records_its_assembly():
 
 
 def _circle_nodes(lam, R):
-    n = int(np.ceil(2.0 * np.pi * lam * R))
+    n = 2 * int(np.ceil(np.pi * lam * R))
     theta = 2.0 * np.pi * np.arange(n) / n
     return lam * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-@pytest.mark.parametrize("lam,R", [(1.0, 4.0), (1.0, 32.0), (1.5, 4.0)])
+@pytest.mark.parametrize("lam,R", _CIRCLE_NETS)
 def test_even_circle_net_is_exactly_antipodal(lam, R):
-    """The second half of an even net negates the first; the first half is the equispaced circle."""
+    """The second half of every circle net negates the first; the first half is the equispaced circle."""
     nodes = build_net(lam, R, d=2).nodes
     n = nodes.shape[0]
     assert n % 2 == 0
     np.testing.assert_array_equal(nodes[n // 2 :], -nodes[: n // 2])
     np.testing.assert_array_equal(nodes[: n // 2], _circle_nodes(lam, R)[: n // 2])
     np.testing.assert_allclose(nodes, _circle_nodes(lam, R), rtol=0, atol=1e-14 * lam)
-
-
-@pytest.mark.parametrize("lam,R", [(1.0, 8.0), (1.0, 16.0), (1.0, 64.0)])
-def test_odd_circle_net_is_the_equispaced_circle(lam, R):
-    nodes = build_net(lam, R, d=2).nodes
-    assert nodes.shape[0] % 2 == 1
-    np.testing.assert_array_equal(nodes, _circle_nodes(lam, R))
 
 
 def test_fibonacci_net_is_not_paired():
@@ -472,7 +492,7 @@ def test_ensemble_works_in_one_block_of_rows(monkeypatch, h):
     R = 16.0
     gs = GridSpec(d=2, L=8 * R, N=int(8 * R / 0.25))
     field = _field(gs, R=R)
-    net = build_net(lam=1.0, R=R, d=2)
+    net = oracles.equispaced_circle_net(1.0, R)
     n = net.n_nodes
     bound = block * n * 16 + 4 * (2 * n) ** 2 * 8
     assert field.values.nbytes > bound
@@ -664,7 +684,7 @@ def test_half_step_mirror_assembly_matches_node_level_sandwich(case):
     """
     d, L, N, R, h, make = _MIRROR_CASES[case]
     gs = GridSpec(d=d, L=L, N=N)
-    net = build_net(lam=1.0, R=R, d=d)
+    net = oracles.equispaced_circle_net(1.0, R) if d == 2 else build_net(lam=1.0, R=R, d=d)
     assert d == 3 or net.n_nodes % 2 == 1
     field = make(gs)
     real = not field.values.imag.any()
@@ -695,7 +715,7 @@ def test_uniform_cells_that_mirror_onto_mixed_cells_stay_unpaired():
     values[20:24, :4] = 3.0  # a uniform cell whose uniform mirror holds another value
     values[-24:-20, -4:] = -1.0
     field = PotentialField(gs, values, support_radius=8.0)
-    net = build_net(lam=1.0, R=8.0, d=2)
+    net = oracles.equispaced_circle_net(1.0, 8.0)
     ens = SandwichEnsemble(net, net, field, h=1.0)
     uniform_mirror, mixed_mirror = ens._mirrors
     assert uniform_mirror.size == 4 + 2 + 2 and np.count_nonzero(uniform_mirror < 0) == 2
@@ -712,7 +732,7 @@ def test_uniform_cells_that_mirror_onto_mixed_cells_stay_unpaired():
 def test_draw_on_an_odd_net_takes_the_hermitian_eigensolver(monkeypatch):
     """Real V on an odd net: spectral_norm of a draw's matrix calls eigvalsh and never the SVD."""
     gs = GridSpec(d=2, L=16.0, N=64)
-    net = build_net(lam=1.0, R=8.0, d=2)
+    net = oracles.equispaced_circle_net(1.0, 8.0)
     ens = SandwichEnsemble(net, net, _field(gs, R=4.0), h=1.0)
     calls = []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
@@ -734,7 +754,7 @@ def test_ensemble_mirror_pairs_count_pairs_fed_as_one():
     mixed cells, that are each other's mirrors.
     """
     gs = GridSpec(d=2, L=8.0, N=32)
-    net = build_net(lam=1.0, R=8.0, d=2)
+    net = oracles.equispaced_circle_net(1.0, 8.0)
     field = _field(gs, amplitude=1.0, R=2.0)
     spec = _omega_spec(h=1.0)
     ens = SandwichEnsemble(net, net, field, h=1.0)

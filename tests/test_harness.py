@@ -247,22 +247,27 @@ def test_randomization_shrinks_the_norm():
 
 
 @pytest.mark.parametrize(
-    "R,n", [(8.0, 5), (16.0, 5), (32.0, 5), (16.0, 2)],
-    ids=["R8_mirror_pairs", "R16_mirror_pairs", "R32_pair_form", "fewer_draws_than_workers"],
+    "R,n,d", [(8.0, 5, 2), (16.0, 5, 2), (32.0, 5, 2), (16.0, 2, 2), (2.0, 5, 3)],
+    ids=["R8_pair_form", "R16_pair_form", "R32_pair_form", "fewer_draws_than_workers",
+         "d3_mirror_pairs"],
 )
-def test_campaign_norms_are_the_same_bits_for_every_worker_count(monkeypatch, R, n):
-    """Whichever worker of k draws a position, its norm lands there."""
+def test_campaign_norms_are_the_same_bits_for_every_worker_count(monkeypatch, R, n, d):
+    """Whichever worker of k draws a position, its norm lands there.
+
+    Every d = 2 net is antipodal, so its draws take the pair form; the
+    39-node d = 3 net at R = 2 takes the mirror-paired complex form.
+    """
     cpus = os.cpu_count() or 1
     monkeypatch.setattr(os, "cpu_count", lambda: max(3, cpus))
     spec = PotentialSpec(kind="indicator_ball", amplitude=1.0, R=8.0)
     indices = list(range(n))[::-1]
-    want_norms, want_det = campaign_norms(spec, _omega(), 1.0, R, indices, reference=True)
+    want_norms, want_det = campaign_norms(spec, _omega(), 1.0, R, indices, d, reference=True)
     for workers in (2, 3):
         norms, det = campaign_norms(
-            spec, _omega(), 1.0, R, indices, reference=True, workers=workers
+            spec, _omega(), 1.0, R, indices, d, reference=True, workers=workers
         )
         assert norms.tobytes() == want_norms.tobytes() and det == want_det
-        samples = ext_norm_samples(spec, _omega(), 1.0, R, indices, workers=workers)
+        samples = ext_norm_samples(spec, _omega(), 1.0, R, indices, d, workers=workers)
         assert samples.tobytes() == norms.tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -452,19 +457,24 @@ def test_campaign_norms_are_the_two_samplers_bits(monkeypatch, spec, lam, R, dx,
 
 
 @pytest.mark.parametrize(
-    "R,h,dtype",
-    [(4.0, 1.0, np.float64), (4.0, 0.5, np.float64), (8.0, 1.0, np.complex128)],
-    ids=["even", "even_own_reference", "odd"],
+    "R,h,d,dtype",
+    [(4.0, 1.0, 2, np.float64), (4.0, 0.5, 2, np.float64), (8.0, 1.0, 2, np.float64),
+     (2.0, 1.0, 3, np.complex128)],
+    ids=["even", "even_own_reference", "R8", "d3"],
 )
-def test_campaign_norms_take_the_real_form_on_even_nets(monkeypatch, R, h, dtype):
-    """R = 4 (26 nodes) takes each draw and the reference from a real eigvalsh; R = 8 (51) does not."""
+def test_campaign_norms_take_the_real_form_on_even_nets(monkeypatch, R, h, d, dtype):
+    """Each draw and the reference come from a real eigvalsh on d = 2 nets, not on d = 3.
+
+    The d = 2 nets (26 nodes at R = 4, 52 at R = 8) are antipodal; the
+    d = 3 Fibonacci net (39 nodes at R = 2) is not.
+    """
     import evbounds.harness as harness
 
     seen = []
     real = harness.spectral_norm
     monkeypatch.setattr(harness, "spectral_norm", lambda a: seen.append(a.dtype) or real(a))
     spec = PotentialSpec(kind="indicator_ball")
-    campaign_norms(spec, _omega(h=h), 1.0, R, range(3), reference=True)
+    campaign_norms(spec, _omega(h=h), 1.0, R, range(3), d, reference=True)
     assert seen == [dtype] * 4
 
 
@@ -679,7 +689,7 @@ def test_schatten_campaign_shape():
     assert entry["median_lhs"] > 0
     assert entry["rhs_raw"] > 0
     assert entry["median_tail_ratio"] < 1.0
-    assert entry["n_nodes"] == 51
+    assert entry["n_nodes"] == 52
     assert entry["max_lhs"] >= entry["median_lhs"]
     assert set(entry) == {
         "median_lhs", "rhs_raw", "ratio", "median_tail_ratio", "n_nodes", "max_lhs"
