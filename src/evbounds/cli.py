@@ -63,7 +63,7 @@ from .spectra import (
     filter_discrete,
     hamiltonian_matrix,
 )
-from .util import one_blas_thread_setting
+from .util import one_blas_thread, one_blas_thread_setting
 
 __all__ = ["main"]
 
@@ -428,10 +428,12 @@ def _campaign_extnorm(cfg: RunConfig, workers: int) -> int:
     r_list = _radii(cfg, "R_list")
     n = _n_samples(cfg, 200)
     rows = []
-    for R in r_list:
-        arr, det = _collect_norms(cfg, R, n, workers, reference=True)
-        stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        rows.append((R, float(arr.mean()), stderr, det))
+    # One block over every radius: the thread count is put back once, after the last fork.
+    with one_blas_thread():
+        for R in r_list:
+            arr, det = _collect_norms(cfg, R, n, workers, reference=True)
+            stderr = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            rows.append((R, float(arr.mean()), stderr, det))
     summary = [f"R,{_fmt(R)},{n},{_fmt(m)},{_fmt(se)},{_fmt(det)},," for R, m, se, det in rows]
     if len(rows) >= 3:
         xs = [r[0] for r in rows]

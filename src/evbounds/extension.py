@@ -697,7 +697,17 @@ def angular_weight(matrix: np.ndarray, lam: float, nu: float) -> np.ndarray:
 
 
 def singular_values(op) -> np.ndarray:
-    """Descending singular values of a sandwich (or bare) matrix."""
+    """Descending singular values of a sandwich (or bare) matrix.
+
+    A sandwich that carries a real_form T, unitarily similar to the
+    Hermitian M (M = U T U^H in the pair basis U of _node_matrix), gives
+    the descending |eigenvalues| of T from the real eigvalsh: the singular
+    values of a Hermitian matrix are its |eigenvalues|, and M is never
+    lifted.  Any other sandwich, and any bare matrix, takes the SVD of its
+    matrix.
+    """
+    if isinstance(op, SandwichOperator) and op.real_form is not None:
+        return np.sort(np.abs(np.linalg.eigvalsh(op.real_form)))[::-1]
     matrix = op.matrix if isinstance(op, SandwichOperator) else np.asarray(op)
     return np.linalg.svd(matrix, compute_uv=False)
 

@@ -464,7 +464,12 @@ def _worker(draw, w: int):
 
 
 def _norm(op) -> float:
-    """spectral_norm of a sandwich, taken on its real form when it carries one (a real eigvalsh)."""
+    """spectral_norm of a sandwich, taken on its real form when it carries one (a real eigvalsh).
+
+    spectral_norm(op.matrix) would also reach a real eigvalsh, through its
+    pair-shape check, but only after the O(n^2) lift of M and the
+    Hermitian and pair comparisons; the real form skips all three.
+    """
     return spectral_norm(op.matrix if op.real_form is None else op.real_form)
 
 
@@ -693,9 +698,10 @@ def schatten_campaign(
     bound speaks about); median_tail_ratio records s_n/s_1, the drop past
     the bandwidth index 2 pi lam R.  nu, d and n_samples >= 1 are checked
     before anything is built; the draws are _draw_norms' on workers
-    processes.  Returns per R the median lhs, the rhs_raw factor, their
-    ratio, the median tail ratio, the net's node count and the largest lhs
-    of any draw.
+    processes, every radius inside one util.one_blas_thread block, so the
+    thread count is put back once, after the last fork.  Returns per R the
+    median lhs, the rhs_raw factor, their ratio, the median tail ratio, the
+    net's node count and the largest lhs of any draw.
     """
     p = schatten_exponent(nu, d)
     if n_samples < 1:
@@ -706,21 +712,22 @@ def schatten_campaign(
         return weak_schatten(svals, p), svals[-1] / svals[0]
 
     out: dict[float, dict] = {}
-    for R in R_list:
-        build = functools.partial(_campaign_ensemble, potential_spec, lam, R, d, dx, omega_template.h)
-        ensemble, draws = _draw_norms(build, omega_template, range(n_samples), workers, measure, 2)
-        median_lhs, median_tail = np.median(draws, axis=0)
-        v_inf = float(np.abs(ensemble.field.values).max())
-        params = {"lam": lam, "R": R, "h": omega_template.h, "v_inf": v_inf}
-        rhs_raw = check_schatten_decay((), nu, d, params).rhs_raw
-        out[float(R)] = {
-            "median_lhs": float(median_lhs),
-            "rhs_raw": rhs_raw,
-            "ratio": float(median_lhs / rhs_raw),
-            "median_tail_ratio": float(median_tail),
-            "n_nodes": ensemble.net_out.n_nodes,
-            "max_lhs": float(draws[:, 0].max()),
-        }
+    with one_blas_thread():
+        for R in R_list:
+            build = functools.partial(_campaign_ensemble, potential_spec, lam, R, d, dx, omega_template.h)
+            ensemble, draws = _draw_norms(build, omega_template, range(n_samples), workers, measure, 2)
+            median_lhs, median_tail = np.median(draws, axis=0)
+            v_inf = float(np.abs(ensemble.field.values).max())
+            params = {"lam": lam, "R": R, "h": omega_template.h, "v_inf": v_inf}
+            rhs_raw = check_schatten_decay((), nu, d, params).rhs_raw
+            out[float(R)] = {
+                "median_lhs": float(median_lhs),
+                "rhs_raw": rhs_raw,
+                "ratio": float(median_lhs / rhs_raw),
+                "median_tail_ratio": float(median_tail),
+                "n_nodes": ensemble.net_out.n_nodes,
+                "max_lhs": float(draws[:, 0].max()),
+            }
     return out
 
 

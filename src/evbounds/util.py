@@ -40,19 +40,52 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def spectral_norm(matrix) -> float:
     """Largest singular value ||A||_2 from one LAPACK call (values only).
 
-    The path follows from exact structure, with no tolerance: a square
-    matrix equal bit for bit to its conjugate transpose gives max |lambda|
-    from the Hermitian eigensolver `np.linalg.eigvalsh`, any other matrix
-    its largest singular value from the SVD.  Both are exact to working
-    precision, with no iteration budget or fallback; an empty matrix has
-    norm 0.0.
+    The path follows from exact structure, with no tolerance:
+
+    * a square matrix equal bit for bit to its conjugate transpose gives
+      max |lambda| from the Hermitian eigensolver `np.linalg.eigvalsh`;
+      real input goes there as it is;
+    * a complex one of even size n = 2m that is also exactly in pair
+      shape, M = [[A, B], [conj B, conj A]], goes there as its real form
+      (_pair_form), a real symmetric matrix with the same eigenvalues;
+    * any other matrix gives its largest singular value from the SVD.
+
+    Each is exact to working precision, with no iteration budget or
+    fallback; an empty matrix has norm 0.0.
     """
     a = np.asarray(matrix)
     if a.size == 0:
         return 0.0
     if np.array_equal(a, a.conj().T):
-        return float(np.abs(np.linalg.eigvalsh(a)).max())
+        return float(np.abs(np.linalg.eigvalsh(_pair_form(a))).max())
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _pair_form(a):
+    """T = U^H a U for a Hermitian a in exact pair shape, else a itself.
+
+    U is the pair basis (e_k + e_{k+m}) / sqrt 2, -i (e_k - e_{k+m}) / sqrt 2,
+    k < m = n / 2.  With A = a[:m, :m], B = a[:m, m:], a[m:, m:] = conj A
+    and a[m:, :m] = conj B bit for bit, T = [[Re A + Re B, X], [X^T, Re A - Re B]]
+    with X = Im A - Im B: real, and symmetric bit for bit since A is
+    Hermitian and B symmetric (a is Hermitian and a[m:, :m] = B^H = conj B).
+    It undoes extension._node_matrix, whose real form orders the same
+    coordinates interleaved rather than in two blocks.  Real input, odd n
+    and any bit off the pair shape return a unchanged, before any arithmetic.
+    """
+    n = a.shape[0]
+    if not np.iscomplexobj(a) or n % 2:
+        return a
+    m = n // 2
+    top_a, top_b = a[:m, :m], a[:m, m:]
+    if not (np.array_equal(a[m:, m:], top_a.conj()) and np.array_equal(a[m:, :m], top_b.conj())):
+        return a
+    t = np.empty((n, n))
+    np.add(top_a.real, top_b.real, out=t[:m, :m])
+    np.subtract(top_a.real, top_b.real, out=t[m:, m:])
+    np.subtract(top_a.imag, top_b.imag, out=t[:m, m:])
+    t[m:, :m] = t[:m, m:].T
+    return t
 
 
 @functools.cache

@@ -578,6 +578,59 @@ def test_campaign_bits_do_not_depend_on_the_blas_thread_count(tmp_path, command,
     assert len(trees[0]) == n_files and all(tree == trees[0] for tree in trees[1:])
 
 
+class _CountingBlas:
+    """A stand-in for numpy's OpenBLAS: records every thread count set, starting from 4."""
+
+    def __init__(self):
+        self.threads, self.calls = 4, []
+
+    def openblas_set_num_threads_local(self, count):
+        self.calls.append(count)
+        prev, self.threads = self.threads, count
+        return prev
+
+
+@pytest.mark.parametrize("experiment", ["PROP_EXTNORM", "SCHATTEN_DECAY"])
+def test_a_multi_radius_campaign_restores_the_blas_thread_count_once(tmp_path, monkeypatch, experiment):
+    """Three radii at --workers 2 put back the start count once, after the last fork, not per radius.
+
+    Each restore after a fork rebuilds OpenBLAS's thread pool, whose new
+    worker spins before it sleeps; the radius loop holds one block instead.
+    """
+    from evbounds import util
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    blas = _CountingBlas()
+    monkeypatch.setattr(util, "_openblas", lambda: blas)
+    if experiment == "PROP_EXTNORM":
+        data = _campaign_dict(n_samples=2, r_list=(8.0, 16.0, 32.0))
+    else:
+        data = _schatten_dict(campaign=True)
+        data["experiment"]["R_list"] = [4.0, 8.0, 16.0]
+    assert _run(tmp_path, data, "campaign", ("--workers", "2"))[0] == 0
+    assert [count for count in blas.calls if count != 1] == [4] and blas.threads == 4
+
+
+@pytest.mark.parametrize("omega", [True, False], ids=["draws", "deterministic"])
+def test_svd_files_come_from_the_real_form_and_keep_their_bytes_on_rerun(tmp_path, monkeypatch, omega):
+    """A pair-form svd run takes no SVD, and a rerun writes the same bytes.
+
+    test_schatten_outputs_are_the_same_for_every_worker_count checks the
+    draws' files for --workers 1-3.
+    """
+    data = _schatten_dict()
+    data["experiment"]["n_samples"] = 3
+    if not omega:
+        data["omega"] = None
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    first = _tree(tmp_path / "work", data, "svd", 1, monkeypatch)
+    assert calls == [] and len(first) == (4 if omega else 2)
+    assert main(["svd", "--config", "cfg.json"]) == 0
+    assert _files(tmp_path / "work" / "out") == first
+
+
 @pytest.mark.parametrize(
     "index,raised,experiment",
     [(1, RuntimeError, "PROP_EXTNORM"), (0, FloatingPointError, "PROP_EXTNORM"),

@@ -729,20 +729,26 @@ def test_uniform_cells_that_mirror_onto_mixed_cells_stay_unpaired():
         np.testing.assert_array_equal(fast.matrix, fast.matrix.conj().T)
 
 
+def _solver_spy(monkeypatch):
+    """The dtype of every matrix np.linalg.eigvalsh receives, and "svd" for every SVD."""
+    calls = []
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a.dtype) or eigvalsh(a, *r, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    return calls
+
+
 def test_draw_on_an_odd_net_takes_the_hermitian_eigensolver(monkeypatch):
-    """Real V on an odd net: spectral_norm of a draw's matrix calls eigvalsh and never the SVD."""
+    """Real V on an odd net: spectral_norm of a draw's matrix calls the complex eigvalsh, never the SVD."""
     gs = GridSpec(d=2, L=16.0, N=64)
     net = oracles.equispaced_circle_net(1.0, 8.0)
     ens = SandwichEnsemble(net, net, _field(gs, R=4.0), h=1.0)
-    calls = []
-    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    calls = _solver_spy(monkeypatch)
     for idx in range(3):
         op = ens.with_omega(draw_omega(_omega_spec(h=1.0, seed=12, index=idx), gs))
         assert op.potential_ref["assembly"] == "complex" and op.real_form is None
         spectral_norm(op.matrix)
-    assert calls == ["eigvalsh"] * 3
+    assert calls == [np.complex128] * 3
 
 
 def test_ensemble_mirror_pairs_count_pairs_fed_as_one():
@@ -1034,6 +1040,58 @@ def test_weak_schatten_arithmetic():
 def test_schatten_rejects_small_p():
     with pytest.raises(ValueError):
         weak_schatten([1.0], 0.5)
+
+
+def _campaign_ops(R, draws=2):
+    """Bernoulli draws and M(1) of the campaign ensemble at R (lambda = 1, dx = 0.25, unit cells)."""
+    from evbounds.harness import campaign_grid
+
+    gs = campaign_grid(R, 2, 0.25)
+    net = build_net(1.0, R, 2)
+    ens = SandwichEnsemble(net, net, _field(gs, R=R), 1.0)
+    ops = [ens.with_omega(draw_omega(_omega_spec(seed=31, index=i), gs)) for i in range(draws)]
+    return [*ops, ens.deterministic()]
+
+
+@pytest.mark.parametrize("R", [4.0, 8.0, 32.0])
+def test_a_lifted_pair_form_sandwich_takes_the_real_eigensolver(monkeypatch, R):
+    """spectral_norm(op.matrix) of a pair-form draw or M(1): one real eigvalsh, the SVD's norm, _norm's."""
+    from evbounds import harness
+
+    for op in _campaign_ops(R):
+        assert op.potential_ref["assembly"] == "pair"
+        m = op.matrix
+        top = np.linalg.svd(m, compute_uv=False)[0]
+        via_real_form = harness._norm(op)
+        calls = _solver_spy(monkeypatch)
+        got = spectral_norm(m)
+        monkeypatch.undo()
+        assert calls == [np.float64]
+        assert abs(got - top) <= 1e-13 * top and abs(got - via_real_form) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("R", [4.0, 8.0])
+def test_singular_values_of_a_pair_form_sandwich_come_from_its_real_form(monkeypatch, R):
+    """Descending, within 1e-12 s_1 of the SVD of M, from one real eigvalsh, and M is never lifted."""
+    for op in _campaign_ops(R):
+        calls = _solver_spy(monkeypatch)
+        got = singular_values(op)
+        monkeypatch.undo()
+        assert calls == [np.float64] and op._matrix is None
+        assert np.all(np.diff(got) <= 0)
+        want = np.linalg.svd(op.matrix, compute_uv=False)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])
+
+
+@pytest.mark.parametrize("case", ["d3", "complex_v"])
+def test_singular_values_of_a_complex_form_sandwich_keep_the_svd_bits(case):
+    d, amplitude = (3, 1.0) if case == "d3" else (2, 1.0 + 0.5j)
+    gs = GridSpec(d=d, L=8.0, N=16 if d == 3 else 32)
+    net = build_net(lam=1.0, R=2.0 if d == 3 else 4.0, d=d)
+    ens = SandwichEnsemble(net, net, _field(gs, amplitude=amplitude, R=2.0), 1.0)
+    for op in (ens.with_omega(draw_omega(_omega_spec(index=3), gs)), ens.deterministic()):
+        assert op.potential_ref["assembly"] == "complex" and op.real_form is None
+        np.testing.assert_array_equal(singular_values(op), np.linalg.svd(op.matrix, compute_uv=False))
 
 
 def test_operator_norm_is_top_singular_value():

@@ -27,6 +27,21 @@ def test_spectral_norm_of_empty_matrix_is_zero():
     assert spectral_norm(np.zeros((0, 4))) == 0.0
 
 
+def _pair_shaped(m, seed=11):
+    """A random complex Hermitian [[A, B], [conj B, conj A]] of size 2m: A Hermitian, B symmetric."""
+    rng = np.random.default_rng(seed)
+    z, w = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+    a, b = z + z.conj().T, w + w.T
+    return np.block([[a, b], [b.conj(), a.conj()]])
+
+
+def _one_ulp_off(a, k, l):
+    """a with entry (k, l) one ulp up in its real part and (l, k) its conjugate again."""
+    a[k, l] = np.nextafter(a[k, l].real, np.inf) + 1j * a[k, l].imag
+    a[l, k] = a[k, l].conj()
+    return a
+
+
 def _structured(kind):
     rng = np.random.default_rng(7)
     z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
@@ -44,6 +59,19 @@ def _structured(kind):
         a = z + z.conj().T
         a[3, 5] = np.nextafter(a[3, 5].real, np.inf) + 1j * a[3, 5].imag
         return a
+    if kind == "pair_shaped":
+        return _pair_shaped(20)
+    if kind == "real_pair_shaped":
+        return _pair_shaped(20).real.copy()
+    if kind == "odd_pair_shaped":
+        return _pair_shaped(20)[:-1, :-1]
+    if kind == "one_ulp_off_pair_lower_right":
+        return _one_ulp_off(_pair_shaped(20), 23, 25)
+    if kind == "one_ulp_off_pair_lower_left":
+        return _one_ulp_off(_pair_shaped(20), 22, 6)
+    if kind == "non_hermitian_pair_shaped":
+        z, w = z[:20, :20], z[20:, :20]
+        return np.block([[z, w], [w.conj(), z.conj()]])
     raise ValueError(kind)
 
 
@@ -56,23 +84,59 @@ def _structured(kind):
         ("rectangular", "svd"),
         ("empty", None),
         ("one_ulp_off_hermitian", "svd"),
+        ("pair_shaped", "eigvalsh"),
+        ("real_pair_shaped", "eigvalsh"),
+        ("odd_pair_shaped", "eigvalsh"),
+        ("one_ulp_off_pair_lower_right", "eigvalsh"),
+        ("one_ulp_off_pair_lower_left", "eigvalsh"),
+        ("non_hermitian_pair_shaped", "svd"),
     ],
 )
 def test_spectral_norm_path_follows_exact_structure(monkeypatch, kind, path):
+    """The solver, and the dtype eigvalsh receives: real only for real or exactly pair-shaped input.
+
+    Every other matrix gets the bits of its solver run on the matrix itself.
+    """
     a = _structured(kind)
     want = np.linalg.svd(a, compute_uv=False)[0] if a.size else 0.0
+    own = {"eigvalsh": lambda: np.abs(np.linalg.eigvalsh(a)).max(), "svd": lambda: want, None: lambda: 0.0}
+    own_bits = float(own[path]())
     calls = []
     for name in ("eigvalsh", "svd"):
         solver = getattr(np.linalg, name)
 
-        def spy(*args, _solver=solver, _name=name, **kwargs):
-            calls.append(_name)
-            return _solver(*args, **kwargs)
+        def spy(m, *args, _solver=solver, _name=name, **kwargs):
+            calls.append((_name, m.dtype))
+            return _solver(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
     got = spectral_norm(a)
-    assert calls == ([path] if path else [])
-    assert abs(got - want) <= 1e-14 * want
+    real_form = kind == "pair_shaped"
+    assert calls == ([(path, np.float64 if real_form else a.dtype)] if path else [])
+    if real_form:
+        assert abs(got - want) <= 1e-13 * want
+    else:
+        assert got == own_bits and abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_pair_form_of_a_pair_shaped_hermitian_matrix_is_real_symmetric_and_isospectral(m):
+    a = _pair_shaped(m)
+    assert np.array_equal(a, a.conj().T)
+    t = util._pair_form(a)
+    assert t.dtype == np.float64 and t.shape == a.shape
+    assert np.array_equal(t, t.T)
+    scale = np.linalg.svd(a, compute_uv=False)[0]
+    np.testing.assert_allclose(np.linalg.eigvalsh(t), np.linalg.eigvalsh(a), rtol=0, atol=1e-13 * scale)
+
+
+def test_real_input_returns_before_any_pair_comparison(monkeypatch):
+    a = _pair_shaped(10).real.copy()
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *x, **k: compared.append(1) or array_equal(*x, **k))
+    assert util._pair_form(a) is a
+    assert compared == []
 
 
 def _wilson_oracle(k, n, z):
